@@ -28,7 +28,7 @@ from .efie import (ExcitationVector, ImpedanceOperator, assemble_impedance,
 from .errors import (CmadofError, ConfigError, DegenerateStructureError,
                      GeometryError, NumericalError, RankDeficiencyError,
                      ReductionError, SingularityError)
-from .ga import (GaRun, Individual, PixelProblem, PlateAnalysis,
+from .ga import (GaRun, Individual, PixelProblem, PlateAnalysis, PlateModel,
                  analyze_plate, crossover_mutate, evaluate, fitness,
                  phi_from_hex, phi_to_hex, run_ga, select_parents)
 from .mesh import (PlateSpec, RwgBasis, SamplingMatrix, TriMesh,
@@ -61,7 +61,7 @@ __all__ = [
     "dof_bounds", "build_report", "matrix_rank", "conventional_reduce",
     "point_source_channel", "block_leakage",
     # ga
-    "PixelProblem", "PlateAnalysis", "Individual", "GaRun",
+    "PixelProblem", "PlateModel", "PlateAnalysis", "Individual", "GaRun",
     "analyze_plate", "evaluate", "fitness", "select_parents",
     "crossover_mutate", "run_ga", "phi_to_hex", "phi_from_hex",
     # errors

@@ -27,8 +27,8 @@ import numpy as np
 
 from .config import RunConfig, load_run_config
 from .errors import (ConfigError, GeometryError, NumericalError)
-from .ga import (PixelProblem, analyze_plate, evaluate, phi_from_hex,
-                 phi_to_hex, run_ga)
+from .ga import (PixelProblem, PlateModel, analyze_plate, evaluate,
+                 phi_from_hex, phi_to_hex, run_ga)
 from .mesh import PlateSpec, build_plate_mesh, mesh_to_json, mesh_to_text
 from .svgplot import LinePlot, write_plot
 
@@ -94,7 +94,8 @@ def _spectrum_db(singulars: np.ndarray) -> np.ndarray:
 def cmd_modes(cfg: RunConfig) -> None:
     spec = _plate_spec(cfg, "tx")
     bits = _plate_bits(cfg, "tx", spec)
-    plate = analyze_plate(spec, bits, cfg.frequency, cfg.n_keep)
+    plate = analyze_plate(PlateModel.build(spec, cfg.frequency), bits,
+                          cfg.n_keep)
     sig = np.abs(plate.modes.significances)
     v_mag = np.abs(plate.excitation)
 

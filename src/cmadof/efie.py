@@ -13,9 +13,9 @@ triangle rule on both faces. Pairs sharing at least one vertex (self,
 edge-adjacent, corner-adjacent) are split into the extracted kernel
 (1/R - k^2 R/2)/(4 pi), whose inner integrals are evaluated in closed form
 under a subdivided 7-point outer rule, plus the twice-differentiable
-remainder (exp(-jkR) - 1 + (kR)^2/2)/(4 pi R) under a 7x7 rule. Moments for
-an unordered face pair are computed once and mirrored, which keeps Z
-symmetric to roundoff.
+remainder (exp(-jkR) - 1 + (kR)^2/2)/(4 pi R) under a 7x7 rule, in batches
+of TOUCH_CHUNK pairs. Moments for an unordered face pair are computed once
+and mirrored, which keeps Z symmetric to roundoff.
 
 Everything here is deterministic: fixed quadrature rules, fixed loop order,
 no threading in the assembly itself.
@@ -207,31 +207,34 @@ _BARY_STATIC, _W_STATIC = None, None  # filled on first use
 
 
 def _singular_moments(p_verts, q_verts, area_p, area_q, k0):
-    """Double-surface kernel moments for one touching face pair.
+    """Double-surface kernel moments for a batch of P touching face pairs.
 
-    Returns (m00, m_in (3,), m_out (3,), mdot) where
+    p_verts and q_verts are (P, 3, 3), area_p and area_q (P,). Returns
+    (m00 (P,), m_in (P, 3), m_out (P, 3), mdot (P,)) where
         m00   = II G
         m_in  = II r' G
         m_out = II r  G
         mdot  = II (r . r') G
     Extracted part (1/R - k^2 R / 2)/(4 pi): closed-form inner integral
     under a subdivided 7-point outer rule. Smooth remainder: 7x7 double
-    rule.
+    rule. Each pair's moments are computed by the same arithmetic whatever
+    else the batch holds.
     """
     global _BARY_STATIC, _W_STATIC
     if _BARY_STATIC is None:
         _BARY_STATIC, _W_STATIC = _refined_rule(3)
     bary7, w7 = tri_rule(7)
-    xp = bary7 @ p_verts  # (7, 3)
+    xp = bary7 @ p_verts  # (P, 7, 3)
     xq = bary7 @ q_verts
 
     # smooth remainder
-    dist = np.linalg.norm(xp[:, None, :] - xq[None, :, :], axis=-1)
-    kd = _smooth_kernel(dist, k0) * (w7[:, None] * w7[None, :]) * (area_p * area_q)
-    m00 = kd.sum()
-    m_in = np.einsum("ij,jd->d", kd, xq)
-    m_out = np.einsum("ij,id->d", kd, xp)
-    mdot = np.einsum("ij,id,jd->", kd, xp, xq)
+    dist = np.linalg.norm(xp[:, :, None, :] - xq[:, None, :, :], axis=-1)
+    kd = _smooth_kernel(dist, k0) * (w7[:, None] * w7[None, :])
+    kd *= (area_p * area_q)[:, None, None]
+    m00 = kd.sum(axis=(1, 2))
+    m_in = np.einsum("pij,pjd->pd", kd, xq)
+    m_out = np.einsum("pij,pid->pd", kd, xp)
+    mdot = np.einsum("pij,pid,pjd->p", kd, xp, xq)
 
     # extracted part, inner integrals in closed form
     xs = _BARY_STATIC @ p_verts
@@ -241,11 +244,16 @@ def _singular_moments(p_verts, q_verts, area_p, area_q, k0):
     g0 = i0 - half_ksq * j0
     gr = ir - half_ksq * jr
     scale = area_p / (4.0 * np.pi)
-    m00 += scale * np.dot(ws, g0)
-    m_in += scale * np.einsum("i,id->d", ws, gr)
-    m_out += scale * np.einsum("i,i,id->d", ws, g0, xs)
-    mdot += scale * np.einsum("i,id,id->", ws, xs, gr)
+    m00 += scale * np.einsum("i,pi->p", ws, g0)
+    m_in += scale[:, None] * np.einsum("i,pid->pd", ws, gr)
+    m_out += scale[:, None] * np.einsum("i,pi,pid->pd", ws, g0, xs)
+    mdot += scale * np.einsum("i,pid,pid->p", ws, xs, gr)
     return m00, m_in, m_out, mdot
+
+
+#: touching face pairs per batched moment call; bounds the temporaries of
+#: one call to a few megabytes
+TOUCH_CHUNK = 64
 
 
 def assemble_impedance(basis: RwgBasis, frequency: float) -> ImpedanceOperator:
@@ -293,24 +301,27 @@ def assemble_impedance(basis: RwgBasis, frequency: float) -> ImpedanceOperator:
         m_out[sl] = np.einsum("piqj,pid->pqd", kern, x7[sl])
         mdot[sl] = np.einsum("piqj,pid,qjd->pq", kern, x7[sl], x7)
 
+    # the regular-pair arrays are the largest of the assembly: release them
+    # before the touching-pair phase allocates its own
+    del diff, dist, kern
+
     # touching pairs: singularity-extracted moments, mirrored for symmetry
-    for p, q in _face_adjacency_pairs(mesh.faces):
+    pairs = np.array(_face_adjacency_pairs(mesh.faces)).reshape(-1, 2)
+    for start in range(0, len(pairs), TOUCH_CHUNK):
+        p, q = pairs[start:start + TOUCH_CHUNK].T
         s00, s_in, s_out, sdot = _singular_moments(
             tv[p], tv[q], areas[p], areas[q], k0
         )
         m00[p, q] = m00[q, p] = s00
         mdot[p, q] = mdot[q, p] = sdot
-        if p == q:
-            # II r G and II r' G coincide on a self pair; using one value
-            # for both keeps the assembled matrix symmetric to roundoff.
-            s_avg = 0.5 * (s_in + s_out)
-            m_in[p, p] = s_avg
-            m_out[p, p] = s_avg
-        else:
-            m_in[p, q] = s_in
-            m_out[p, q] = s_out
-            m_in[q, p] = s_out
-            m_out[q, p] = s_in
+        m_in[p, q] = m_out[q, p] = s_in
+        m_out[p, q] = m_in[q, p] = s_out
+        # II r G and II r' G coincide on a self pair; using one value for
+        # both keeps the assembled matrix symmetric to roundoff.
+        own = p == q
+        s_avg = 0.5 * (s_in[own] + s_out[own])
+        m_in[p[own], p[own]] = s_avg
+        m_out[p[own], p[own]] = s_avg
 
     # gather face moments into edge space
     ef = np.stack([basis.plus_face, basis.minus_face], axis=1)  # (E, 2)

@@ -8,9 +8,11 @@ the full physics pipeline
     mesh -> impedance -> characteristic modes -> port excitation/patterns
          -> transmit/receive maps -> free-space channel -> H
 
-and scores the equivalent channel by the negated standard deviation of its
-singular values: flat spectra score 0 (the maximum), lopsided spectra score
-negative, so maximizing the score pushes toward more usable subchannels.
+where the impedance, the face sampler and the port columns of a
+configuration are gathered from its plate's all-metal parent (`PlateModel`,
+assembled once per plate spec and frequency). It scores the equivalent
+channel by the negated standard deviation of its singular values: flat
+spectra score 0 (the maximum), lopsided spectra score negative, so maximizing the score pushes toward more usable subchannels.
 
 The evolutionary loop is a plain binary GA: tournament-2 selection with
 replacement, uniform crossover over consecutive parent pairs, independent
@@ -18,13 +20,15 @@ per-bit mutation (default rate 1/bit_length), and elitist truncation of the
 merged parent and child pool, which makes the best-so-far fitness exactly
 non-decreasing. All randomness flows from one seeded generator owned by the
 evolution loop; evaluations are deterministic and cached by configuration
-bytes, and may run in a process pool without touching the random stream.
+bytes, and may run in a process pool without touching the random stream;
+pool workers receive the parent plates once, when they start.
 """
 
 from __future__ import annotations
 
 import json
 import logging
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
@@ -37,15 +41,17 @@ from .cma import (SIGNIFICANCE_FLOOR, ModeBasis, excitation_matrix,
 from .dofcore import (DofReport, EquivalentChannel, build_report,
                       equivalent_channel, gamma_decomposition, receiver_map,
                       transmitter_map)
-from .efie import assemble_impedance, delta_gap_excitation
+from .efie import ImpedanceOperator, assemble_impedance, delta_gap_excitation
 from .errors import (DegenerateStructureError, GeometryError, NumericalError,
                      RankDeficiencyError)
-from .mesh import (PlateSpec, TriMesh, RwgBasis, build_plate_mesh,
-                   extract_rwg, face_sampling_operator, locate_port_edges)
+from .mesh import (PlateSpec, TriMesh, RwgBasis, SamplingMatrix,
+                   build_plate_mesh, extract_rwg, face_sampling_operator,
+                   locate_port_edges)
 
 __all__ = [
     "NEG_INF",
     "PixelProblem",
+    "PlateModel",
     "PlateAnalysis",
     "Individual",
     "GaRun",
@@ -68,6 +74,79 @@ CHECKPOINT_FORMAT = "cmadof-ga-checkpoint-v1"
 
 
 @dataclass
+class PlateModel:
+    """The all-metal parent of one plate spec at one frequency.
+
+    Every configuration's mesh is a subset of the parent's: the same grid
+    nodes, the same row-major faces (two per pixel), and so the same plus
+    and minus faces and free vertices on every shared edge. Face-pair
+    moments depend only on the two faces, so each configuration operator
+    is exactly a sub-block of the parent's, with f and e mapping the
+    configuration's faces and edges to the parent's:
+
+        Z(config) = Z[e][:, e]        impedance
+        S(config) = S[rows(f)][:, e]  face sampler, three rows per face
+        B(config) = B[e]              delta-gap port columns
+
+    The parent is assembled once, by `assemble_impedance`, and every
+    configuration of the spec is then analyzed by gather.
+    """
+
+    spec: PlateSpec
+    frequency: float
+    impedance: ImpedanceOperator
+    sampler: np.ndarray     # (3 n_faces, n_edges) parent face sampler
+    excitation: np.ndarray  # (n_edges, L) parent delta-gap columns
+    node_vertex: np.ndarray  # parent vertex of grid node (col, row)
+    edge_keys: np.ndarray    # lo * node_vertex.size + hi per parent edge
+
+    @classmethod
+    def build(cls, spec: PlateSpec, frequency: float) -> "PlateModel":
+        mesh = build_plate_mesh(spec, np.ones(spec.n_bits, dtype=np.uint8))
+        basis = extract_rwg(mesh)
+        node = np.rint(mesh.vertices[:, :2] / spec.pixel_size).astype(int)
+        node_vertex = np.empty((spec.pixel_cols + 1, spec.pixel_rows + 1),
+                               dtype=int)
+        # the parent uses every grid node once, so node_vertex.size is its
+        # vertex count and the keys of its sorted edges ascend
+        node_vertex[node[:, 0], node[:, 1]] = np.arange(len(node))
+        exc = delta_gap_excitation(basis, locate_port_edges(spec, mesh))
+        return cls(
+            spec=spec,
+            frequency=frequency,
+            impedance=assemble_impedance(basis, frequency),
+            sampler=face_sampling_operator(basis).matrix,
+            excitation=exc.matrix,
+            node_vertex=node_vertex,
+            edge_keys=basis.edges[:, 0] * node_vertex.size + basis.edges[:, 1],
+        )
+
+    def gather(self, bits) -> tuple[RwgBasis, ImpedanceOperator,
+                                    SamplingMatrix, np.ndarray]:
+        """(basis, impedance, sampler, port columns) of one configuration.
+
+        The mesh and basis are built as for direct assembly, so edge order
+        and orientation are the configuration's own; the operators are
+        gathered from the parent.
+        """
+        mesh = build_plate_mesh(self.spec, bits)
+        basis = extract_rwg(mesh)
+        node = np.rint(mesh.vertices[:, :2] / self.spec.pixel_size).astype(int)
+        vertex = self.node_vertex[node[:, 0], node[:, 1]]
+        ends = np.sort(vertex[basis.edges], axis=1)
+        e = np.searchsorted(self.edge_keys,
+                            ends[:, 0] * self.node_vertex.size + ends[:, 1])
+        # build_plate_mesh emits the two faces of a pixel consecutively, and
+        # the parent has every pixel, so pixel t owns parent faces 2t, 2t + 1
+        f = 2 * mesh.face_tags + np.arange(mesh.n_faces) % 2
+        rows = (3 * f[:, None] + np.arange(3)).ravel()
+        op = ImpedanceOperator(z=self.impedance.z[np.ix_(e, e)],
+                               frequency=self.frequency, basis=basis)
+        sampler = SamplingMatrix(mesh=mesh, matrix=self.sampler[np.ix_(rows, e)])
+        return basis, op, sampler, self.excitation[e]
+
+
+@dataclass
 class PlateAnalysis:
     """Everything one plate contributes to the link model."""
 
@@ -79,30 +158,26 @@ class PlateAnalysis:
 
 
 def analyze_plate(
-    spec: PlateSpec,
+    model: PlateModel,
     bits,
-    frequency: float,
     n_keep: int = 20,
     floor: float = SIGNIFICANCE_FLOOR,
 ) -> PlateAnalysis:
-    """Run mesh -> impedance -> modes -> (V, patterns) for one plate.
+    """Run gather -> modes -> (V, patterns) for one plate configuration.
 
     Modes are truncated to |m| >= floor before any map is built. Raises
     DegenerateStructureError when nothing significant radiates.
     """
-    mesh = build_plate_mesh(spec, bits)
-    basis = extract_rwg(mesh)
-    op = assemble_impedance(basis, frequency)
+    basis, op, sampler, ports = model.gather(bits)
     modes = solve_modes(op, n_keep=n_keep).significant(floor)
     if modes.n_kept == 0:
         raise DegenerateStructureError(
             "no mode reaches the significance floor "
             f"{floor:g} on this configuration"
         )
-    exc = delta_gap_excitation(basis, locate_port_edges(spec, mesh))
-    v = excitation_matrix(modes, exc)
-    patterns = mode_patterns(modes, face_sampling_operator(basis))
-    return PlateAnalysis(mesh=mesh, basis=basis, modes=modes,
+    excitation_matrix(modes, ports)
+    patterns = mode_patterns(modes, sampler)
+    return PlateAnalysis(mesh=basis.mesh, basis=basis, modes=modes,
                          excitation=modes.excitation, patterns=patterns)
 
 
@@ -113,7 +188,9 @@ class PixelProblem:
     The receive plate sits broadside to the transmit plate, displaced by
     `separation` along +z, so any positive separation keeps the apertures
     disjoint. The configuration bit vector concatenates the transmit grid
-    (row-major) followed by the receive grid.
+    (row-major) followed by the receive grid. The parent plate models are
+    built on the first evaluation, one shared model when both plates have
+    the same spec.
     """
 
     tx_spec: PlateSpec
@@ -126,6 +203,10 @@ class PixelProblem:
     cache: dict = field(default_factory=dict, repr=False, compare=False)
     cache_hits: int = field(default=0, repr=False, compare=False)
     evaluations: int = field(default=0, repr=False, compare=False)
+    #: pool results not yet requested through `evaluate`
+    prefetched: dict = field(default_factory=dict, repr=False, compare=False)
+    _models: tuple | None = field(default=None, init=False, repr=False,
+                                  compare=False)
 
     def __post_init__(self):
         if self.frequency <= 0:
@@ -144,6 +225,16 @@ class PixelProblem:
     @property
     def wavenumber(self) -> float:
         return 2.0 * np.pi * self.frequency / C0
+
+    @property
+    def models(self) -> tuple[PlateModel, PlateModel]:
+        """(transmit, receive) parent plate models, built on first use."""
+        if self._models is None:
+            tx = PlateModel.build(self.tx_spec, self.frequency)
+            rx = tx if self.rx_spec == self.tx_spec else \
+                PlateModel.build(self.rx_spec, self.frequency)
+            self._models = (tx, rx)
+        return self._models
 
     def split(self, phi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         phi = np.asarray(phi)
@@ -185,27 +276,50 @@ def fitness(ch: EquivalentChannel) -> float:
 
 def _evaluate_uncached(problem: PixelProblem, phi: np.ndarray):
     phi_t, phi_r = problem.split(phi)
-    tx = analyze_plate(problem.tx_spec, phi_t, problem.frequency,
-                       problem.n_keep, problem.significance_floor)
-    rx = analyze_plate(problem.rx_spec, phi_r, problem.frequency,
-                       problem.n_keep, problem.significance_floor)
-    u_t = transmitter_map(tx.patterns, tx.modes.significances, tx.excitation)
-    u_r = receiver_map(rx.excitation, rx.modes.significances, rx.patterns)
-    rx_mesh = rx.mesh.translated((0.0, 0.0, problem.separation))
-    g = assemble_channel(tx.mesh, rx_mesh, problem.wavenumber)
-    ch = equivalent_channel(u_r, g, u_t)
-    gm = gamma_decomposition(g, rx.patterns, tx.patterns)
-    report = build_report(ch, g.singulars, rx.excitation, tx.excitation,
-                          gm.gamma, problem.gamma)
+    tx_model, rx_model = problem.models
+    try:
+        tx = analyze_plate(tx_model, phi_t, problem.n_keep,
+                           problem.significance_floor)
+        rx = analyze_plate(rx_model, phi_r, problem.n_keep,
+                           problem.significance_floor)
+        u_t = transmitter_map(tx.patterns, tx.modes.significances,
+                              tx.excitation)
+        u_r = receiver_map(rx.excitation, rx.modes.significances,
+                           rx.patterns)
+        rx_mesh = rx.mesh.translated((0.0, 0.0, problem.separation))
+        g = assemble_channel(tx.mesh, rx_mesh, problem.wavenumber)
+        ch = equivalent_channel(u_r, g, u_t)
+        if not np.all(np.isfinite(ch.matrix)):
+            raise NumericalError("equivalent channel is not finite")
+        gm = gamma_decomposition(g, rx.patterns, tx.patterns)
+        report = build_report(ch, g.singulars, rx.excitation, tx.excitation,
+                              gm.gamma, problem.gamma)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError(f"linear algebra failed: {exc}") from exc
     return ch, report, fitness(ch)
+
+
+def _evaluate_guarded(problem: PixelProblem, phi: np.ndarray):
+    """The uncached result; a configuration the pipeline cannot analyze
+    (nothing radiates, the receive ports cannot be separated, or the
+    numerics fail) gets (None, None, -inf) and is logged."""
+    try:
+        return _evaluate_uncached(problem, phi)
+    except (DegenerateStructureError, RankDeficiencyError, NumericalError) as exc:
+        logger.warning("degenerate configuration %s: %s", phi_to_hex(phi), exc)
+        return (None, None, NEG_INF)
+
+
+def _cache_key(phi) -> bytes:
+    return np.packbits(np.asarray(phi, dtype=np.uint8).ravel()).tobytes()
 
 
 def evaluate(problem: PixelProblem, phi):
     """(EquivalentChannel, DofReport, fitness) for one configuration.
 
-    Results are cached on the problem by configuration bytes; degenerate
-    configurations (nothing radiates, or the receive ports cannot be
-    separated) get (None, None, -inf) and are logged.
+    Results are cached on the problem by configuration bytes; a repeat
+    request counts as a cache hit. Degenerate configurations get
+    (None, None, -inf) and are logged.
     """
     phi = np.asarray(phi, dtype=np.uint8).ravel()
     if phi.size != problem.bit_length:
@@ -215,42 +329,43 @@ def evaluate(problem: PixelProblem, phi):
         )
     if np.any(phi > 1):
         raise ValueError("configuration bits must be 0 or 1")
-    key = np.packbits(phi).tobytes()
+    key = _cache_key(phi)
     hit = problem.cache.get(key)
     if hit is not None:
         problem.cache_hits += 1
         return hit
     problem.evaluations += 1
-    try:
-        result = _evaluate_uncached(problem, phi)
-    except (DegenerateStructureError, RankDeficiencyError, NumericalError) as exc:
-        logger.warning("degenerate configuration %s: %s", phi_to_hex(phi), exc)
-        result = (None, None, NEG_INF)
+    result = problem.prefetched.pop(key, None)
+    if result is None:
+        result = _evaluate_guarded(problem, phi)
     problem.cache[key] = result
     return result
 
 
-def _pool_evaluate(config: dict, phi_list: list[int]):
-    problem = PixelProblem(**config)
-    return evaluate(problem, np.asarray(phi_list, dtype=np.uint8))
+#: the problem of a pool worker process, set once by `_init_worker`
+_worker_problem: PixelProblem | None = None
 
 
-def _ensure_evaluated(problem: PixelProblem, phis, executor) -> None:
-    """Fill the problem cache for every configuration in `phis`."""
-    if executor is None:
-        for phi in phis:
-            evaluate(problem, phi)
-        return
-    pending = {}
+def _init_worker(config: dict, models: tuple[PlateModel, PlateModel]) -> None:
+    global _worker_problem
+    _worker_problem = PixelProblem(**config)
+    _worker_problem._models = models
+
+
+def _pool_evaluate(phi: np.ndarray):
+    return _evaluate_guarded(_worker_problem, phi)
+
+
+def _prefetch(problem: PixelProblem, phis, executor) -> None:
+    """Evaluate in the pool every configuration of `phis` that is not yet
+    cached; `evaluate` takes each result on its first request."""
+    futures = {}
     for phi in phis:
-        key = np.packbits(np.asarray(phi, dtype=np.uint8)).tobytes()
-        if key not in problem.cache and key not in pending:
-            pending[key] = (phi, executor.submit(
-                _pool_evaluate, problem.config(),
-                [int(b) for b in np.asarray(phi).ravel()]))
-    for key, (phi, fut) in pending.items():
-        problem.cache[key] = fut.result()
-        problem.evaluations += 1
+        key = _cache_key(phi)
+        if key not in problem.cache and key not in futures:
+            futures[key] = executor.submit(_pool_evaluate, phi)
+    for key, fut in futures.items():
+        problem.prefetched[key] = fut.result()
 
 
 @dataclass
@@ -373,8 +488,17 @@ def _write_checkpoint(path, run: GaRun, rng: np.random.Generator) -> None:
             for ind in run.population
         ],
     }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(state, fh)
+    # write beside the target, then rename over it: a crash mid-write
+    # leaves the previous checkpoint intact
+    tmp = os.fspath(path) + ".tmp"
+    try:
+        with open(tmp, "w", encoding="utf-8") as fh:
+            json.dump(state, fh)
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+        raise
 
 
 def _load_checkpoint(path) -> tuple[GaRun, np.random.Generator]:
@@ -440,7 +564,12 @@ def run_ga(
     if not 0.0 <= rate <= 1.0:
         raise ValueError("mutation rate must lie in [0, 1]")
 
-    executor = ProcessPoolExecutor(max_workers=jobs) if jobs > 1 else None
+    executor = None
+    if jobs > 1:
+        # the parent plates go to each worker once, at start-up
+        executor = ProcessPoolExecutor(
+            max_workers=jobs, initializer=_init_worker,
+            initargs=(problem.config(), problem.models))
     log_fh = open(log_path, "a", encoding="utf-8") if log_path else None
 
     def emit(run: GaRun) -> None:
@@ -463,7 +592,8 @@ def run_ga(
             rng = np.random.default_rng(seed)
             phis = rng.integers(0, 2, size=(pop_size, problem.bit_length),
                                 dtype=np.uint8)
-            _ensure_evaluated(problem, list(phis), executor)
+            if executor is not None:
+                _prefetch(problem, phis, executor)
             population = [_make_individual(problem, phi) for phi in phis]
             run = GaRun(
                 population=population,
@@ -481,7 +611,8 @@ def run_ga(
         while run.generation < run.k_max:
             parents = select_parents(run, rng)
             child_phis = crossover_mutate(parents, run.mutation_rate, rng)
-            _ensure_evaluated(problem, child_phis, executor)
+            if executor is not None:
+                _prefetch(problem, child_phis, executor)
             children = [_make_individual(problem, phi) for phi in child_phis]
             merged = run.population + children
             merged.sort(key=lambda ind: ind.fitness, reverse=True)

@@ -5,8 +5,8 @@ that sum to one, so an integral over a physical triangle is
 area * sum(w_i * f(x_i)).
 
 `static_potential_integrals` evaluates four closed-form integrals over a
-flat triangle T with respect to an observation point r, writing R for
-|r - r'|,
+flat triangle T with respect to an observation point r, for one triangle
+or a batch of triangles at once, writing R for |r - r'|,
 
     I0  = Int_T 1/R dS'
     Ir  = Int_T r'/R dS'   (3-vector)
@@ -88,43 +88,60 @@ def tri_points(tri_vertices: np.ndarray, npoints: int) -> np.ndarray:
     return np.einsum("qi,...id->...qd", bary, tri_vertices)
 
 
-def static_potential_integrals(obs: np.ndarray, tri: np.ndarray):
-    """Closed-form potential and distance moments of one triangle.
+def _dot3(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Dot product over the last axis of length 3, summed in a fixed order,
+    so each entry is independent of how many others share the batch."""
+    return a[..., 0] * b[..., 0] + a[..., 1] * b[..., 1] + a[..., 2] * b[..., 2]
 
-    obs is (M, 3) observation points, tri is (3, 3) vertices. Returns
-    (I0 (M,), Ir (M, 3), J0 (M,), Jr (M, 3)) with, writing R = |r - r'|,
+
+def static_potential_integrals(obs: np.ndarray, tri: np.ndarray):
+    """Closed-form potential and distance moments of triangles.
+
+    obs is (M, 3) observation points and tri is (3, 3) vertices, or, for a
+    batch of P triangles, obs is (P, M, 3) and tri is (P, 3, 3), row p of
+    obs observing triangle p. Returns (I0 (M,), Ir (M, 3), J0 (M,),
+    Jr (M, 3)), with a leading P axis on each for a batch, where, writing
+    R = |r - r'|,
 
         I0 = Int 1/R dS'    Ir = Int r'/R dS'
         J0 = Int R dS'      Jr = Int r' R dS'
 
+    Every entry is computed by the same arithmetic whatever the batch
+    holds, so a batched call equals the per-triangle calls exactly.
     Observation points may lie anywhere, including inside the triangle or
     its plane; points exactly on an edge line are handled by the standard
     limiting values.
     """
-    obs = np.atleast_2d(np.asarray(obs, dtype=float))
     tri = np.asarray(tri, dtype=float)
-    normal = np.cross(tri[1] - tri[0], tri[2] - tri[0])
-    two_area = np.linalg.norm(normal)
-    nhat = normal / two_area
-    diam = np.sqrt(two_area)
+    single = tri.ndim == 2
+    if single:
+        obs = np.atleast_2d(np.asarray(obs, dtype=float))[None]
+        tri = tri[None]
+    else:
+        obs = np.asarray(obs, dtype=float)
+    normal = np.cross(tri[:, 1] - tri[:, 0], tri[:, 2] - tri[:, 0])
+    two_area = np.sqrt(_dot3(normal, normal))
+    nhat = (normal / two_area[:, None])[:, None, :]  # (P, 1, 3)
+    diam = np.sqrt(two_area)[:, None]
 
-    d = (obs - tri[0]) @ nhat  # signed height above the plane, (M,)
-    rho = obs - d[:, None] * nhat[None, :]  # in-plane projection
+    d = _dot3(obs - tri[:, None, 0], nhat)  # signed height above the plane, (P, M)
+    rho = obs - d[..., None] * nhat  # in-plane projection
+    absd = np.abs(d)
 
-    I0 = np.zeros(len(obs))
-    Irho = np.zeros((len(obs), 3))
-    beta_sum = np.zeros(len(obs))
-    J0 = np.zeros(len(obs))
-    Jrho = np.zeros((len(obs), 3))
+    I0 = np.zeros(d.shape)
+    Irho = np.zeros(obs.shape)
+    beta_sum = np.zeros(d.shape)
+    J0 = np.zeros(d.shape)
+    Jrho = np.zeros(obs.shape)
 
     for e in range(3):
-        a, b = tri[e], tri[(e + 1) % 3]
+        a, b = tri[:, None, e], tri[:, None, (e + 1) % 3]
         ell = b - a
-        lhat = ell / np.linalg.norm(ell)
+        lhat = ell / np.sqrt(_dot3(ell, ell))[..., None]
         uhat = np.cross(lhat, nhat)  # outward edge normal for ccw vertices
-        sm = (a - rho) @ lhat
-        sp = (b - rho) @ lhat
-        t0 = (a - rho) @ uhat
+        sm = _dot3(a - rho, lhat)
+        sp = _dot3(b - rho, lhat)
+        t0 = _dot3(a - rho, uhat)
         r0sq = t0 ** 2 + d ** 2
         rp = np.sqrt(sp ** 2 + r0sq)
         rm = np.sqrt(sm ** 2 + r0sq)
@@ -138,7 +155,6 @@ def static_potential_integrals(obs: np.ndarray, tri: np.ndarray):
         f = np.where(sp + sm >= 0, f_pos, f_neg)
         f = np.where(on_edge_line, 0.0, f)
 
-        absd = np.abs(d)
         with np.errstate(divide="ignore", invalid="ignore"):
             bp = np.arctan(t0 * sp / (r0sq + absd * rp))
             bm = np.arctan(t0 * sm / (r0sq + absd * rm))
@@ -146,16 +162,18 @@ def static_potential_integrals(obs: np.ndarray, tri: np.ndarray):
 
         I0 += t0 * f
         beta_sum += beta
-        Irho += 0.5 * uhat[None, :] * (r0sq * f + sp * rp - sm * rm)[:, None]
+        Irho += 0.5 * uhat * (r0sq * f + sp * rp - sm * rm)[..., None]
 
         # edge line integrals of R and R^3 feed the distance moments
         line1 = 0.5 * (sp * rp - sm * rm + r0sq * f)
         line3 = 0.25 * (sp * rp ** 3 - sm * rm ** 3) + 0.75 * r0sq * line1
         J0 += t0 * line1
-        Jrho += uhat[None, :] * line3[:, None]
+        Jrho += uhat * line3[..., None]
 
-    I0 -= np.abs(d) * beta_sum
-    Ir = Irho + rho * I0[:, None]
+    I0 -= absd * beta_sum
+    Ir = Irho + rho * I0[..., None]
     J0 = (J0 + d ** 2 * I0) / 3.0
-    Jr = Jrho / 3.0 + rho * J0[:, None]
+    Jr = Jrho / 3.0 + rho * J0[..., None]
+    if single:
+        return I0[0], Ir[0], J0[0], Jr[0]
     return I0, Ir, J0, Jr

@@ -1,20 +1,24 @@
 """Tests for the genetic optimizer: operators, caching, evolution loop."""
 
 import json
+import os
 
 import numpy as np
 import pytest
 from scipy.constants import c as c0
 from scipy.stats import chisquare
 
+import cmadof.ga
 from cmadof.dofcore import EquivalentChannel, matrix_rank
 from cmadof.channel import effective_rank
+from cmadof.efie import assemble_impedance, delta_gap_excitation
 from cmadof.errors import GeometryError
 from cmadof.ga import (
     GaRun,
     Individual,
     NEG_INF,
     PixelProblem,
+    PlateModel,
     crossover_mutate,
     evaluate,
     fitness,
@@ -23,7 +27,7 @@ from cmadof.ga import (
     run_ga,
     select_parents,
 )
-from cmadof.mesh import PlateSpec
+from cmadof.mesh import PlateSpec, face_sampling_operator, locate_port_edges
 
 FREQ = 27e9
 LAM = c0 / FREQ
@@ -133,6 +137,62 @@ class TestPixelProblem:
         assert q.bit_length == p.bit_length
 
 
+def acceptance7_spec():
+    pix = 0.35 * LAM
+    return PlateSpec(width=4 * pix, height=8 * pix, pixel_rows=8,
+                     pixel_cols=4, ports=4,
+                     port_pixels=((0, 0), (2, 0), (4, 0), (6, 0)))
+
+
+def cli_default_spec():
+    return PlateSpec(width=8 * PIX, height=4 * PIX, pixel_rows=4,
+                     pixel_cols=8, ports=4)
+
+
+class TestPlateModel:
+    @pytest.mark.parametrize("make_spec", [acceptance7_spec, cli_default_spec])
+    def test_gather_equals_direct_assembly(self, make_spec):
+        spec = make_spec()
+        model = PlateModel.build(spec, FREQ)
+        rng = np.random.default_rng(spec.pixel_rows)
+        for _ in range(20):
+            bits = rng.integers(0, 2, spec.n_bits)
+            basis, op, sampler, ports = model.gather(bits)
+            direct = delta_gap_excitation(
+                basis, locate_port_edges(spec, basis.mesh))
+            assert np.array_equal(op.z, assemble_impedance(basis, FREQ).z)
+            assert np.array_equal(sampler.matrix,
+                                  face_sampling_operator(basis).matrix)
+            assert np.array_equal(ports, direct.matrix)
+
+    def test_all_metal_gather_is_the_parent(self):
+        spec = cli_default_spec()
+        model = PlateModel.build(spec, FREQ)
+        _, op, sampler, ports = model.gather(np.ones(spec.n_bits))
+        assert np.array_equal(op.z, model.impedance.z)
+        assert np.array_equal(sampler.matrix, model.sampler)
+        assert np.array_equal(ports, model.excitation)
+
+    def test_models_are_lazy_and_shared(self, monkeypatch):
+        calls = []
+
+        def counting(basis, frequency):
+            calls.append(basis.mesh.n_faces)
+            return assemble_impedance(basis, frequency)
+
+        monkeypatch.setattr(cmadof.ga, "assemble_impedance", counting)
+        same = tiny_problem()
+        assert calls == []
+        tx, rx = same.models
+        assert tx is rx and calls == [8]
+        other = tiny_problem(rx_spec=PlateSpec(
+            width=3 * PIX, height=2 * PIX, pixel_rows=2, pixel_cols=3,
+            ports=2))
+        evaluate(other, np.ones(other.bit_length, dtype=np.uint8))
+        evaluate(other, np.zeros(other.bit_length, dtype=np.uint8))
+        assert calls == [8, 8, 12]
+
+
 class TestEvaluate:
     def test_wrong_length_rejected(self):
         p = tiny_problem()
@@ -172,6 +232,15 @@ class TestEvaluate:
         # the failure is cached like any other result
         evaluate(p, np.ones(8, dtype=np.uint8))
         assert p.cache_hits == 1
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_channel_is_degenerate(self, monkeypatch, bad):
+        # an infinite entry gives NaN singular values without an SVD error
+        monkeypatch.setattr(
+            cmadof.ga, "equivalent_channel",
+            lambda u_r, g, u_t: EquivalentChannel(matrix=np.full((2, 2), bad)))
+        p = tiny_problem()
+        assert evaluate(p, np.ones(8, dtype=np.uint8)) == (None, None, NEG_INF)
 
 
 class TestSelectParents:
@@ -302,13 +371,51 @@ class TestRunGa:
         assert len(run.population) == 4
         assert run.best.fitness == max(ind.fitness for ind in run.population)
 
-    def test_jobs_do_not_change_the_run(self):
-        r1 = run_ga(tiny_problem(), k_max=2, pop_size=4, n_parents=2, seed=5, jobs=1)
-        r2 = run_ga(tiny_problem(), k_max=2, pop_size=4, n_parents=2, seed=5, jobs=2)
+    def test_jobs_do_not_change_the_run(self, tmp_path, monkeypatch):
+        # every process appends to one file, so pool workers count too
+        tally = tmp_path / "assemble_calls"
+
+        def counting(basis, frequency):
+            with open(tally, "a", encoding="utf-8") as fh:
+                fh.write(f"{os.getpid()}\n")
+            return assemble_impedance(basis, frequency)
+
+        monkeypatch.setattr(cmadof.ga, "assemble_impedance", counting)
+        runs, problems = [], []
+        for jobs in (1, 2):
+            tally.write_text("")
+            problems.append(tiny_problem())
+            runs.append(run_ga(problems[-1], k_max=2, pop_size=4,
+                               n_parents=2, seed=5, jobs=jobs))
+            # one shared parent plate, assembled in this process only
+            assert tally.read_text().split() == [str(os.getpid())]
+        r1, r2 = runs
         assert r1.best_history == r2.best_history
         for a, b in zip(r1.population, r2.population):
             assert np.array_equal(a.phi, b.phi)
             assert a.fitness == b.fitness
+            assert (a.report is None) == (b.report is None)
+            if a.report is not None:
+                assert a.report.to_json() == b.report.to_json()
+        # cache hits count repeat requests, whatever evaluates the rest
+        requested = 4 + 2 * 2
+        for p in problems:
+            assert p.cache_hits + p.evaluations == requested
+            assert p.evaluations == len(p.cache)
+            assert p.prefetched == {}
+        assert problems[0].cache_hits == problems[1].cache_hits
+
+    def test_numerical_failure_does_not_end_the_run(self, monkeypatch):
+        def failing(op, n_keep=20):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(cmadof.ga, "solve_modes", failing)
+        p = tiny_problem()
+        run = run_ga(p, k_max=2, pop_size=4, n_parents=2, seed=5)
+        assert run.generation == 2
+        assert run.best_history == [NEG_INF] * 3
+        assert all(ind.report is None for ind in run.population)
+        assert all(r == (None, None, NEG_INF) for r in p.cache.values())
 
     def test_log_schema(self, tmp_path):
         log = tmp_path / "run.jsonl"
@@ -372,3 +479,25 @@ class TestRunGa:
         with pytest.raises(ValueError, match="checkpoint"):
             run_ga(tiny_problem(), k_max=1, pop_size=4, n_parents=2,
                    resume_from=bad)
+
+    def test_failed_checkpoint_write_keeps_previous(self, tmp_path,
+                                                    monkeypatch):
+        ck = tmp_path / "ck.json"
+        run_ga(tiny_problem(), k_max=1, pop_size=4, n_parents=2, seed=2,
+               checkpoint_path=ck)
+        before = ck.read_bytes()
+
+        def crash(obj, fh):
+            fh.write('{"format": ')
+            raise OSError("disk full")
+
+        monkeypatch.setattr(cmadof.ga.json, "dump", crash)
+        with pytest.raises(OSError, match="disk full"):
+            run_ga(tiny_problem(), k_max=2, pop_size=4, n_parents=2, seed=2,
+                   checkpoint_path=ck, resume_from=ck)
+        monkeypatch.undo()
+        assert ck.read_bytes() == before
+        assert os.listdir(tmp_path) == ["ck.json"]
+        resumed = run_ga(tiny_problem(), k_max=1, pop_size=4, n_parents=2,
+                         seed=2, resume_from=ck)
+        assert resumed.generation == 1

@@ -168,3 +168,18 @@ class TestStaticPotentialIntegrals:
         i0, ir, j0, jr = static_potential_integrals(obs, TRI)
         assert np.isfinite(i0[0]) and i0[0] > 0
         assert np.isfinite(j0[0]) and j0[0] > 0
+
+    def test_batched_call_matches_per_triangle_calls(self):
+        # touching face pairs are integrated in batches: row p of obs
+        # observes triangle p, including points inside and on edge lines
+        rng = np.random.default_rng(21)
+        tris = TRI[None] + rng.normal(scale=0.3, size=(6, 3, 3))
+        obs = rng.normal(scale=1.5, size=(6, 9, 3))
+        obs[:, 0] = tris.mean(axis=1)
+        obs[:, 1] = 2.0 * tris[:, 1] - tris[:, 0]
+        batched = static_potential_integrals(obs, tris)
+        for p in range(len(tris)):
+            single = static_potential_integrals(obs[p], tris[p])
+            for got, want in zip(batched, single):
+                assert got[p].shape == want.shape
+                np.testing.assert_allclose(got[p], want, rtol=1e-12, atol=0)
