@@ -158,9 +158,8 @@ def cmd_optimize(cfg: RunConfig) -> None:
         os.remove(log_path)
 
     run = run_ga(problem, cfg.generations, cfg.population, cfg.parents,
-                 cfg.mutation_rate, cfg.seed, jobs=cfg.jobs,
-                 log_path=log_path, checkpoint_path=ckpt_path,
-                 resume_from=resume_from)
+                 cfg.mutation_rate, cfg.seed, log_path=log_path,
+                 checkpoint_path=ckpt_path, resume_from=resume_from)
 
     best = run.best
     _, best_report, _ = evaluate(problem, best.phi)
@@ -247,8 +246,7 @@ def cmd_sweep(cfg: RunConfig) -> None:
         random_mean = (float(np.mean(random_dofs)) if random_dofs
                        else float("nan"))
         ga = run_ga(problem, point.generations, point.population,
-                    point.parents, point.mutation_rate, point.seed,
-                    jobs=point.jobs)
+                    point.parents, point.mutation_rate, point.seed)
         _, best_rep, _ = evaluate(problem, ga.best.phi)
         opt_dof = "" if best_rep is None else str(best_rep.dof_h)
         rows.append(
@@ -302,8 +300,6 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="override the DoF threshold")
         p.add_argument("--n-keep", type=int, dest="n_keep",
                        help="override the kept-mode count")
-        p.add_argument("--jobs", type=int,
-                       help="worker processes for fitness evaluation")
         p.add_argument("--verbose", action="store_true",
                        help="log progress to stderr")
     return parser
@@ -319,7 +315,6 @@ def main(argv=None) -> int:
         "out": args.out,
         "gamma": args.gamma,
         "n_keep": args.n_keep,
-        "jobs": args.jobs,
     }
     try:
         cfg = load_run_config(args.config, overrides)

@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
@@ -38,8 +37,6 @@ __all__ = [
     "solve_modes",
     "excitation_matrix",
     "mode_patterns",
-    "mode_basis_to_csv",
-    "mode_basis_from_csv",
     "REL_RANK_CUT",
     "SIGNIFICANCE_FLOOR",
 ]
@@ -241,115 +238,3 @@ def mode_patterns(modes: ModeBasis, sampler: SamplingMatrix) -> np.ndarray:
     modes.pattern_gram_dev = float(dev)
     return patterns
 
-
-def mode_basis_to_csv(modes: ModeBasis, path: str | Path) -> None:
-    """Write a ModeBasis to a self-describing CSV file.
-
-    The first line is a comment header carrying the array shapes and
-    scalar metadata; each following line is one mode: eigenvalue,
-    eigenvector residual, then the real/imaginary pairs of the RWG
-    coefficient vector, the excitation row, and the sampled pattern
-    column.  Floats are written with repr so a read-back is exact.
-    """
-    lam = np.asarray(modes.eigenvalues, dtype=float)
-    res = np.asarray(modes.eigen_residuals, dtype=float)
-    coeffs = np.asarray(modes.mode_coeffs)
-    n_modes = lam.shape[0]
-    n_coeffs = coeffs.shape[0] if coeffs.size else 0
-    exc = modes.excitation
-    pat = modes.patterns
-    n_ports = exc.shape[1] if exc is not None else 0
-    pattern_len = pat.shape[0] if pat is not None else 0
-    path = Path(path)
-    with path.open("w", encoding="utf-8") as fh:
-        fh.write(
-            "# cmadof-modes-v1"
-            f" n_modes={n_modes}"
-            f" n_coeffs={n_coeffs}"
-            f" n_ports={n_ports}"
-            f" pattern_len={pattern_len}"
-            f" frequency={modes.frequency!r}"
-            f" subspace_dim={modes.subspace_dim}"
-            f" r_cross_max={modes.r_cross_max!r}\n"
-        )
-        for i in range(n_modes):
-            row = [repr(float(lam[i])), repr(float(res[i]))]
-            if n_coeffs:
-                for z in coeffs[:, i]:
-                    row.append(repr(float(np.real(z))))
-                    row.append(repr(float(np.imag(z))))
-            if exc is not None:
-                for z in exc[i, :]:
-                    row.append(repr(float(np.real(z))))
-                    row.append(repr(float(np.imag(z))))
-            if pat is not None:
-                for z in pat[:, i]:
-                    row.append(repr(float(np.real(z))))
-                    row.append(repr(float(np.imag(z))))
-            fh.write(",".join(row) + "\n")
-
-
-def mode_basis_from_csv(path: str | Path) -> ModeBasis:
-    """Read a ModeBasis written by `mode_basis_to_csv`.
-
-    Also accepts externally produced mode data (for example full-wave
-    solver exports converted to this layout): a file with n_coeffs=0
-    still yields a usable basis for channel work as long as the
-    excitation rows and pattern columns are present.
-    """
-    path = Path(path)
-    with path.open("r", encoding="utf-8") as fh:
-        header = fh.readline().strip()
-        if not header.startswith("# cmadof-modes-v1"):
-            raise ValueError(f"{path}: not a cmadof modes CSV (bad header)")
-        meta: dict[str, str] = {}
-        for tok in header.split()[2:]:
-            key, _, val = tok.partition("=")
-            meta[key] = val
-        n_modes = int(meta["n_modes"])
-        n_coeffs = int(meta["n_coeffs"])
-        n_ports = int(meta["n_ports"])
-        pattern_len = int(meta["pattern_len"])
-        lam = np.empty(n_modes)
-        res = np.empty(n_modes)
-        coeffs = np.zeros((n_coeffs, n_modes), dtype=complex)
-        exc = np.zeros((n_modes, n_ports), dtype=complex) if n_ports else None
-        pat = (
-            np.zeros((pattern_len, n_modes), dtype=complex)
-            if pattern_len
-            else None
-        )
-        for i in range(n_modes):
-            line = fh.readline()
-            if not line:
-                raise ValueError(f"{path}: expected {n_modes} mode rows")
-            vals = [float(tok) for tok in line.strip().split(",")]
-            expect = 2 + 2 * (n_coeffs + n_ports + pattern_len)
-            if len(vals) != expect:
-                raise ValueError(
-                    f"{path}: mode row {i} has {len(vals)} fields,"
-                    f" expected {expect}"
-                )
-            lam[i] = vals[0]
-            res[i] = vals[1]
-            pos = 2
-            for j in range(n_coeffs):
-                coeffs[j, i] = complex(vals[pos], vals[pos + 1])
-                pos += 2
-            for j in range(n_ports):
-                exc[i, j] = complex(vals[pos], vals[pos + 1])
-                pos += 2
-            for j in range(pattern_len):
-                pat[j, i] = complex(vals[pos], vals[pos + 1])
-                pos += 2
-    modes = ModeBasis(
-        eigenvalues=lam,
-        mode_coeffs=coeffs,
-        frequency=float(meta["frequency"]),
-        subspace_dim=int(meta["subspace_dim"]),
-        eigen_residuals=res,
-        r_cross_max=float(meta["r_cross_max"]),
-        excitation=exc,
-        patterns=pat,
-    )
-    return modes

@@ -15,7 +15,7 @@ Schema (defaults in parentheses):
   n_keep               modes kept per plate (20)
   separation           plate separation along z in meters (0.3)
   seed                 RNG seed (0)
-  jobs                 worker processes for fitness fan-out (1)
+  jobs                 accepted for compatibility; evaluation is serial (1)
   out                  output directory (".")
   tx_ports, rx_ports   ports = pixel rows per plate (4)
   tx_pixels_per_port   pixel columns per plate (8); same for rx_

@@ -23,8 +23,6 @@ no threading in the assembly itself.
 
 from __future__ import annotations
 
-import base64
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -40,8 +38,6 @@ __all__ = [
     "assemble_impedance",
     "delta_gap_excitation",
     "psd_project",
-    "save_impedance",
-    "load_impedance",
 ]
 
 #: faces with area at or below this (square meters) are treated as degenerate
@@ -356,34 +352,3 @@ def assemble_impedance(basis: RwgBasis, frequency: float) -> ImpedanceOperator:
     z = 1j * omega * MU0 * a_mat - 1j / (omega * EPS0) * phi_mat
     return ImpedanceOperator(z=z, frequency=frequency, basis=basis)
 
-
-# --- impedance container for caching between runs ---------------------------
-
-
-def save_impedance(path, op: ImpedanceOperator) -> None:
-    """Write an impedance matrix as JSON with base64 raw entries.
-
-    Layout: row-major complex128, interleaved re/im float64, little-endian.
-    Round-trips exactly.
-    """
-    payload = np.ascontiguousarray(op.z.astype("<c16"))
-    doc = {
-        "format": "cmadof-impedance-v1",
-        "n": op.n,
-        "frequency_hz": op.frequency,
-        "layout": "row-major complex128 little-endian, interleaved re/im",
-        "z_base64": base64.b64encode(payload.tobytes()).decode("ascii"),
-    }
-    with open(path, "w") as fh:
-        json.dump(doc, fh)
-
-
-def load_impedance(path) -> ImpedanceOperator:
-    with open(path) as fh:
-        doc = json.load(fh)
-    if doc.get("format") != "cmadof-impedance-v1":
-        raise ValueError(f"not an impedance container: {path}")
-    n = int(doc["n"])
-    raw = base64.b64decode(doc["z_base64"])
-    z = np.frombuffer(raw, dtype="<c16").reshape(n, n).copy()
-    return ImpedanceOperator(z=z, frequency=float(doc["frequency_hz"]))

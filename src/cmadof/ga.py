@@ -19,9 +19,8 @@ replacement, uniform crossover over consecutive parent pairs, independent
 per-bit mutation (default rate 1/bit_length), and elitist truncation of the
 merged parent and child pool, which makes the best-so-far fitness exactly
 non-decreasing. All randomness flows from one seeded generator owned by the
-evolution loop; evaluations are deterministic and cached by configuration
-bytes, and may run in a process pool without touching the random stream;
-pool workers receive the parent plates once, when they start.
+evolution loop; evaluations are deterministic, run one at a time in the
+calling process, and are cached by configuration bytes.
 """
 
 from __future__ import annotations
@@ -29,8 +28,8 @@ from __future__ import annotations
 import json
 import logging
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 from scipy.constants import c as C0
@@ -203,10 +202,6 @@ class PixelProblem:
     cache: dict = field(default_factory=dict, repr=False, compare=False)
     cache_hits: int = field(default=0, repr=False, compare=False)
     evaluations: int = field(default=0, repr=False, compare=False)
-    #: pool results not yet requested through `evaluate`
-    prefetched: dict = field(default_factory=dict, repr=False, compare=False)
-    _models: tuple | None = field(default=None, init=False, repr=False,
-                                  compare=False)
 
     def __post_init__(self):
         if self.frequency <= 0:
@@ -226,31 +221,17 @@ class PixelProblem:
     def wavenumber(self) -> float:
         return 2.0 * np.pi * self.frequency / C0
 
-    @property
+    @cached_property
     def models(self) -> tuple[PlateModel, PlateModel]:
         """(transmit, receive) parent plate models, built on first use."""
-        if self._models is None:
-            tx = PlateModel.build(self.tx_spec, self.frequency)
-            rx = tx if self.rx_spec == self.tx_spec else \
-                PlateModel.build(self.rx_spec, self.frequency)
-            self._models = (tx, rx)
-        return self._models
+        tx = PlateModel.build(self.tx_spec, self.frequency)
+        rx = tx if self.rx_spec == self.tx_spec else \
+            PlateModel.build(self.rx_spec, self.frequency)
+        return tx, rx
 
     def split(self, phi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         phi = np.asarray(phi)
         return phi[: self.tx_spec.n_bits], phi[self.tx_spec.n_bits:]
-
-    def config(self) -> dict:
-        """The picklable definition fields (no cache state)."""
-        return {
-            "tx_spec": self.tx_spec,
-            "rx_spec": self.rx_spec,
-            "frequency": self.frequency,
-            "separation": self.separation,
-            "gamma": self.gamma,
-            "n_keep": self.n_keep,
-            "significance_floor": self.significance_floor,
-        }
 
 
 def phi_to_hex(phi: np.ndarray) -> str:
@@ -299,27 +280,13 @@ def _evaluate_uncached(problem: PixelProblem, phi: np.ndarray):
     return ch, report, fitness(ch)
 
 
-def _evaluate_guarded(problem: PixelProblem, phi: np.ndarray):
-    """The uncached result; a configuration the pipeline cannot analyze
-    (nothing radiates, the receive ports cannot be separated, or the
-    numerics fail) gets (None, None, -inf) and is logged."""
-    try:
-        return _evaluate_uncached(problem, phi)
-    except (DegenerateStructureError, RankDeficiencyError, NumericalError) as exc:
-        logger.warning("degenerate configuration %s: %s", phi_to_hex(phi), exc)
-        return (None, None, NEG_INF)
-
-
-def _cache_key(phi) -> bytes:
-    return np.packbits(np.asarray(phi, dtype=np.uint8).ravel()).tobytes()
-
-
 def evaluate(problem: PixelProblem, phi):
     """(EquivalentChannel, DofReport, fitness) for one configuration.
 
     Results are cached on the problem by configuration bytes; a repeat
-    request counts as a cache hit. Degenerate configurations get
-    (None, None, -inf) and are logged.
+    request counts as a cache hit. A configuration the pipeline cannot
+    analyze (nothing radiates, the receive ports cannot be separated, or
+    the numerics fail) gets (None, None, -inf) and is logged.
     """
     phi = np.asarray(phi, dtype=np.uint8).ravel()
     if phi.size != problem.bit_length:
@@ -329,43 +296,19 @@ def evaluate(problem: PixelProblem, phi):
         )
     if np.any(phi > 1):
         raise ValueError("configuration bits must be 0 or 1")
-    key = _cache_key(phi)
+    key = np.packbits(phi).tobytes()
     hit = problem.cache.get(key)
     if hit is not None:
         problem.cache_hits += 1
         return hit
     problem.evaluations += 1
-    result = problem.prefetched.pop(key, None)
-    if result is None:
-        result = _evaluate_guarded(problem, phi)
+    try:
+        result = _evaluate_uncached(problem, phi)
+    except (DegenerateStructureError, RankDeficiencyError, NumericalError) as exc:
+        logger.warning("degenerate configuration %s: %s", phi_to_hex(phi), exc)
+        result = (None, None, NEG_INF)
     problem.cache[key] = result
     return result
-
-
-#: the problem of a pool worker process, set once by `_init_worker`
-_worker_problem: PixelProblem | None = None
-
-
-def _init_worker(config: dict, models: tuple[PlateModel, PlateModel]) -> None:
-    global _worker_problem
-    _worker_problem = PixelProblem(**config)
-    _worker_problem._models = models
-
-
-def _pool_evaluate(phi: np.ndarray):
-    return _evaluate_guarded(_worker_problem, phi)
-
-
-def _prefetch(problem: PixelProblem, phis, executor) -> None:
-    """Evaluate in the pool every configuration of `phis` that is not yet
-    cached; `evaluate` takes each result on its first request."""
-    futures = {}
-    for phi in phis:
-        key = _cache_key(phi)
-        if key not in problem.cache and key not in futures:
-            futures[key] = executor.submit(_pool_evaluate, phi)
-    for key, fut in futures.items():
-        problem.prefetched[key] = fut.result()
 
 
 @dataclass
@@ -531,6 +474,21 @@ def _load_checkpoint(path) -> tuple[GaRun, np.random.Generator]:
     return run, rng
 
 
+def _truncate_log(path, generation: int) -> None:
+    """Drop the log records after `generation`.
+
+    `run_ga` writes a generation's log line before its checkpoint, so a run
+    stopped between the two has logged one generation more than it saved.
+    """
+    with open(path, "rb+") as fh:
+        end = 0
+        for line in fh:
+            if json.loads(line)["generation"] > generation:
+                break
+            end += len(line)
+        fh.truncate(end)
+
+
 def run_ga(
     problem: PixelProblem,
     k_max: int,
@@ -538,7 +496,6 @@ def run_ga(
     n_parents: int,
     mutation_rate: float | None = None,
     seed: int = 0,
-    jobs: int = 1,
     log_path=None,
     checkpoint_path=None,
     resume_from=None,
@@ -550,9 +507,11 @@ def run_ga(
     best pop_size individuals of the merged old population and children
     (ties keep incumbents). k_max = 0 just evaluates and ranks the random
     initial population. The same (problem, k_max, pop_size, n_parents,
-    mutation_rate, seed) always produces the same run, independent of
-    `jobs`. With resume_from, the run continues from that checkpoint
-    toward this call's k_max and the other GA parameters must match.
+    mutation_rate, seed) always produces the same run. With resume_from,
+    the run continues from that checkpoint toward this call's k_max and
+    the other GA parameters must match; log records after the checkpoint's
+    generation are dropped first, so the log reads as an uninterrupted
+    run's.
     """
     if pop_size < 2:
         raise ValueError("population size must be at least 2")
@@ -564,12 +523,14 @@ def run_ga(
     if not 0.0 <= rate <= 1.0:
         raise ValueError("mutation rate must lie in [0, 1]")
 
-    executor = None
-    if jobs > 1:
-        # the parent plates go to each worker once, at start-up
-        executor = ProcessPoolExecutor(
-            max_workers=jobs, initializer=_init_worker,
-            initargs=(problem.config(), problem.models))
+    if resume_from is not None:
+        run, rng = _load_checkpoint(resume_from)
+        if (run.pop_size, run.n_parents) != (pop_size, n_parents) or \
+                abs(run.mutation_rate - rate) > 1e-15:
+            raise ValueError("checkpoint GA parameters do not match this call")
+        run.k_max = k_max
+        if log_path and os.path.exists(log_path):
+            _truncate_log(log_path, run.generation)
     log_fh = open(log_path, "a", encoding="utf-8") if log_path else None
 
     def emit(run: GaRun) -> None:
@@ -580,20 +541,10 @@ def run_ga(
             _write_checkpoint(checkpoint_path, run, rng)
 
     try:
-        if resume_from is not None:
-            run, rng = _load_checkpoint(resume_from)
-            if (run.pop_size, run.n_parents) != (pop_size, n_parents) or \
-                    abs(run.mutation_rate - rate) > 1e-15:
-                raise ValueError(
-                    "checkpoint GA parameters do not match this call"
-                )
-            run.k_max = k_max
-        else:
+        if resume_from is None:
             rng = np.random.default_rng(seed)
             phis = rng.integers(0, 2, size=(pop_size, problem.bit_length),
                                 dtype=np.uint8)
-            if executor is not None:
-                _prefetch(problem, phis, executor)
             population = [_make_individual(problem, phi) for phi in phis]
             run = GaRun(
                 population=population,
@@ -611,8 +562,6 @@ def run_ga(
         while run.generation < run.k_max:
             parents = select_parents(run, rng)
             child_phis = crossover_mutate(parents, run.mutation_rate, rng)
-            if executor is not None:
-                _prefetch(problem, child_phis, executor)
             children = [_make_individual(problem, phi) for phi in child_phis]
             merged = run.population + children
             merged.sort(key=lambda ind: ind.fitness, reverse=True)
@@ -624,7 +573,5 @@ def run_ga(
             emit(run)
         return run
     finally:
-        if executor is not None:
-            executor.shutdown()
         if log_fh is not None:
             log_fh.close()

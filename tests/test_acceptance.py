@@ -396,7 +396,7 @@ def test_07_ga_improves_over_random_baseline():
         problem = PixelProblem(tx_spec=spec, rx_spec=spec, frequency=FREQ,
                                separation=sep, n_keep=10)
         run = run_ga(problem, k_max=8, pop_size=20, n_parents=10,
-                     seed=seed, jobs=4)
+                     seed=seed)
         monotone_seeds += all(
             b >= a for a, b in zip(run.best_history, run.best_history[1:]))
         _, rep, _ = evaluate(problem, run.best.phi)

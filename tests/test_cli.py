@@ -196,6 +196,17 @@ class TestOptimizeCommand:
         assert bests[: len(history1)] == history1
         assert all(b >= a for a, b in zip(bests, bests[1:]))
 
+    def test_jobs_key_changes_nothing(self, tmp_path):
+        outs = []
+        for jobs in (1, 2):
+            cfg = write_config(tmp_path, self.GA + f"jobs = {jobs}\n",
+                               name=f"jobs{jobs}.ini")
+            outs.append(tmp_path / f"out{jobs}")
+            assert run_cli("optimize", cfg, outs[-1]) == 0
+        for name in ("ga_log.jsonl", "best_config.json", "ga_checkpoint.json"):
+            assert (outs[0] / name).read_bytes() == \
+                (outs[1] / name).read_bytes(), name
+
 
 class TestSweepCommand:
     def test_single_point_matches_direct_run(self, tmp_path):
@@ -280,3 +291,9 @@ class TestExitCodes:
     def test_unknown_command_rejected_by_argparse(self):
         with pytest.raises(SystemExit):
             main(["frobnicate"])
+
+    def test_jobs_flag_rejected_by_argparse(self, tmp_path):
+        cfg = write_config(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            run_cli("dof", cfg, tmp_path / "o", "--jobs", "2")
+        assert exc.value.code == 2

@@ -14,8 +14,6 @@ from cmadof.cma import (
     ModeBasis,
     REL_RANK_CUT,
     excitation_matrix,
-    mode_basis_from_csv,
-    mode_basis_to_csv,
     mode_patterns,
     solve_modes,
 )
@@ -400,68 +398,3 @@ class TestModePatterns:
         gram = np.abs(pat.T @ pat)
         off = gram - np.diag(np.diag(gram))
         assert off.max() < 0.2
-
-
-class TestModeCsv:
-    def test_roundtrip_is_exact(self, plate_op, tmp_path):
-        spec, mesh, basis, op = plate_op
-        modes = solve_modes(op, n_keep=6)
-        exc = delta_gap_excitation(basis, locate_port_edges(spec, mesh))
-        excitation_matrix(modes, exc)
-        mode_patterns(modes, face_sampling_operator(basis))
-        path = tmp_path / "modes.csv"
-        mode_basis_to_csv(modes, path)
-        back = mode_basis_from_csv(path)
-        np.testing.assert_array_equal(back.eigenvalues, modes.eigenvalues)
-        np.testing.assert_array_equal(back.eigen_residuals, modes.eigen_residuals)
-        np.testing.assert_array_equal(back.mode_coeffs, modes.mode_coeffs)
-        np.testing.assert_array_equal(back.excitation, modes.excitation)
-        np.testing.assert_array_equal(back.patterns, modes.patterns)
-        assert back.frequency == modes.frequency
-        assert back.subspace_dim == modes.subspace_dim
-        assert back.r_cross_max == modes.r_cross_max
-
-    def test_coeff_free_external_import(self, tmp_path):
-        modes = ModeBasis(
-            eigenvalues=np.array([0.1, -0.6]),
-            mode_coeffs=np.zeros((0, 2)),
-            frequency=2.4e9,
-            subspace_dim=7,
-            eigen_residuals=np.array([1e-9, 2e-9]),
-            r_cross_max=3e-12,
-            excitation=np.array([[1 + 2j], [3 - 4j]]),
-            patterns=(np.arange(6).reshape(3, 2) + 1j),
-        )
-        path = tmp_path / "external.csv"
-        mode_basis_to_csv(modes, path)
-        back = mode_basis_from_csv(path)
-        assert back.mode_coeffs.shape == (0, 2)
-        np.testing.assert_array_equal(back.excitation, modes.excitation)
-        np.testing.assert_array_equal(back.patterns, modes.patterns)
-        assert back.frequency == 2.4e9
-
-    def test_bad_header_rejected(self, tmp_path):
-        path = tmp_path / "bad.csv"
-        path.write_text("lambda,residual\n0.0,1e-9\n")
-        with pytest.raises(ValueError, match="bad header"):
-            mode_basis_from_csv(path)
-
-    def test_short_row_rejected(self, tmp_path):
-        path = tmp_path / "short.csv"
-        path.write_text(
-            "# cmadof-modes-v1 n_modes=1 n_coeffs=2 n_ports=0 pattern_len=0"
-            " frequency=1e9 subspace_dim=2 r_cross_max=0.0\n"
-            "0.5,1e-9,0.1,0.0\n"
-        )
-        with pytest.raises(ValueError, match="fields"):
-            mode_basis_from_csv(path)
-
-    def test_truncated_file_rejected(self, tmp_path):
-        path = tmp_path / "trunc.csv"
-        path.write_text(
-            "# cmadof-modes-v1 n_modes=2 n_coeffs=0 n_ports=0 pattern_len=0"
-            " frequency=1e9 subspace_dim=2 r_cross_max=0.0\n"
-            "0.5,1e-9\n"
-        )
-        with pytest.raises(ValueError, match="mode rows"):
-            mode_basis_from_csv(path)

@@ -7,9 +7,7 @@ from cmadof.efie import (
     ImpedanceOperator,
     assemble_impedance,
     delta_gap_excitation,
-    load_impedance,
     psd_project,
-    save_impedance,
 )
 from cmadof.errors import GeometryError
 from cmadof.mesh import PlateSpec, build_plate_mesh, extract_rwg
@@ -122,21 +120,6 @@ class TestAssembleImpedance:
         _, _, basis = plate_basis(2, 2)
         op = assemble_impedance(basis, FREQ)
         assert np.all(np.diag(op.r_psd) > 0)
-
-    def test_save_load_roundtrip(self, tmp_path):
-        _, _, basis = plate_basis(1, 2)
-        op = assemble_impedance(basis, FREQ)
-        path = tmp_path / "z.json"
-        save_impedance(path, op)
-        back = load_impedance(path)
-        np.testing.assert_array_equal(back.z, op.z)
-        assert back.frequency == op.frequency
-
-    def test_load_rejects_other_json(self, tmp_path):
-        path = tmp_path / "bad.json"
-        path.write_text('{"format": "something-else"}')
-        with pytest.raises(ValueError):
-            load_impedance(path)
 
 
 class TestDeltaGap:
