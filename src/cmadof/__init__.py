@@ -29,8 +29,9 @@ from .errors import (CmadofError, ConfigError, DegenerateStructureError,
                      GeometryError, NumericalError, RankDeficiencyError,
                      ReductionError, SingularityError)
 from .ga import (GaRun, Individual, PixelProblem, PlateAnalysis, PlateModel,
-                 analyze_plate, crossover_mutate, evaluate, fitness,
-                 phi_from_hex, phi_to_hex, run_ga, select_parents)
+                 Score, analyze_plate, crossover_mutate, evaluate, fitness,
+                 link_report, phi_from_hex, phi_to_hex, run_ga,
+                 select_parents)
 from .mesh import (PlateSpec, RwgBasis, SamplingMatrix, TriMesh,
                    build_plate_mesh, extract_rwg, face_sampling_operator,
                    locate_port_edges, mesh_from_json, mesh_from_text,
@@ -61,8 +62,9 @@ __all__ = [
     "dof_bounds", "build_report", "matrix_rank", "conventional_reduce",
     "point_source_channel", "block_leakage",
     # ga
-    "PixelProblem", "PlateModel", "PlateAnalysis", "Individual", "GaRun",
-    "analyze_plate", "evaluate", "fitness", "select_parents",
+    "PixelProblem", "PlateModel", "PlateAnalysis", "Score", "Individual",
+    "GaRun", "analyze_plate", "evaluate", "link_report", "fitness",
+    "select_parents",
     "crossover_mutate", "run_ga", "phi_to_hex", "phi_from_hex",
     # errors
     "CmadofError", "ConfigError", "GeometryError", "NumericalError",

@@ -99,6 +99,22 @@ class ChannelOperator:
             self._singulars = np.linalg.svd(self.matrix, compute_uv=False)
         return self._singulars
 
+    def gather(self, rx_faces: np.ndarray, tx_faces: np.ndarray) -> "ChannelOperator":
+        """The channel between a subset of receive and of transmit faces.
+
+        Each 3x3 block depends only on its two faces, so this equals
+        `assemble_channel` on meshes made of exactly those faces.
+        """
+        rows = (3 * np.asarray(rx_faces)[:, None] + np.arange(3)).ravel()
+        cols = (3 * np.asarray(tx_faces)[:, None] + np.arange(3)).ravel()
+        return ChannelOperator(
+            matrix=self.matrix[np.ix_(rows, cols)],
+            k0=self.k0,
+            tx_centroids=self.tx_centroids[tx_faces],
+            rx_centroids=self.rx_centroids[rx_faces],
+            tx_areas=self.tx_areas[tx_faces],
+        )
+
     @property
     def n_tx_faces(self) -> int:
         return len(self.tx_centroids)

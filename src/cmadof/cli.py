@@ -28,7 +28,7 @@ import numpy as np
 from .config import RunConfig, load_run_config
 from .errors import (ConfigError, GeometryError, NumericalError)
 from .ga import (PixelProblem, PlateModel, analyze_plate, evaluate,
-                 phi_from_hex, phi_to_hex, run_ga)
+                 link_report, phi_from_hex, phi_to_hex, run_ga)
 from .mesh import PlateSpec, build_plate_mesh, mesh_to_json, mesh_to_text
 from .svgplot import LinePlot, write_plot
 
@@ -124,7 +124,8 @@ def cmd_dof(cfg: RunConfig) -> None:
         _plate_bits(cfg, "tx", problem.tx_spec),
         _plate_bits(cfg, "rx", problem.rx_spec),
     ])
-    _, report, fit = evaluate(problem, phi)
+    fit = evaluate(problem, phi).fitness
+    report = link_report(problem, phi)
     if report is None:
         raise NumericalError(
             "configured link is degenerate (no usable modes or ports)"
@@ -162,7 +163,7 @@ def cmd_optimize(cfg: RunConfig) -> None:
                  checkpoint_path=ckpt_path, resume_from=resume_from)
 
     best = run.best
-    _, best_report, _ = evaluate(problem, best.phi)
+    best_report = link_report(problem, best.phi)
     payload = {
         "phi_hex": phi_to_hex(best.phi),
         "n_bits": int(best.phi.size),
@@ -190,7 +191,8 @@ def cmd_optimize(cfg: RunConfig) -> None:
     with open(log_path, encoding="utf-8") as fh:
         first = json.loads(fh.readline())
     phi0 = phi_from_hex(first["best_phi_hex"], problem.bit_length)
-    _, rep0, _ = evaluate(problem, phi0)
+    rep0 = best_report if np.array_equal(phi0, best.phi) \
+        else link_report(problem, phi0)
     if rep0 is not None:
         db0 = _spectrum_db(rep0.h_singulars)
         spect.add_series("initial best", np.arange(1, db0.size + 1), db0,
@@ -231,7 +233,7 @@ def cmd_sweep(cfg: RunConfig) -> None:
         point.validate()
         problem = _make_problem(point)
         ones = np.ones(problem.bit_length, dtype=np.uint8)
-        _, report, _ = evaluate(problem, ones)
+        report = link_report(problem, ones)
         if report is None:
             raise NumericalError(
                 f"sweep point {value!r} is degenerate for the all-on plates"
@@ -240,15 +242,14 @@ def cmd_sweep(cfg: RunConfig) -> None:
         random_dofs = []
         for _ in range(point.random_count):
             phi = rng.integers(0, 2, problem.bit_length, dtype=np.uint8)
-            _, rep, _ = evaluate(problem, phi)
-            if rep is not None:
-                random_dofs.append(rep.dof_h)
+            dof_h = evaluate(problem, phi).dof_h
+            if dof_h is not None:
+                random_dofs.append(dof_h)
         random_mean = (float(np.mean(random_dofs)) if random_dofs
                        else float("nan"))
         ga = run_ga(problem, point.generations, point.population,
                     point.parents, point.mutation_rate, point.seed)
-        _, best_rep, _ = evaluate(problem, ga.best.phi)
-        opt_dof = "" if best_rep is None else str(best_rep.dof_h)
+        opt_dof = "" if ga.best.dof_h is None else str(ga.best.dof_h)
         rows.append(
             f"{float(value)!r},{report.dof_g_effective},{report.dof_h},"
             f"{random_mean!r},{opt_dof},{report.port_mode_upper},"

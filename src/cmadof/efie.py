@@ -247,9 +247,13 @@ def _singular_moments(p_verts, q_verts, area_p, area_q, k0):
     return m00, m_in, m_out, mdot
 
 
-#: touching face pairs per batched moment call; bounds the temporaries of
-#: one call to a few megabytes
-TOUCH_CHUNK = 64
+#: touching face pairs per batched moment call. One call makes dozens of
+#: temporaries over P pairs x 448 outer points (115 kB per scalar and
+#: 344 kB per vector at P = 32). Under glibc's default malloc settings,
+#: P = 64 has them mapped afresh call after call (13k minor page faults
+#: inside the calls of one 4x8-pixel parent assembly, none at P = 16 or
+#: 32), while smaller P pays more per-call Python overhead
+TOUCH_CHUNK = 32
 
 
 def assemble_impedance(basis: RwgBasis, frequency: float) -> ImpedanceOperator:

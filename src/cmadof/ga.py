@@ -3,16 +3,23 @@
 A configuration is one bit vector phi = [phi_T ; phi_R] over the transmit
 and receive pixel grids (spine pixels are always metal and sit outside the
 encoding, so every configuration keeps all its ports). Each evaluation runs
-the full physics pipeline
+the physics pipeline
 
     mesh -> impedance -> characteristic modes -> port excitation/patterns
-         -> transmit/receive maps -> free-space channel -> H
+         -> transmit/receive maps -> free-space channel G -> H -> sigma(H)
 
 where the impedance, the face sampler and the port columns of a
 configuration are gathered from its plate's all-metal parent (`PlateModel`,
-assembled once per plate spec and frequency). It scores the equivalent
-channel by the negated standard deviation of its singular values: flat
-spectra score 0 (the maximum), lopsided spectra score negative, so maximizing the score pushes toward more usable subchannels.
+assembled once per plate spec and frequency), and G from the channel
+between the two parents (assembled once per problem). The fitness is the
+negated standard deviation of the singular values of H: flat spectra score
+0 (the maximum), lopsided spectra score negative, so maximizing the score
+pushes toward more usable subchannels.
+
+`evaluate` keeps only what the GA needs of a configuration, a `Score` of
+sigma(H), the achievable DoF and the fitness. `link_report` builds the full
+`DofReport` (G's spectrum, the Gamma decomposition and the rank bounds) for
+the few configurations that reach an artifact.
 
 The evolutionary loop is a plain binary GA: tournament-2 selection with
 replacement, uniform crossover over consecutive parent pairs, independent
@@ -20,26 +27,30 @@ per-bit mutation (default rate 1/bit_length), and elitist truncation of the
 merged parent and child pool, which makes the best-so-far fitness exactly
 non-decreasing. All randomness flows from one seeded generator owned by the
 evolution loop; evaluations are deterministic, run one at a time in the
-calling process, and are cached by configuration bytes.
+calling process, and their scores are kept in a bounded cache keyed by
+configuration bytes.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import logging
 import os
+from collections import OrderedDict
 from dataclasses import dataclass, field
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 from scipy.constants import c as C0
 
-from .channel import assemble_channel
+from .channel import ChannelOperator, assemble_channel
 from .cma import (SIGNIFICANCE_FLOOR, ModeBasis, excitation_matrix,
                   mode_patterns, solve_modes)
-from .dofcore import (DofReport, EquivalentChannel, build_report,
-                      equivalent_channel, gamma_decomposition, receiver_map,
-                      transmitter_map)
+from .dofcore import (DofReport, EquivalentChannel, achievable_dof,
+                      build_report, equivalent_channel, gamma_decomposition,
+                      receiver_map, transmitter_map)
 from .efie import ImpedanceOperator, assemble_impedance, delta_gap_excitation
 from .errors import (DegenerateStructureError, GeometryError, NumericalError,
                      RankDeficiencyError)
@@ -52,10 +63,12 @@ __all__ = [
     "PixelProblem",
     "PlateModel",
     "PlateAnalysis",
+    "Score",
     "Individual",
     "GaRun",
     "analyze_plate",
     "evaluate",
+    "link_report",
     "fitness",
     "select_parents",
     "crossover_mutate",
@@ -69,7 +82,12 @@ logger = logging.getLogger(__name__)
 #: fitness sentinel for configurations the pipeline cannot analyze
 NEG_INF = float("-inf")
 
-CHECKPOINT_FORMAT = "cmadof-ga-checkpoint-v1"
+CHECKPOINT_FORMAT = "cmadof-ga-checkpoint-v2"
+#: earlier format, read on resume: a DofReport per individual, no problem
+_CHECKPOINT_V1 = "cmadof-ga-checkpoint-v1"
+
+#: scores the result cache keeps before it drops the least recently used
+CACHE_SIZE = 10_000
 
 
 @dataclass
@@ -88,7 +106,9 @@ class PlateModel:
         B(config) = B[e]              delta-gap port columns
 
     The parent is assembled once, by `assemble_impedance`, and every
-    configuration of the spec is then analyzed by gather.
+    configuration of the spec is then analyzed by gather. The face map f
+    gathers the configuration's channel from the parents' in the same way
+    (`PixelProblem.channel`).
     """
 
     spec: PlateSpec
@@ -121,8 +141,9 @@ class PlateModel:
         )
 
     def gather(self, bits) -> tuple[RwgBasis, ImpedanceOperator,
-                                    SamplingMatrix, np.ndarray]:
-        """(basis, impedance, sampler, port columns) of one configuration.
+                                    SamplingMatrix, np.ndarray, np.ndarray]:
+        """(basis, impedance, sampler, port columns, parent faces) of one
+        configuration.
 
         The mesh and basis are built as for direct assembly, so edge order
         and orientation are the configuration's own; the operators are
@@ -142,7 +163,7 @@ class PlateModel:
         op = ImpedanceOperator(z=self.impedance.z[np.ix_(e, e)],
                                frequency=self.frequency, basis=basis)
         sampler = SamplingMatrix(mesh=mesh, matrix=self.sampler[np.ix_(rows, e)])
-        return basis, op, sampler, self.excitation[e]
+        return basis, op, sampler, self.excitation[e], f
 
 
 @dataclass
@@ -154,6 +175,7 @@ class PlateAnalysis:
     modes: ModeBasis
     excitation: np.ndarray  # modal excitation V, (n_modes, L)
     patterns: np.ndarray    # sampled mode currents, (3 n_faces, n_modes)
+    faces: np.ndarray       # parent face of each face
 
 
 def analyze_plate(
@@ -167,7 +189,7 @@ def analyze_plate(
     Modes are truncated to |m| >= floor before any map is built. Raises
     DegenerateStructureError when nothing significant radiates.
     """
-    basis, op, sampler, ports = model.gather(bits)
+    basis, op, sampler, ports, faces = model.gather(bits)
     modes = solve_modes(op, n_keep=n_keep).significant(floor)
     if modes.n_kept == 0:
         raise DegenerateStructureError(
@@ -177,7 +199,8 @@ def analyze_plate(
     excitation_matrix(modes, ports)
     patterns = mode_patterns(modes, sampler)
     return PlateAnalysis(mesh=basis.mesh, basis=basis, modes=modes,
-                         excitation=modes.excitation, patterns=patterns)
+                         excitation=modes.excitation, patterns=patterns,
+                         faces=faces)
 
 
 @dataclass
@@ -187,9 +210,12 @@ class PixelProblem:
     The receive plate sits broadside to the transmit plate, displaced by
     `separation` along +z, so any positive separation keeps the apertures
     disjoint. The configuration bit vector concatenates the transmit grid
-    (row-major) followed by the receive grid. The parent plate models are
-    built on the first evaluation, one shared model when both plates have
-    the same spec.
+    (row-major) followed by the receive grid. The parent plate models and
+    the channel between them are built on the first evaluation, one shared
+    model when both plates have the same spec. `cache` holds the `Score`
+    of at most CACHE_SIZE configurations, least recently used dropped
+    first; `last_link` holds (key, LinkAnalysis) of the latest evaluated
+    configuration, for `link_report`.
     """
 
     tx_spec: PlateSpec
@@ -199,9 +225,11 @@ class PixelProblem:
     gamma: float = 0.5
     n_keep: int = 20
     significance_floor: float = SIGNIFICANCE_FLOOR
-    cache: dict = field(default_factory=dict, repr=False, compare=False)
+    cache: OrderedDict = field(default_factory=OrderedDict, repr=False,
+                               compare=False)
     cache_hits: int = field(default=0, repr=False, compare=False)
     evaluations: int = field(default=0, repr=False, compare=False)
+    last_link: tuple | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         if self.frequency <= 0:
@@ -229,6 +257,29 @@ class PixelProblem:
             PlateModel.build(self.rx_spec, self.frequency)
         return tx, rx
 
+    @cached_property
+    def channel(self) -> ChannelOperator:
+        """Channel between the all-metal parents, built on first use."""
+        tx, rx = self.models
+        rx_mesh = rx.impedance.basis.mesh.translated(
+            (0.0, 0.0, self.separation))
+        return assemble_channel(tx.impedance.basis.mesh, rx_mesh,
+                                self.wavenumber)
+
+    def fingerprint(self) -> dict:
+        """The problem's defining values, as a checkpoint stores them."""
+        # through JSON, so that it compares equal to a loaded fingerprint
+        # (the specs' tuples come back as lists)
+        return json.loads(json.dumps({
+            "tx_spec": dataclasses.asdict(self.tx_spec),
+            "rx_spec": dataclasses.asdict(self.rx_spec),
+            "frequency": self.frequency,
+            "separation": self.separation,
+            "gamma": self.gamma,
+            "n_keep": self.n_keep,
+            "significance_floor": self.significance_floor,
+        }))
+
     def split(self, phi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         phi = np.asarray(phi)
         return phi[: self.tx_spec.n_bits], phi[self.tx_spec.n_bits:]
@@ -255,7 +306,40 @@ def fitness(ch: EquivalentChannel) -> float:
     return float(-np.sqrt(np.mean((sing - sing.mean()) ** 2)))
 
 
-def _evaluate_uncached(problem: PixelProblem, phi: np.ndarray):
+class Score(NamedTuple):
+    """What the GA keeps of one configuration: the singular values of H,
+    its achievable DoF and the fitness. A configuration the pipeline
+    cannot analyze scores DEGENERATE."""
+
+    h_singulars: np.ndarray | None
+    dof_h: int | None
+    fitness: float
+
+
+DEGENERATE = Score(None, None, NEG_INF)
+
+
+@dataclass
+class LinkAnalysis:
+    """One configuration's analyzed link, from both plates to H."""
+
+    tx: PlateAnalysis
+    rx: PlateAnalysis
+    g: ChannelOperator
+    channel: EquivalentChannel
+
+
+def _key(phi: np.ndarray) -> bytes:
+    return np.packbits(phi).tobytes()
+
+
+def _analyze_link(problem: PixelProblem,
+                  phi: np.ndarray) -> tuple[LinkAnalysis, Score]:
+    """gather -> modes -> maps -> G -> H -> sigma(H) for one configuration.
+
+    Raises DegenerateStructureError, RankDeficiencyError or NumericalError
+    when the configuration cannot be analyzed.
+    """
     phi_t, phi_r = problem.split(phi)
     tx_model, rx_model = problem.models
     try:
@@ -267,26 +351,26 @@ def _evaluate_uncached(problem: PixelProblem, phi: np.ndarray):
                               tx.excitation)
         u_r = receiver_map(rx.excitation, rx.modes.significances,
                            rx.patterns)
-        rx_mesh = rx.mesh.translated((0.0, 0.0, problem.separation))
-        g = assemble_channel(tx.mesh, rx_mesh, problem.wavenumber)
+        g = problem.channel.gather(rx.faces, tx.faces)
         ch = equivalent_channel(u_r, g, u_t)
         if not np.all(np.isfinite(ch.matrix)):
             raise NumericalError("equivalent channel is not finite")
-        gm = gamma_decomposition(g, rx.patterns, tx.patterns)
-        report = build_report(ch, g.singulars, rx.excitation, tx.excitation,
-                              gm.gamma, problem.gamma)
+        score = Score(ch.singulars, achievable_dof(ch, problem.gamma),
+                      fitness(ch))
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"linear algebra failed: {exc}") from exc
-    return ch, report, fitness(ch)
+    return LinkAnalysis(tx=tx, rx=rx, g=g, channel=ch), score
 
 
-def evaluate(problem: PixelProblem, phi):
-    """(EquivalentChannel, DofReport, fitness) for one configuration.
+def evaluate(problem: PixelProblem, phi) -> Score:
+    """The Score of one configuration.
 
-    Results are cached on the problem by configuration bytes; a repeat
+    Scores are cached on the problem by configuration bytes; a repeat
     request counts as a cache hit. A configuration the pipeline cannot
     analyze (nothing radiates, the receive ports cannot be separated, or
-    the numerics fail) gets (None, None, -inf) and is logged.
+    the numerics fail) scores DEGENERATE and is logged. The analyzed link
+    of the latest configuration not found in the cache stays in
+    `problem.last_link` for `link_report`.
     """
     phi = np.asarray(phi, dtype=np.uint8).ravel()
     if phi.size != problem.bit_length:
@@ -296,26 +380,55 @@ def evaluate(problem: PixelProblem, phi):
         )
     if np.any(phi > 1):
         raise ValueError("configuration bits must be 0 or 1")
-    key = np.packbits(phi).tobytes()
+    key = _key(phi)
     hit = problem.cache.get(key)
     if hit is not None:
+        problem.cache.move_to_end(key)
         problem.cache_hits += 1
         return hit
     problem.evaluations += 1
+    problem.last_link = None
     try:
-        result = _evaluate_uncached(problem, phi)
+        link, score = _analyze_link(problem, phi)
+        problem.last_link = (key, link)
     except (DegenerateStructureError, RankDeficiencyError, NumericalError) as exc:
         logger.warning("degenerate configuration %s: %s", phi_to_hex(phi), exc)
-        result = (None, None, NEG_INF)
-    problem.cache[key] = result
-    return result
+        score = DEGENERATE
+    problem.cache[key] = score
+    if len(problem.cache) > CACHE_SIZE:
+        problem.cache.popitem(last=False)
+    return score
+
+
+def link_report(problem: PixelProblem, phi) -> DofReport | None:
+    """The full DofReport of one configuration, None when it is degenerate.
+
+    Adds G's spectrum, the Gamma decomposition and the rank bounds to what
+    `evaluate` computes. The link analysis of `evaluate`'s latest
+    configuration is reused; any other configuration is analyzed again.
+    """
+    if evaluate(problem, phi).h_singulars is None:
+        return None
+    phi = np.asarray(phi, dtype=np.uint8).ravel()
+    key = _key(phi)
+    if problem.last_link is not None and problem.last_link[0] == key:
+        link = problem.last_link[1]
+    else:
+        link, _ = _analyze_link(problem, phi)
+    try:
+        gm = gamma_decomposition(link.g, link.rx.patterns, link.tx.patterns)
+        return build_report(link.channel, link.g.singulars,
+                            link.rx.excitation, link.tx.excitation,
+                            gm.gamma, problem.gamma)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError(f"linear algebra failed: {exc}") from exc
 
 
 @dataclass
 class Individual:
     phi: np.ndarray
     fitness: float
-    report: DofReport | None
+    dof_h: int | None
 
 
 @dataclass
@@ -388,9 +501,9 @@ def crossover_mutate(
 
 
 def _make_individual(problem: PixelProblem, phi: np.ndarray) -> Individual:
-    _, report, fit = evaluate(problem, phi)
+    score = evaluate(problem, phi)
     return Individual(phi=np.asarray(phi, dtype=np.uint8).copy(),
-                      fitness=fit, report=report)
+                      fitness=score.fitness, dof_h=score.dof_h)
 
 
 def _json_float(x: float):
@@ -405,14 +518,16 @@ def _log_record(run: GaRun) -> dict:
         "generation": run.generation,
         "best_fitness": _json_float(best.fitness),
         "mean_fitness": _json_float(float(finite.mean())) if finite.size else None,
-        "best_dof_h": None if best.report is None else best.report.dof_h,
+        "best_dof_h": best.dof_h,
         "best_phi_hex": phi_to_hex(best.phi),
     }
 
 
-def _write_checkpoint(path, run: GaRun, rng: np.random.Generator) -> None:
+def _write_checkpoint(path, run: GaRun, rng: np.random.Generator,
+                      problem: PixelProblem) -> None:
     state = {
         "format": CHECKPOINT_FORMAT,
+        "problem": problem.fingerprint(),
         "generation": run.generation,
         "k_max": run.k_max,
         "pop_size": run.pop_size,
@@ -426,7 +541,7 @@ def _write_checkpoint(path, run: GaRun, rng: np.random.Generator) -> None:
                 "phi_hex": phi_to_hex(ind.phi),
                 "n_bits": int(ind.phi.size),
                 "fitness": _json_float(ind.fitness),
-                "report": None if ind.report is None else ind.report.to_json(),
+                "dof_h": ind.dof_h,
             }
             for ind in run.population
         ],
@@ -444,17 +559,27 @@ def _write_checkpoint(path, run: GaRun, rng: np.random.Generator) -> None:
         raise
 
 
-def _load_checkpoint(path) -> tuple[GaRun, np.random.Generator]:
+def _checkpoint_dof_h(rec: dict) -> int | None:
+    if "dof_h" in rec:
+        return rec["dof_h"]
+    # v1 stores the individual's DofReport as a JSON string
+    return None if rec["report"] is None else json.loads(rec["report"])["dof_h"]
+
+
+def _load_checkpoint(path) -> tuple[GaRun, np.random.Generator, dict | None]:
+    """(run, generator, problem fingerprint) of a checkpoint.
+
+    A v1 checkpoint has no fingerprint; it loads with None.
+    """
     with open(path, encoding="utf-8") as fh:
         state = json.load(fh)
-    if state.get("format") != CHECKPOINT_FORMAT:
+    if state.get("format") not in (CHECKPOINT_FORMAT, _CHECKPOINT_V1):
         raise ValueError(f"not a GA checkpoint: {path}")
     population = [
         Individual(
             phi=phi_from_hex(rec["phi_hex"], rec["n_bits"]),
             fitness=NEG_INF if rec["fitness"] is None else float(rec["fitness"]),
-            report=None if rec["report"] is None
-            else DofReport.from_json(rec["report"]),
+            dof_h=_checkpoint_dof_h(rec),
         )
         for rec in state["population"]
     ]
@@ -471,7 +596,7 @@ def _load_checkpoint(path) -> tuple[GaRun, np.random.Generator]:
     )
     rng = np.random.default_rng()
     rng.bit_generator.state = state["rng_state"]
-    return run, rng
+    return run, rng, state.get("problem")
 
 
 def _truncate_log(path, generation: int) -> None:
@@ -508,10 +633,10 @@ def run_ga(
     (ties keep incumbents). k_max = 0 just evaluates and ranks the random
     initial population. The same (problem, k_max, pop_size, n_parents,
     mutation_rate, seed) always produces the same run. With resume_from,
-    the run continues from that checkpoint toward this call's k_max and
-    the other GA parameters must match; log records after the checkpoint's
-    generation are dropped first, so the log reads as an uninterrupted
-    run's.
+    the run continues from that checkpoint toward this call's k_max; the
+    problem (when the checkpoint records it) and the other GA parameters
+    must match. Log records after the checkpoint's generation are dropped
+    first, so the log reads as an uninterrupted run's.
     """
     if pop_size < 2:
         raise ValueError("population size must be at least 2")
@@ -524,7 +649,9 @@ def run_ga(
         raise ValueError("mutation rate must lie in [0, 1]")
 
     if resume_from is not None:
-        run, rng = _load_checkpoint(resume_from)
+        run, rng, fingerprint = _load_checkpoint(resume_from)
+        if fingerprint is not None and fingerprint != problem.fingerprint():
+            raise ValueError("checkpoint was written for a different problem")
         if (run.pop_size, run.n_parents) != (pop_size, n_parents) or \
                 abs(run.mutation_rate - rate) > 1e-15:
             raise ValueError("checkpoint GA parameters do not match this call")
@@ -538,7 +665,7 @@ def run_ga(
             log_fh.write(json.dumps(_log_record(run)) + "\n")
             log_fh.flush()
         if checkpoint_path is not None:
-            _write_checkpoint(checkpoint_path, run, rng)
+            _write_checkpoint(checkpoint_path, run, rng, problem)
 
     try:
         if resume_from is None:

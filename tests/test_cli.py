@@ -6,9 +6,10 @@ import numpy as np
 import pytest
 from scipy.constants import c as c0
 
+import cmadof.ga
 from cmadof.channel import effective_rank
 from cmadof.cli import main
-from cmadof.ga import PixelProblem, evaluate, phi_from_hex
+from cmadof.ga import PixelProblem, evaluate, link_report, phi_from_hex
 from cmadof.mesh import PlateSpec, build_plate_mesh, mesh_from_json, mesh_from_text
 
 FREQ = 27e9
@@ -99,11 +100,24 @@ class TestDofCommand:
         run_cli("dof", cfg, out)
         report = json.loads((out / "dof_report.json").read_text())
         problem = small_problem()
-        _, lib_report, _ = evaluate(problem, np.ones(8, dtype=np.uint8))
+        lib_report = link_report(problem, np.ones(8, dtype=np.uint8))
         assert report["dof_h"] == lib_report.dof_h
         np.testing.assert_allclose(
             report["h_singulars"], lib_report.h_singulars, rtol=1e-12
         )
+
+    def test_analyzes_the_link_once(self, tmp_path, monkeypatch):
+        calls = []
+        solve_modes = cmadof.ga.solve_modes
+
+        def counting(op, n_keep=20):
+            calls.append(op.z.shape)
+            return solve_modes(op, n_keep)
+
+        monkeypatch.setattr(cmadof.ga, "solve_modes", counting)
+        assert run_cli("dof", write_config(tmp_path), tmp_path / "out") == 0
+        # one transmit and one receive plate, shared by score and report
+        assert len(calls) == 2
 
     def test_gamma_tightening_never_raises_dof(self, tmp_path):
         cfg = write_config(tmp_path)
@@ -167,7 +181,8 @@ class TestOptimizeCommand:
         best = json.loads((out / "best_config.json").read_text())
         problem = small_problem()
         phi = phi_from_hex(best["phi_hex"], best["n_bits"])
-        _, report, fit = evaluate(problem, phi)
+        fit = evaluate(problem, phi).fitness
+        report = link_report(problem, phi)
         assert fit == pytest.approx(best["fitness"], rel=1e-12)
         assert report.dof_h == best["report"]["dof_h"]
 
@@ -223,7 +238,7 @@ class TestSweepCommand:
         cells = lines[1].split(",")
         assert float(cells[0]) == 0.01
         problem = small_problem()
-        _, report, _ = evaluate(problem, np.ones(8, dtype=np.uint8))
+        report = link_report(problem, np.ones(8, dtype=np.uint8))
         assert int(cells[1]) == report.dof_g_effective
         assert int(cells[2]) == report.dof_h
         assert int(cells[5]) == report.port_mode_upper

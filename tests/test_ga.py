@@ -2,6 +2,7 @@
 
 import json
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ from scipy.stats import chisquare
 
 import cmadof.ga
 from cmadof.dofcore import EquivalentChannel, matrix_rank
-from cmadof.channel import effective_rank
+from cmadof.channel import assemble_channel, effective_rank
 from cmadof.efie import assemble_impedance, delta_gap_excitation
 from cmadof.errors import GeometryError
 from cmadof.ga import (
@@ -22,6 +23,7 @@ from cmadof.ga import (
     crossover_mutate,
     evaluate,
     fitness,
+    link_report,
     phi_from_hex,
     phi_to_hex,
     run_ga,
@@ -32,6 +34,10 @@ from cmadof.mesh import PlateSpec, face_sampling_operator, locate_port_edges
 FREQ = 27e9
 LAM = c0 / FREQ
 PIX = 0.24 * LAM
+
+#: written by `run_ga(tiny_problem(), k_max=2, pop_size=6, n_parents=4,
+#: seed=11, checkpoint_path=...)` in the v1 checkpoint format
+V1_CHECKPOINT = Path(__file__).parent / "data" / "ga_checkpoint_v1.json"
 
 
 def tiny_spec():
@@ -148,7 +154,7 @@ class TestPlateModel:
         rng = np.random.default_rng(spec.pixel_rows)
         for _ in range(20):
             bits = rng.integers(0, 2, spec.n_bits)
-            basis, op, sampler, ports = model.gather(bits)
+            basis, op, sampler, ports, _ = model.gather(bits)
             direct = delta_gap_excitation(
                 basis, locate_port_edges(spec, basis.mesh))
             assert np.array_equal(op.z, assemble_impedance(basis, FREQ).z)
@@ -159,10 +165,34 @@ class TestPlateModel:
     def test_all_metal_gather_is_the_parent(self):
         spec = cli_default_spec()
         model = PlateModel.build(spec, FREQ)
-        _, op, sampler, ports = model.gather(np.ones(spec.n_bits))
+        _, op, sampler, ports, faces = model.gather(np.ones(spec.n_bits))
         assert np.array_equal(op.z, model.impedance.z)
         assert np.array_equal(sampler.matrix, model.sampler)
         assert np.array_equal(ports, model.excitation)
+        assert np.array_equal(faces, np.arange(2 * spec.n_bits))
+
+    @pytest.mark.parametrize("make_specs", [
+        lambda: (acceptance7_spec(), acceptance7_spec()),
+        lambda: (cli_default_spec(), acceptance7_spec()),
+    ], ids=["acceptance7", "cli_default_to_acceptance7"])
+    def test_channel_gather_equals_direct_assembly(self, make_specs):
+        tx_spec, rx_spec = make_specs()
+        p = PixelProblem(tx_spec=tx_spec, rx_spec=rx_spec, frequency=FREQ,
+                         separation=1.0 * LAM)
+        tx_model, rx_model = p.models
+        rng = np.random.default_rng(17)
+        for _ in range(20):
+            tx_basis, *_, tx_faces = tx_model.gather(
+                rng.integers(0, 2, tx_spec.n_bits))
+            rx_basis, *_, rx_faces = rx_model.gather(
+                rng.integers(0, 2, rx_spec.n_bits))
+            rx_mesh = rx_basis.mesh.translated((0.0, 0.0, p.separation))
+            direct = assemble_channel(tx_basis.mesh, rx_mesh, p.wavenumber)
+            gathered = p.channel.gather(rx_faces, tx_faces)
+            assert np.array_equal(gathered.matrix, direct.matrix)
+            assert np.array_equal(gathered.tx_centroids, direct.tx_centroids)
+            assert np.array_equal(gathered.rx_centroids, direct.rx_centroids)
+            assert np.array_equal(gathered.tx_areas, direct.tx_areas)
 
     def test_models_are_lazy_and_shared(self, monkeypatch):
         calls = []
@@ -206,23 +236,65 @@ class TestEvaluate:
 
     def test_full_pipeline_produces_report(self):
         p = tiny_problem()
-        ch, report, fit = evaluate(p, np.ones(8, dtype=np.uint8))
+        ones = np.ones(8, dtype=np.uint8)
+        score = evaluate(p, ones)
+        ch = p.last_link[1].channel
+        report = link_report(p, ones)
         assert ch.matrix.shape == (2, 2)
         assert report.dof_h >= 1
         assert report.dof_h <= report.port_mode_upper
         assert matrix_rank(ch.matrix) <= report.g_strict_rank
-        assert fit == fitness(ch)
-        assert np.isfinite(fit)
+        assert score.fitness == fitness(ch)
+        assert np.isfinite(score.fitness)
+
+    @pytest.mark.parametrize("make_spec", [acceptance7_spec, cli_default_spec])
+    def test_lean_score_matches_link_report(self, make_spec):
+        spec = make_spec()
+        p = PixelProblem(tx_spec=spec, rx_spec=spec, frequency=FREQ,
+                         separation=1.0 * LAM, n_keep=10)
+        rng = np.random.default_rng(23)
+        phis = rng.integers(0, 2, size=(20, p.bit_length))
+        # score every configuration first, so each report but the last
+        # analyzes its link again instead of reusing evaluate's
+        scores = [evaluate(p, phi) for phi in phis]
+        for phi, score in zip(phis, scores):
+            report = link_report(p, phi)
+            if score.h_singulars is None:
+                assert report is None
+                continue
+            assert score.dof_h == report.dof_h
+            assert np.array_equal(score.h_singulars, report.h_singulars)
+            assert score.fitness == -np.std(report.h_singulars)
+        assert p.evaluations == 20 and p.cache_hits == 20
+        assert sum(s.h_singulars is not None for s in scores) >= 15
 
     def test_unreachable_floor_is_degenerate(self, caplog):
         p = tiny_problem(significance_floor=1.01)
         with caplog.at_level("WARNING", logger="cmadof.ga"):
-            ch, report, fit = evaluate(p, np.ones(8, dtype=np.uint8))
-        assert (ch, report, fit) == (None, None, NEG_INF)
+            score = evaluate(p, np.ones(8, dtype=np.uint8))
+        assert score == (None, None, NEG_INF)
         assert "degenerate configuration" in caplog.text
         # the failure is cached like any other result
-        evaluate(p, np.ones(8, dtype=np.uint8))
+        assert link_report(p, np.ones(8, dtype=np.uint8)) is None
         assert p.cache_hits == 1
+
+    def test_cache_drops_least_recently_used(self, monkeypatch):
+        monkeypatch.setattr(cmadof.ga, "CACHE_SIZE", 2)
+        p = tiny_problem()
+        a, b, c = np.eye(3, 8, k=4, dtype=np.uint8) + \
+            np.eye(3, 8, dtype=np.uint8)
+        first = evaluate(p, a)
+        evaluate(p, b)
+        evaluate(p, a)  # a is now more recent than b
+        evaluate(p, c)  # drops b
+        assert list(p.cache) == [np.packbits(a).tobytes(),
+                                 np.packbits(c).tobytes()]
+        evaluate(p, b)  # drops a
+        again = evaluate(p, a)
+        assert p.evaluations == 5 and p.cache_hits == 1
+        assert again is not first
+        assert again.dof_h == first.dof_h and again.fitness == first.fitness
+        assert np.array_equal(again.h_singulars, first.h_singulars)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_channel_is_degenerate(self, monkeypatch, bad):
@@ -239,7 +311,7 @@ class TestSelectParents:
         # winner probabilities for 3 distinct fitnesses under size-2
         # tournaments with replacement are (5, 3, 1)/9
         pop = [
-            Individual(phi=np.array([i], dtype=np.uint8), fitness=-float(i), report=None)
+            Individual(phi=np.array([i], dtype=np.uint8), fitness=-float(i), dof_h=None)
             for i in range(3)
         ]
         run = GaRun(
@@ -254,8 +326,8 @@ class TestSelectParents:
 
     def test_tie_keeps_first_drawn(self):
         pop = [
-            Individual(phi=np.array([0], dtype=np.uint8), fitness=1.0, report=None),
-            Individual(phi=np.array([1], dtype=np.uint8), fitness=1.0, report=None),
+            Individual(phi=np.array([0], dtype=np.uint8), fitness=1.0, dof_h=None),
+            Individual(phi=np.array([1], dtype=np.uint8), fitness=1.0, dof_h=None),
         ]
         run = GaRun(
             population=pop, generation=0, k_max=0, pop_size=2,
@@ -277,7 +349,7 @@ class TestSelectParents:
             select_parents(run, np.random.default_rng(0))
 
     def test_returns_copies(self):
-        pop = [Individual(phi=np.zeros(3, dtype=np.uint8), fitness=0.0, report=None)]
+        pop = [Individual(phi=np.zeros(3, dtype=np.uint8), fitness=0.0, dof_h=None)]
         run = GaRun(
             population=pop, generation=0, k_max=0, pop_size=1,
             n_parents=2, mutation_rate=0.0, rng_seed=0,
@@ -388,7 +460,7 @@ class TestRunGa:
         run = run_ga(p, k_max=2, pop_size=4, n_parents=2, seed=5)
         assert run.generation == 2
         assert run.best_history == [NEG_INF] * 3
-        assert all(ind.report is None for ind in run.population)
+        assert all(ind.dof_h is None for ind in run.population)
         assert all(r == (None, None, NEG_INF) for r in p.cache.values())
 
     def test_log_schema(self, tmp_path):
@@ -429,10 +501,10 @@ class TestRunGa:
         log, ck = tmp_path / "run.jsonl", tmp_path / "ck.json"
         write_checkpoint = cmadof.ga._write_checkpoint
 
-        def stop_at_two(path, run, rng):
+        def stop_at_two(path, run, rng, problem):
             if run.generation == 2:
                 raise RuntimeError("stopped")
-            write_checkpoint(path, run, rng)
+            write_checkpoint(path, run, rng, problem)
 
         monkeypatch.setattr(cmadof.ga, "_write_checkpoint", stop_at_two)
         with pytest.raises(RuntimeError, match="stopped"):
@@ -453,15 +525,34 @@ class TestRunGa:
                         seed=2, resume_from=ck)
         assert loaded.generation == first.generation
         assert loaded.best_history == first.best_history
+        fresh = tiny_problem()
         for a, b in zip(loaded.population, first.population):
             assert np.array_equal(a.phi, b.phi)
             assert a.fitness == b.fitness
-            assert (a.report is None) == (b.report is None)
-            if a.report is not None:
-                assert a.report.dof_h == b.report.dof_h
-                np.testing.assert_allclose(
-                    a.report.h_singulars, b.report.h_singulars, rtol=0
-                )
+            assert a.dof_h == b.dof_h
+            assert a.dof_h == evaluate(fresh, a.phi).dof_h
+        assert any(a.dof_h is not None for a in loaded.population)
+
+    def test_resume_from_v1_checkpoint_matches_straight_run(self):
+        args = dict(k_max=4, pop_size=6, n_parents=4, seed=11)
+        straight = run_ga(tiny_problem(), **args)
+        resumed = run_ga(tiny_problem(), resume_from=V1_CHECKPOINT, **args)
+        assert resumed.best_history == straight.best_history
+        for a, b in zip(resumed.population, straight.population):
+            assert np.array_equal(a.phi, b.phi)
+            assert a.fitness == b.fitness
+            assert a.dof_h == b.dof_h
+
+    @pytest.mark.parametrize("change", [dict(separation=2.0 * LAM),
+                                        dict(n_keep=12)],
+                             ids=["separation", "n_keep"])
+    def test_resume_under_other_problem_rejected(self, tmp_path, change):
+        ck = tmp_path / "ck.json"
+        run_ga(tiny_problem(), k_max=1, pop_size=4, n_parents=2, seed=2,
+               checkpoint_path=ck)
+        with pytest.raises(ValueError, match="different problem"):
+            run_ga(tiny_problem(**change), k_max=2, pop_size=4, n_parents=2,
+                   seed=2, resume_from=ck)
 
     def test_resume_parameter_mismatch_rejected(self, tmp_path):
         ck = tmp_path / "ck.json"
