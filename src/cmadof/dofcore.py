@@ -292,22 +292,6 @@ class DofReport:
         }
         return json.dumps(payload, indent=2)
 
-    @classmethod
-    def from_json(cls, text: str) -> "DofReport":
-        d = json.loads(text)
-        return cls(
-            dof_h=int(d["dof_h"]),
-            dof_g_effective=int(d["dof_g_effective"]),
-            port_mode_upper=int(d["port_mode_upper"]),
-            lower_bound=int(d["lower_bound"]),
-            gamma=float(d["gamma"]),
-            h_singulars=np.asarray(d["h_singulars"], dtype=float),
-            g_singulars=np.asarray(d["g_singulars"], dtype=float),
-            gamma_matrix_rank=int(d["gamma_matrix_rank"]),
-            h_strict_rank=int(d["h_strict_rank"]),
-            g_strict_rank=int(d["g_strict_rank"]),
-        )
-
 
 def build_report(
     ch: EquivalentChannel,

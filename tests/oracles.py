@@ -8,7 +8,11 @@ Nothing in here shares code paths with the package internals it checks:
   rule;
 * the pencil oracle solves the reduced generalized eigenproblem by explicit
   inversion and a dense nonsymmetric solve;
-* the mesh oracle counts interior edges by scanning all face pairs.
+* the mesh oracle counts interior edges by scanning all face pairs;
+* the untiled impedance reference is the exception: it keeps the
+  single-threaded whole-plate face-moment loop that the tiled, pooled
+  assembly replaced, reusing the package's touching-pair moments, so that
+  the two can be required to agree bit for bit.
 """
 
 from __future__ import annotations
@@ -144,6 +148,85 @@ def oracle_impedance_entry(basis, m, n, frequency, outer_levels=1, duffy_order=1
             phi_val += sp * sq * lm * ln / (area_p * area_q) * np.dot(wts, i0s)
 
     return 1j * omega * MU0 * a_val - 1j / (omega * EPS0) * phi_val
+
+
+def untiled_impedance(basis, frequency):
+    """Z by the whole-plate, single-threaded face-moment loop.
+
+    Regular face pairs in row chunks against every face, touching pairs in
+    batches of TOUCH_CHUNK, then one edge-space combination over all edges;
+    every entry by the same arithmetic as `assemble_impedance`.
+    """
+    from cmadof.efie import TOUCH_CHUNK, _face_adjacency_pairs, _singular_moments
+    from cmadof.quadrature import tri_points, tri_rule
+
+    mesh = basis.mesh
+    omega = 2.0 * np.pi * frequency
+    k0 = omega / C0
+    nf = mesh.n_faces
+    tv = mesh.vertices[mesh.faces]
+    areas = mesh.face_areas
+    _, w7 = tri_rule(7)
+    x7 = tri_points(tv, 7)
+
+    m00 = np.empty((nf, nf), dtype=complex)
+    m_in = np.empty((nf, nf, 3), dtype=complex)
+    m_out = np.empty((nf, nf, 3), dtype=complex)
+    mdot = np.empty((nf, nf), dtype=complex)
+    nq = len(w7)
+    wa = w7[None, :] * areas[:, None]
+    chunk = max(1, min(nf, 4_000_000 // (nf * nq * nq) + 1))
+    for start in range(0, nf, chunk):
+        sl = slice(start, min(start + chunk, nf))
+        diff = x7[sl, :, None, None, :] - x7[None, None, :, :, :]
+        dist = np.linalg.norm(diff, axis=-1)
+        np.maximum(dist, 1e-300, out=dist)
+        kern = np.exp(-1j * k0 * dist) / (4.0 * np.pi * dist)
+        kern *= wa[sl, :, None, None] * wa[None, None, :, :]
+        m00[sl] = np.einsum("piqj->pq", kern)
+        m_in[sl] = np.einsum("piqj,qjd->pqd", kern, x7)
+        m_out[sl] = np.einsum("piqj,pid->pqd", kern, x7[sl])
+        mdot[sl] = np.einsum("piqj,pid,qjd->pq", kern, x7[sl], x7)
+
+    pairs = np.array(_face_adjacency_pairs(mesh.faces)).reshape(-1, 2)
+    for start in range(0, len(pairs), TOUCH_CHUNK):
+        p, q = pairs[start:start + TOUCH_CHUNK].T
+        s00, s_in, s_out, sdot = _singular_moments(
+            tv[p], tv[q], areas[p], areas[q], k0
+        )
+        m00[p, q] = m00[q, p] = s00
+        mdot[p, q] = mdot[q, p] = sdot
+        m_in[p, q] = m_out[q, p] = s_in
+        m_out[p, q] = m_in[q, p] = s_out
+        own = p == q
+        s_avg = 0.5 * (s_in[own] + s_out[own])
+        m_in[p[own], p[own]] = s_avg
+        m_out[p[own], p[own]] = s_avg
+
+    ef = np.stack([basis.plus_face, basis.minus_face], axis=1)
+    fv = mesh.vertices[np.stack([basis.plus_free, basis.minus_free], axis=1)]
+    sg = np.array([1.0, -1.0])
+    lengths = basis.lengths
+    pa = ef[:, :, None, None]
+    qb = ef[None, None, :, :]
+    g00 = m00[pa, qb]
+    gdot = mdot[pa, qb]
+    g_in = m_in[pa, qb]
+    g_out = m_out[pa, qb]
+    vec_term = (
+        gdot
+        - np.einsum("manbd,mad->manb", g_in, fv)
+        - np.einsum("manbd,nbd->manb", g_out, fv)
+        + np.einsum("mad,nbd->manb", fv, fv) * g00
+    )
+    coef = (
+        sg[None, :, None, None]
+        * sg[None, None, None, :]
+        / (areas[ef][:, :, None, None] * areas[ef][None, None, :, :])
+    ) * (lengths[:, None, None, None] * lengths[None, None, :, None])
+    a_mat = 0.25 * np.einsum("manb->mn", coef * vec_term)
+    phi_mat = np.einsum("manb->mn", coef * g00)
+    return 1j * omega * MU0 * a_mat - 1j / (omega * EPS0) * phi_mat
 
 
 def dense_reduced_pencil_eigs(x_mat, r_psd, rel_cut=1e-10):

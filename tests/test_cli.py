@@ -45,6 +45,20 @@ def small_problem(**kwargs):
     return PixelProblem(**args)
 
 
+@pytest.fixture
+def solve_modes_calls(monkeypatch):
+    """Impedance shapes of every `solve_modes` call the GA module makes."""
+    calls = []
+    solve_modes = cmadof.ga.solve_modes
+
+    def counting(op, n_keep=20):
+        calls.append(op.z.shape)
+        return solve_modes(op, n_keep)
+
+    monkeypatch.setattr(cmadof.ga, "solve_modes", counting)
+    return calls
+
+
 class TestModesCommand:
     def test_artifacts_and_consistency(self, tmp_path):
         cfg = write_config(tmp_path)
@@ -106,18 +120,10 @@ class TestDofCommand:
             report["h_singulars"], lib_report.h_singulars, rtol=1e-12
         )
 
-    def test_analyzes_the_link_once(self, tmp_path, monkeypatch):
-        calls = []
-        solve_modes = cmadof.ga.solve_modes
-
-        def counting(op, n_keep=20):
-            calls.append(op.z.shape)
-            return solve_modes(op, n_keep)
-
-        monkeypatch.setattr(cmadof.ga, "solve_modes", counting)
+    def test_analyzes_the_link_once(self, tmp_path, solve_modes_calls):
         assert run_cli("dof", write_config(tmp_path), tmp_path / "out") == 0
         # one transmit and one receive plate, shared by score and report
-        assert len(calls) == 2
+        assert len(solve_modes_calls) == 2
 
     def test_gamma_tightening_never_raises_dof(self, tmp_path):
         cfg = write_config(tmp_path)
@@ -185,6 +191,21 @@ class TestOptimizeCommand:
         report = link_report(problem, phi)
         assert fit == pytest.approx(best["fitness"], rel=1e-12)
         assert report.dof_h == best["report"]["dof_h"]
+
+    def test_reports_reuse_the_winners_analysis(self, tmp_path,
+                                                solve_modes_calls):
+        cfg = write_config(tmp_path, "generations = 0\npopulation = 2\n"
+                                     "parents = 2\nseed = 1\n")
+        out = tmp_path / "out"
+        assert run_cli("optimize", cfg, out) == 0
+        population = json.loads(
+            (out / "ga_checkpoint.json").read_text())["population"]
+        # seed 1 draws two configurations and the first evaluated one wins,
+        # so the winner is not the latest evaluated link
+        assert len({ind["phi_hex"] for ind in population}) == 2
+        assert population[0]["fitness"] > population[1]["fitness"]
+        # one transmit and one receive plate per configuration, none twice
+        assert len(solve_modes_calls) == 2 * 2
 
     def test_resume_without_checkpoint_is_config_error(self, tmp_path):
         cfg = write_config(tmp_path, self.GA + "resume = true\n")

@@ -3,6 +3,7 @@ import numpy as np
 import pytest
 from scipy.constants import c as c0
 
+import cmadof.efie
 from cmadof.efie import (
     ImpedanceOperator,
     assemble_impedance,
@@ -11,7 +12,7 @@ from cmadof.efie import (
 )
 from cmadof.errors import GeometryError
 from cmadof.mesh import PlateSpec, build_plate_mesh, extract_rwg
-from oracles import oracle_impedance_entry
+from oracles import oracle_impedance_entry, untiled_impedance
 
 FREQ = 27e9
 PIX = 0.24 * c0 / FREQ
@@ -120,6 +121,50 @@ class TestAssembleImpedance:
         _, _, basis = plate_basis(2, 2)
         op = assemble_impedance(basis, FREQ)
         assert np.all(np.diag(op.r_psd) > 0)
+
+
+def acceptance7_spec():
+    pix = 0.35 * c0 / FREQ
+    return PlateSpec(width=4 * pix, height=8 * pix, pixel_rows=8,
+                     pixel_cols=4, ports=4,
+                     port_pixels=((0, 0), (2, 0), (4, 0), (6, 0)))
+
+
+def acceptance7_plate():
+    """All-metal 8x4-pixel plate of acceptance test 7 (64 faces, 2 tiles)."""
+    return extract_rwg(build_plate_mesh(acceptance7_spec(), np.ones(32)))
+
+
+def holey_3x3_plate():
+    """3x3 plate with two pixels off (14 faces, one partial tile)."""
+    return plate_basis(3, 3, bits=[1, 0, 1, 1, 1, 0, 1, 1, 1])[2]
+
+
+def translated_holey_8x4_plate():
+    """A holey acceptance-7 configuration moved off the origin: 40 faces,
+    so a full and a partial tile and their mirror."""
+    bits = np.ones(32)
+    bits[[5, 6, 9, 11, 13, 14, 19, 22, 25, 26, 30, 31]] = 0
+    mesh = build_plate_mesh(acceptance7_spec(), bits)
+    return extract_rwg(mesh.translated((0.3 * PIX, -1.7 * PIX, 4.1 * PIX)))
+
+
+PLATES = [acceptance7_plate, holey_3x3_plate, translated_holey_8x4_plate]
+
+
+class TestAssemblyIsExact:
+    """The tiled, pooled assembly computes every entry of Z by the same
+    arithmetic as the single-threaded whole-plate loop."""
+
+    @pytest.mark.parametrize("cores", [None, 1, 2, 3],
+                             ids=["machine", "1", "2", "3"])
+    @pytest.mark.parametrize("make_basis", PLATES)
+    def test_equals_untiled_reference(self, monkeypatch, make_basis, cores):
+        if cores is not None:
+            monkeypatch.setattr(cmadof.efie, "_cores", lambda: cores)
+        basis = make_basis()
+        z = assemble_impedance(basis, FREQ).z
+        assert np.array_equal(z, untiled_impedance(basis, FREQ))
 
 
 class TestDeltaGap:

@@ -254,8 +254,9 @@ class TestEvaluate:
                          separation=1.0 * LAM, n_keep=10)
         rng = np.random.default_rng(23)
         phis = rng.integers(0, 2, size=(20, p.bit_length))
-        # score every configuration first, so each report but the last
-        # analyzes its link again instead of reusing evaluate's
+        # score every configuration first, so each report but the latest's
+        # and the fittest's analyzes its link again instead of reusing
+        # evaluate's
         scores = [evaluate(p, phi) for phi in phis]
         for phi, score in zip(phis, scores):
             report = link_report(p, phi)
