@@ -27,8 +27,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.constants import c as C0, epsilon_0 as EPS0, mu_0 as MU0
 
+from .efie import C0, EPS0, MU0
 from .errors import SingularityError
 from .mesh import TriMesh
 

@@ -35,8 +35,8 @@ Schema (defaults in parentheses):
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
-from scipy.constants import c as C0
 
+from .efie import C0
 from .errors import ConfigError
 
 __all__ = ["RunConfig", "parse_config_file", "load_run_config"]

@@ -31,7 +31,6 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 
 from .channel import ChannelOperator, ETA0, effective_rank, strict_rank
 from .cma import SIGNIFICANCE_FLOOR
@@ -120,6 +119,8 @@ def receiver_map(v_r: np.ndarray, m_r: np.ndarray, patterns_r: np.ndarray) -> np
         )
     rank_v = matrix_rank(v_r)
     if rank_v < l_r:
+        import scipy.linalg  # only this rank-deficient branch needs scipy
+
         _, _, piv = scipy.linalg.qr(v_r, pivoting=True)
         offending = sorted(int(p) for p in piv[rank_v:])
         raise RankDeficiencyError(
@@ -195,6 +196,8 @@ def _independent_columns(a: np.ndarray, label: str) -> np.ndarray:
     r = matrix_rank(a)
     if r == a.shape[1]:
         return np.arange(a.shape[1])
+    import scipy.linalg  # only this rank-deficient branch needs scipy
+
     _, _, piv = scipy.linalg.qr(a, pivoting=True)
     keep = np.sort(piv[:r])
     warnings.warn(

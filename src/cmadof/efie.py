@@ -34,19 +34,28 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.constants import c as C0, epsilon_0 as EPS0, mu_0 as MU0
 
 from .errors import GeometryError
 from .mesh import RwgBasis
 from .quadrature import static_potential_integrals, tri_points, tri_rule
 
 __all__ = [
+    "C0",
+    "EPS0",
+    "MU0",
     "ImpedanceOperator",
     "ExcitationVector",
     "assemble_impedance",
     "delta_gap_excitation",
     "psd_project",
 ]
+
+#: speed of light (m/s), vacuum permittivity (F/m) and permeability (H/m):
+#: the CODATA 2022 values of `scipy.constants`, written out so that importing
+#: the package does not import scipy
+C0 = 299792458.0
+EPS0 = 8.8541878188e-12
+MU0 = 1.25663706127e-06
 
 #: faces with area at or below this (square meters) are treated as degenerate
 MIN_FACE_AREA = 1e-12
@@ -55,19 +64,21 @@ MIN_FACE_AREA = 1e-12
 PSD_CLAMP_TOL = 1e-12
 
 
-def psd_project(r_matrix: np.ndarray) -> np.ndarray:
+def psd_project(r_matrix: np.ndarray) -> tuple[np.ndarray, tuple | None]:
     """Positive-semidefinite spectral projection of a symmetric matrix.
 
     Eigenvalues below zero are clamped. A matrix whose smallest eigenvalue
     is already above -PSD_CLAMP_TOL times the largest is returned unchanged,
-    which makes the projection exactly idempotent.
+    which makes the projection exactly idempotent. Returns the projection
+    and, when that is r_matrix itself, the eigenpairs (w, q) of r_matrix
+    computed on the way; None in their place when it was clamped.
     """
     w, q = np.linalg.eigh(r_matrix)
     top = max(w[-1], 0.0)
     if w[0] >= -PSD_CLAMP_TOL * top:
-        return r_matrix
+        return r_matrix, (w, q)
     clipped = (q * np.maximum(w, 0.0)) @ q.T
-    return 0.5 * (clipped + clipped.T)
+    return 0.5 * (clipped + clipped.T), None
 
 
 @dataclass
@@ -78,6 +89,7 @@ class ImpedanceOperator:
     frequency: float
     basis: RwgBasis | None = None
     _r_psd: np.ndarray | None = field(default=None, repr=False)
+    _r_psd_eigh: tuple | None = field(default=None, repr=False)
 
     def __post_init__(self):
         self.z = np.asarray(self.z, dtype=complex)
@@ -104,8 +116,18 @@ class ImpedanceOperator:
     def r_psd(self) -> np.ndarray:
         """Spectrally clamped positive-semidefinite version of R."""
         if self._r_psd is None:
-            self._r_psd = psd_project(0.5 * (self.z.real + self.z.real.T))
+            self._r_psd, self._r_psd_eigh = psd_project(
+                0.5 * (self.z.real + self.z.real.T))
         return self._r_psd
+
+    @property
+    def r_psd_eigh(self) -> tuple[np.ndarray, np.ndarray]:
+        """Eigenpairs (ascending) of r_psd. Unless R had to be clamped they
+        are the ones the projection computed, so R is decomposed once."""
+        r_psd = self.r_psd
+        if self._r_psd_eigh is None:
+            self._r_psd_eigh = np.linalg.eigh(r_psd)
+        return self._r_psd_eigh
 
     @property
     def omega(self) -> float:

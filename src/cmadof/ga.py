@@ -8,13 +8,13 @@ the physics pipeline
     mesh -> impedance -> characteristic modes -> port excitation/patterns
          -> transmit/receive maps -> free-space channel G -> H -> sigma(H)
 
-where the impedance, the face sampler and the port columns of a
-configuration are gathered from its plate's all-metal parent (`PlateModel`,
-assembled once per plate spec and frequency), and G from the channel
-between the two parents (assembled once per problem). The fitness is the
-negated standard deviation of the singular values of H: flat spectra score
-0 (the maximum), lopsided spectra score negative, so maximizing the score
-pushes toward more usable subchannels.
+where the mesh, the edge basis, the impedance, the face sampler and the
+port columns of a configuration are gathered from its plate's all-metal
+parent (`PlateModel`, built once per plate spec and frequency), and G from
+the channel between the two parents (assembled once per problem). The
+fitness is the negated standard deviation of the singular values of H:
+flat spectra score 0 (the maximum), lopsided spectra score negative, so
+maximizing the score pushes toward more usable subchannels.
 
 `evaluate` keeps only what the GA needs of a configuration, a `Score` of
 sigma(H), the achievable DoF and the fitness. `link_report` builds the full
@@ -43,7 +43,6 @@ from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
-from scipy.constants import c as C0
 
 from .channel import ChannelOperator, assemble_channel
 from .cma import (SIGNIFICANCE_FLOOR, ModeBasis, excitation_matrix,
@@ -51,7 +50,8 @@ from .cma import (SIGNIFICANCE_FLOOR, ModeBasis, excitation_matrix,
 from .dofcore import (DofReport, EquivalentChannel, achievable_dof,
                       build_report, equivalent_channel, gamma_decomposition,
                       receiver_map, transmitter_map)
-from .efie import ImpedanceOperator, assemble_impedance, delta_gap_excitation
+from .efie import (C0, ImpedanceOperator, assemble_impedance,
+                   delta_gap_excitation)
 from .errors import (DegenerateStructureError, GeometryError, NumericalError,
                      RankDeficiencyError)
 from .mesh import (PlateSpec, TriMesh, RwgBasis, SamplingMatrix,
@@ -96,73 +96,61 @@ class PlateModel:
 
     Every configuration's mesh is a subset of the parent's: the same grid
     nodes, the same row-major faces (two per pixel), and so the same plus
-    and minus faces and free vertices on every shared edge. Face-pair
-    moments depend only on the two faces, so each configuration operator
-    is exactly a sub-block of the parent's, with f and e mapping the
-    configuration's faces and edges to the parent's:
+    and minus faces and free vertices on every shared edge. A
+    configuration's mesh and basis are taken from the parent's arrays by
+    `RwgBasis.restrict`, equal to what `build_plate_mesh` and `extract_rwg`
+    build for it. Face-pair moments depend only on the two faces, so each
+    configuration operator is exactly a sub-block of the parent's, with f
+    and e mapping the configuration's faces and edges to the parent's:
 
         Z(config) = Z[e][:, e]        impedance
         S(config) = S[rows(f)][:, e]  face sampler, three rows per face
         B(config) = B[e]              delta-gap port columns
 
-    The parent is assembled once, by `assemble_impedance`, and every
-    configuration of the spec is then analyzed by gather. The face map f
-    gathers the configuration's channel from the parents' in the same way
+    The parent is meshed and assembled once, and every configuration of
+    the spec is then analyzed by gather. The face map f gathers the
+    configuration's channel from the parents' in the same way
     (`PixelProblem.channel`).
     """
 
     spec: PlateSpec
     frequency: float
+    basis: RwgBasis         # parent mesh and edge basis
     impedance: ImpedanceOperator
     sampler: np.ndarray     # (3 n_faces, n_edges) parent face sampler
     excitation: np.ndarray  # (n_edges, L) parent delta-gap columns
-    node_vertex: np.ndarray  # parent vertex of grid node (col, row)
-    edge_keys: np.ndarray    # lo * node_vertex.size + hi per parent edge
 
     @classmethod
     def build(cls, spec: PlateSpec, frequency: float) -> "PlateModel":
         mesh = build_plate_mesh(spec, np.ones(spec.n_bits, dtype=np.uint8))
         basis = extract_rwg(mesh)
-        node = np.rint(mesh.vertices[:, :2] / spec.pixel_size).astype(int)
-        node_vertex = np.empty((spec.pixel_cols + 1, spec.pixel_rows + 1),
-                               dtype=int)
-        # the parent uses every grid node once, so node_vertex.size is its
-        # vertex count and the keys of its sorted edges ascend
-        node_vertex[node[:, 0], node[:, 1]] = np.arange(len(node))
         exc = delta_gap_excitation(basis, locate_port_edges(spec, mesh))
         return cls(
             spec=spec,
             frequency=frequency,
+            basis=basis,
             impedance=assemble_impedance(basis, frequency),
             sampler=face_sampling_operator(basis).matrix,
             excitation=exc.matrix,
-            node_vertex=node_vertex,
-            edge_keys=basis.edges[:, 0] * node_vertex.size + basis.edges[:, 1],
         )
 
     def gather(self, bits) -> tuple[RwgBasis, ImpedanceOperator,
                                     SamplingMatrix, np.ndarray, np.ndarray]:
         """(basis, impedance, sampler, port columns, parent faces) of one
-        configuration.
+        configuration, all taken from the parent by index.
 
-        The mesh and basis are built as for direct assembly, so edge order
-        and orientation are the configuration's own; the operators are
-        gathered from the parent.
+        Pixel t owns parent faces 2t and 2t + 1, so the configuration's
+        faces f keep the parent's order. The edge map e lists the parent
+        edge of each configuration edge, in the configuration's sorted
+        edge order.
         """
-        mesh = build_plate_mesh(self.spec, bits)
-        basis = extract_rwg(mesh)
-        node = np.rint(mesh.vertices[:, :2] / self.spec.pixel_size).astype(int)
-        vertex = self.node_vertex[node[:, 0], node[:, 1]]
-        ends = np.sort(vertex[basis.edges], axis=1)
-        e = np.searchsorted(self.edge_keys,
-                            ends[:, 0] * self.node_vertex.size + ends[:, 1])
-        # build_plate_mesh emits the two faces of a pixel consecutively, and
-        # the parent has every pixel, so pixel t owns parent faces 2t, 2t + 1
-        f = 2 * mesh.face_tags + np.arange(mesh.n_faces) % 2
+        f = (2 * self.spec.metal_pixels(bits)[:, None] + np.arange(2)).ravel()
+        basis, e = self.basis.restrict(f)
         rows = (3 * f[:, None] + np.arange(3)).ravel()
         op = ImpedanceOperator(z=self.impedance.z[np.ix_(e, e)],
                                frequency=self.frequency, basis=basis)
-        sampler = SamplingMatrix(mesh=mesh, matrix=self.sampler[np.ix_(rows, e)])
+        sampler = SamplingMatrix(mesh=basis.mesh,
+                                 matrix=self.sampler[np.ix_(rows, e)])
         return basis, op, sampler, self.excitation[e], f
 
 
@@ -263,10 +251,8 @@ class PixelProblem:
     def channel(self) -> ChannelOperator:
         """Channel between the all-metal parents, built on first use."""
         tx, rx = self.models
-        rx_mesh = rx.impedance.basis.mesh.translated(
-            (0.0, 0.0, self.separation))
-        return assemble_channel(tx.impedance.basis.mesh, rx_mesh,
-                                self.wavenumber)
+        rx_mesh = rx.basis.mesh.translated((0.0, 0.0, self.separation))
+        return assemble_channel(tx.basis.mesh, rx_mesh, self.wavenumber)
 
     def fingerprint(self) -> dict:
         """The problem's defining values, as a checkpoint stores them."""
@@ -611,12 +597,18 @@ def _truncate_log(path, generation: int) -> None:
     """Drop the log records after `generation`.
 
     `run_ga` writes a generation's log line before its checkpoint, so a run
-    stopped between the two has logged one generation more than it saved.
+    stopped between the two has logged one generation more than it saved,
+    and a run stopped while writing a line leaves it torn. The first line
+    that is incomplete or does not parse is taken as past the checkpoint.
     """
     with open(path, "rb+") as fh:
         end = 0
         for line in fh:
-            if json.loads(line)["generation"] > generation:
+            try:
+                record = json.loads(line) if line.endswith(b"\n") else None
+            except ValueError:
+                record = None
+            if record is None or record["generation"] > generation:
                 break
             end += len(line)
         fh.truncate(end)

@@ -10,6 +10,11 @@ configuration keeps all of its ports.
 Edge-pair (RWG) functions live on interior edges, i.e. edges shared by
 exactly two faces. Extraction is deterministic: edges are ordered by their
 sorted vertex-index pair, the lower-numbered face is the plus face.
+
+`build_plate_mesh` and `extract_rwg` build the all-metal parent plate
+(`cmadof.ga.PlateModel`) and the `export-mesh` output. Every other
+configuration's mesh and basis are taken from the parent's arrays by
+`RwgBasis.restrict`, which gives the same arrays as the two builders.
 """
 
 from __future__ import annotations
@@ -101,6 +106,19 @@ class PlateSpec:
     def pixel_size(self) -> tuple[float, float]:
         return (self.width / self.pixel_cols, self.height / self.pixel_rows)
 
+    def metal_pixels(self, config) -> np.ndarray:
+        """Row-major indices of the metal pixels of a configuration bit
+        vector, spine pixels forced on."""
+        bits = np.asarray(config).ravel()
+        if bits.size != self.n_bits:
+            raise ValueError(
+                f"config has {bits.size} bits, spec wants {self.n_bits}"
+            )
+        on = bits.astype(bool).reshape(self.pixel_rows, self.pixel_cols).copy()
+        for r, c in self.spine_pixels:
+            on[r, c] = True
+        return np.flatnonzero(on)
+
 
 @dataclass
 class TriMesh:
@@ -118,19 +136,24 @@ class TriMesh:
         self.faces = np.asarray(self.faces, dtype=int)
         if self.faces.ndim != 2 or self.faces.shape[1] != 3:
             raise GeometryError("faces must be an (Nf, 3) index array")
-        if self.faces.size and self.faces.max() >= len(self.vertices):
+        nv = len(self.vertices)
+        if self.faces.size and not 0 <= self.faces.min() <= self.faces.max() < nv:
             raise GeometryError("face index out of range")
         if self.face_areas is None or self.face_centroids is None:
             v = self.vertices[self.faces]
             cross = np.cross(v[:, 1] - v[:, 0], v[:, 2] - v[:, 0])
             self.face_areas = 0.5 * np.linalg.norm(cross, axis=1)
             self.face_centroids = v.mean(axis=1)
-        seen = set()
-        for f in self.faces:
-            key = tuple(sorted(int(i) for i in f))
-            if key in seen:
-                raise GeometryError(f"duplicate face over vertices {key}")
-            seen.add(key)
+        # one int64 key per vertex set; a stable sort puts each repeat after
+        # the earlier faces with its key, so the first repeat in face order
+        # is the smallest face index that follows an equal key
+        corners = np.sort(self.faces, axis=1)
+        keys = (corners[:, 0] * nv + corners[:, 1]) * nv + corners[:, 2]
+        order = np.argsort(keys, kind="stable")
+        repeats = order[1:][keys[order[1:]] == keys[order[:-1]]]
+        if repeats.size:
+            key = tuple(int(i) for i in corners[repeats.min()])
+            raise GeometryError(f"duplicate face over vertices {key}")
 
     @property
     def n_faces(self) -> int:
@@ -169,6 +192,49 @@ class RwgBasis:
     def n_edges(self) -> int:
         return len(self.edges)
 
+    def restrict(self, faces) -> tuple["RwgBasis", np.ndarray]:
+        """The basis on a subset of the mesh's faces, and its edge map.
+
+        `faces` are ascending face indices. The sub-mesh keeps their order
+        and numbers its vertices in order of first use along its
+        face-vertex sequence, as `build_plate_mesh` does, and the basis is
+        the one `extract_rwg` extracts from it: the edges whose plus and
+        minus faces are both kept, re-keyed by the new vertex ids and
+        sorted, with the plus face still the lower face index. Geometry is
+        gathered, not recomputed. The second result maps each edge of the
+        sub-basis to its edge in this one.
+        """
+        mesh = self.mesh
+        faces = np.asarray(faces)
+        corners = mesh.faces[faces]
+        used, first = np.unique(corners, return_index=True)
+        used = used[np.argsort(first)]
+        vertex = np.full(len(mesh.vertices), -1)
+        vertex[used] = np.arange(len(used))
+        sub = TriMesh(
+            vertices=mesh.vertices[used],
+            faces=vertex[corners],
+            face_areas=mesh.face_areas[faces],
+            face_centroids=mesh.face_centroids[faces],
+            face_tags=None if mesh.face_tags is None else mesh.face_tags[faces],
+        )
+        face = np.full(mesh.n_faces, -1)
+        face[faces] = np.arange(len(faces))
+        inner = np.flatnonzero((face[self.plus_face] >= 0)
+                               & (face[self.minus_face] >= 0))
+        ends = np.sort(vertex[self.edges[inner]], axis=1)
+        order = np.lexsort((ends[:, 1], ends[:, 0]))
+        e = inner[order]
+        return RwgBasis(
+            mesh=sub,
+            edges=ends[order],
+            plus_face=face[self.plus_face[e]],
+            minus_face=face[self.minus_face[e]],
+            plus_free=vertex[self.plus_free[e]],
+            minus_free=vertex[self.minus_free[e]],
+            lengths=self.lengths[e],
+        ), e
+
     def edge_index(self, va: int, vb: int) -> int:
         """Index of the basis function on edge (va, vb); raises if absent."""
         key = (min(va, vb), max(va, vb))
@@ -185,15 +251,7 @@ def build_plate_mesh(spec: PlateSpec, config) -> TriMesh:
     pixels are forced on regardless of their bit. Off-grid metal never
     appears; isolated on-pixels are kept (parasitic islands are legal).
     """
-    bits = np.asarray(config).ravel()
-    if bits.size != spec.n_bits:
-        raise ValueError(
-            f"config has {bits.size} bits, spec wants {spec.n_bits}"
-        )
-    on = bits.astype(bool).reshape(spec.pixel_rows, spec.pixel_cols).copy()
-    for r, c in spec.spine_pixels:
-        on[r, c] = True
-
+    metal = spec.metal_pixels(config)
     dx, dy = spec.pixel_size
     vid: dict[tuple[int, int], int] = {}
     verts: list[tuple[float, float, float]] = []
@@ -208,18 +266,16 @@ def build_plate_mesh(spec: PlateSpec, config) -> TriMesh:
 
     faces: list[tuple[int, int, int]] = []
     tags: list[int] = []
-    for r in range(spec.pixel_rows):
-        for c in range(spec.pixel_cols):
-            if not on[r, c]:
-                continue
-            bl = vertex(c, r)
-            br = vertex(c + 1, r)
-            tr = vertex(c + 1, r + 1)
-            tl = vertex(c, r + 1)
-            # fixed diagonal bl-tr, both triangles counterclockwise
-            faces.append((bl, br, tr))
-            faces.append((bl, tr, tl))
-            tags.extend([r * spec.pixel_cols + c] * 2)
+    for t in metal.tolist():
+        r, c = divmod(t, spec.pixel_cols)
+        bl = vertex(c, r)
+        br = vertex(c + 1, r)
+        tr = vertex(c + 1, r + 1)
+        tl = vertex(c, r + 1)
+        # fixed diagonal bl-tr, both triangles counterclockwise
+        faces.append((bl, br, tr))
+        faces.append((bl, tr, tl))
+        tags.extend([t] * 2)
 
     if not faces:
         raise GeometryError("configuration produces an empty plate")

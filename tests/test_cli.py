@@ -1,6 +1,9 @@
 """End-to-end tests of the command-line driver, run in process."""
 
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -333,3 +336,17 @@ class TestExitCodes:
         with pytest.raises(SystemExit) as exc:
             run_cli("dof", cfg, tmp_path / "o", "--jobs", "2")
         assert exc.value.code == 2
+
+
+class TestStartUp:
+    def test_import_loads_no_scipy(self):
+        # pivoted QR, the package's only scipy use, is imported where a
+        # rank-deficient branch needs it
+        src = os.path.dirname(os.path.dirname(cmadof.ga.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        out = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, cmadof.cli; "
+             "print(sorted(m for m in sys.modules if m.startswith('scipy')))"],
+            env=env, capture_output=True, text=True, timeout=60, check=True)
+        assert out.stdout.strip() == "[]"

@@ -27,19 +27,29 @@ def plate_basis(rows, cols, bits=None):
     return spec, mesh, extract_rwg(mesh)
 
 
+def test_constants_equal_scipy():
+    import scipy.constants
+
+    assert cmadof.efie.C0 == scipy.constants.c
+    assert cmadof.efie.EPS0 == scipy.constants.epsilon_0
+    assert cmadof.efie.MU0 == scipy.constants.mu_0
+
+
 class TestPsdProject:
     def test_already_psd_unchanged(self):
         rng = np.random.default_rng(3)
         a = rng.standard_normal((6, 6))
         r = a @ a.T
-        out = psd_project(r)
+        out, (w, q) = psd_project(r)
         np.testing.assert_allclose(out, r, rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose((q * w) @ q.T, r, atol=1e-12)
 
     def test_negative_eigenvalues_clamped(self):
         q = np.linalg.qr(np.random.default_rng(4).standard_normal((5, 5)))[0]
         d = np.diag([3.0, 1.0, 1e-8, -1e-9, -2.0])
         r = q @ d @ q.T
-        out = psd_project(r)
+        out, eigenpairs = psd_project(r)
+        assert eigenpairs is None
         w = np.linalg.eigvalsh(out)
         assert w.min() >= -1e-14 * abs(w).max()
         # large positive eigenvalues survive
@@ -48,7 +58,7 @@ class TestPsdProject:
     def test_output_symmetric(self):
         rng = np.random.default_rng(5)
         r = rng.standard_normal((7, 7))
-        out = psd_project(0.5 * (r + r.T))
+        out, _ = psd_project(0.5 * (r + r.T))
         np.testing.assert_allclose(out, out.T, atol=1e-14)
 
 

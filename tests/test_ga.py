@@ -1,5 +1,6 @@
 """Tests for the genetic optimizer: operators, caching, evolution loop."""
 
+import dataclasses
 import json
 import os
 from pathlib import Path
@@ -9,10 +10,12 @@ import pytest
 from scipy.constants import c as c0
 from scipy.stats import chisquare
 
+import cmadof.efie
 import cmadof.ga
 from cmadof.dofcore import EquivalentChannel, matrix_rank
 from cmadof.channel import assemble_channel, effective_rank
-from cmadof.efie import assemble_impedance, delta_gap_excitation
+from cmadof.efie import (ImpedanceOperator, assemble_impedance,
+                         delta_gap_excitation)
 from cmadof.errors import GeometryError
 from cmadof.ga import (
     GaRun,
@@ -20,6 +23,7 @@ from cmadof.ga import (
     NEG_INF,
     PixelProblem,
     PlateModel,
+    analyze_plate,
     crossover_mutate,
     evaluate,
     fitness,
@@ -29,7 +33,8 @@ from cmadof.ga import (
     run_ga,
     select_parents,
 )
-from cmadof.mesh import PlateSpec, face_sampling_operator, locate_port_edges
+from cmadof.mesh import (PlateSpec, build_plate_mesh, extract_rwg,
+                         face_sampling_operator, locate_port_edges)
 
 FREQ = 27e9
 LAM = c0 / FREQ
@@ -162,6 +167,23 @@ class TestPlateModel:
                                   face_sampling_operator(basis).matrix)
             assert np.array_equal(ports, direct.matrix)
 
+    def test_gathered_topology_equals_direct(self):
+        spec = acceptance7_spec()
+        model = PlateModel.build(spec, FREQ)
+        rng = np.random.default_rng(8)
+        for _ in range(10):
+            bits = rng.integers(0, 2, spec.n_bits)
+            basis, *_, faces = model.gather(bits)
+            mesh = build_plate_mesh(spec, bits)
+            direct = extract_rwg(mesh)
+            assert np.array_equal(basis.mesh.vertices, mesh.vertices)
+            assert np.array_equal(basis.mesh.faces, mesh.faces)
+            assert np.array_equal(basis.edges, direct.edges)
+            assert np.array_equal(basis.plus_face, direct.plus_face)
+            # a pixel's two faces are consecutive in every plate mesh
+            assert np.array_equal(
+                faces, 2 * mesh.face_tags + np.arange(mesh.n_faces) % 2)
+
     def test_all_metal_gather_is_the_parent(self):
         spec = cli_default_spec()
         model = PlateModel.build(spec, FREQ)
@@ -212,6 +234,52 @@ class TestPlateModel:
         evaluate(other, np.ones(other.bit_length, dtype=np.uint8))
         evaluate(other, np.zeros(other.bit_length, dtype=np.uint8))
         assert calls == [8, 8, 12]
+
+
+class TestAnalyzePlate:
+    """R is decomposed once unless it has to be clamped, with the modes
+    unchanged from decomposing R_psd again."""
+
+    @staticmethod
+    def analyze(model, bits, monkeypatch, reuse):
+        calls = []
+        eigh = np.linalg.eigh
+
+        def counting(a):
+            calls.append(a.shape)
+            return eigh(a)
+
+        with monkeypatch.context() as m:
+            m.setattr(np.linalg, "eigh", counting)
+            if not reuse:
+                project = cmadof.efie.psd_project
+                m.setattr(cmadof.efie, "psd_project",
+                          lambda r: (project(r)[0], None))
+            return analyze_plate(model, bits, n_keep=8), len(calls)
+
+    @staticmethod
+    def clamped(model):
+        z = model.impedance.z
+        shift = 1e-3 * np.abs(z.real).max() * np.eye(len(z))
+        return dataclasses.replace(model, impedance=ImpedanceOperator(
+            z=z - shift, frequency=FREQ))
+
+    @pytest.mark.parametrize("clamp", [False, True],
+                             ids=["unclamped", "clamped"])
+    def test_eigh_calls_and_modes(self, monkeypatch, clamp):
+        model = PlateModel.build(acceptance7_spec(), FREQ)
+        if clamp:
+            model = self.clamped(model)
+        bits = np.random.default_rng(4).integers(0, 2, model.spec.n_bits)
+        got, n_eigh = self.analyze(model, bits, monkeypatch, reuse=True)
+        want, n_ref = self.analyze(model, bits, monkeypatch, reuse=False)
+        assert (n_eigh, n_ref) == ((3, 3) if clamp else (2, 3))
+        for name in ("eigenvalues", "mode_coeffs", "eigen_residuals",
+                     "excitation", "patterns"):
+            assert np.array_equal(getattr(got.modes, name),
+                                  getattr(want.modes, name)), name
+        assert got.modes.r_cross_max == want.modes.r_cross_max
+        assert got.modes.subspace_dim == want.modes.subspace_dim
 
 
 class TestEvaluate:
@@ -513,6 +581,20 @@ class TestRunGa:
         monkeypatch.undo()
         # generation 2 is logged but the checkpoint still holds generation 1
         assert len(log.read_text().splitlines()) == 3
+        run_ga(tiny_problem(), log_path=log, checkpoint_path=ck,
+               resume_from=ck, **args)
+        assert log.read_bytes() == straight.read_bytes()
+
+    def test_resume_after_torn_log_line(self, tmp_path):
+        args = dict(k_max=2, pop_size=6, n_parents=4, seed=11)
+        straight = tmp_path / "straight.jsonl"
+        run_ga(tiny_problem(), log_path=straight, **args)
+
+        log, ck = tmp_path / "run.jsonl", tmp_path / "ck.json"
+        run_ga(tiny_problem(), log_path=log, checkpoint_path=ck, **args)
+        last = log.read_bytes().splitlines(keepends=True)[-1]
+        with open(log, "ab") as fh:
+            fh.write(last[: len(last) // 2])  # a crash mid-write
         run_ga(tiny_problem(), log_path=log, checkpoint_path=ck,
                resume_from=ck, **args)
         assert log.read_bytes() == straight.read_bytes()

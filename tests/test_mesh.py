@@ -110,6 +110,21 @@ class TestBuildPlateMesh:
         with pytest.raises(GeometryError):
             TriMesh(vertices=verts, faces=np.array([[0, 1, 2], [2, 1, 0]]))
 
+    def test_duplicate_message_names_the_first_repeat(self):
+        # face 2 repeats face 1 before face 3 repeats face 0, whose vertex
+        # set has the smaller key
+        verts = np.array([[0, 0, 0], [1, 0, 0], [0, 1, 0], [1, 1, 0]],
+                         dtype=float)
+        faces = np.array([[0, 1, 2], [1, 3, 2], [3, 2, 1], [2, 1, 0]])
+        with pytest.raises(GeometryError,
+                           match=r"^duplicate face over vertices \(1, 2, 3\)$"):
+            TriMesh(vertices=verts, faces=faces)
+
+    def test_negative_face_index_rejected(self):
+        verts = np.array([[0, 0, 0], [1, 0, 0], [0, 1, 0]], dtype=float)
+        with pytest.raises(GeometryError, match="out of range"):
+            TriMesh(vertices=verts, faces=np.array([[0, 1, -1]]))
+
 
 class TestExtractRwg:
     @pytest.mark.parametrize("rows,cols", [(1, 1), (2, 2), (3, 4), (4, 8)])
@@ -160,6 +175,75 @@ class TestExtractRwg:
         assert basis.edge_index(int(vb), int(va)) == 0
         with pytest.raises(GeometryError):
             basis.edge_index(0, 0)
+
+
+def bench_small_spec():
+    return PlateSpec(width=8 * 0.35, height=4 * 0.35, pixel_rows=4,
+                     pixel_cols=8, ports=4)
+
+
+def bench_large_spec():
+    return PlateSpec(width=16 * 0.24, height=8 * 0.24, pixel_rows=8,
+                     pixel_cols=16, ports=8)
+
+
+def alternate_row_spec():
+    return PlateSpec(width=4 * 0.35, height=8 * 0.35, pixel_rows=8,
+                     pixel_cols=4, ports=4,
+                     port_pixels=((0, 0), (2, 0), (4, 0), (6, 0)))
+
+
+def parity_configs(spec):
+    """Random fills, holes in full metal, islands off the spine, all metal."""
+    rng = np.random.default_rng(spec.n_bits)
+    out = [(rng.random(spec.n_bits) < p).astype(int)
+           for p in (0.05, 0.2, 0.5, 0.8) for _ in range(3)]
+    holey = np.ones((spec.pixel_rows, spec.pixel_cols), dtype=int)
+    holey[1::2, 2::3] = 0
+    islands = np.zeros_like(holey)
+    islands[::2, 2::2] = 1
+    return out + [holey.ravel(), islands.ravel(),
+                  np.zeros(spec.n_bits, dtype=int),
+                  np.ones(spec.n_bits, dtype=int)]
+
+
+class TestRestrict:
+    @pytest.mark.parametrize("make_spec", [
+        bench_small_spec, bench_large_spec, alternate_row_spec])
+    def test_equals_direct_mesh_and_basis(self, make_spec):
+        spec = make_spec()
+        parent = extract_rwg(build_plate_mesh(spec, np.ones(spec.n_bits)))
+        for bits in parity_configs(spec):
+            mesh = build_plate_mesh(spec, bits)
+            direct = extract_rwg(mesh)
+            faces = (2 * spec.metal_pixels(bits)[:, None]
+                     + np.arange(2)).ravel()
+            basis, e = parent.restrict(faces)
+            for name in ("vertices", "faces", "face_areas",
+                         "face_centroids", "face_tags"):
+                got, want = getattr(basis.mesh, name), getattr(mesh, name)
+                assert got.dtype == want.dtype, name
+                assert np.array_equal(got, want), name
+            for name in ("edges", "plus_face", "minus_face", "plus_free",
+                         "minus_free", "lengths"):
+                got, want = getattr(basis, name), getattr(direct, name)
+                assert got.dtype == want.dtype, name
+                assert np.array_equal(got, want), name
+
+    def test_edge_map_names_the_same_edges(self):
+        spec = alternate_row_spec()
+        parent = extract_rwg(build_plate_mesh(spec, np.ones(spec.n_bits)))
+        for bits in parity_configs(spec):
+            faces = (2 * spec.metal_pixels(bits)[:, None]
+                     + np.arange(2)).ravel()
+            basis, e = parent.restrict(faces)
+            # the endpoint sum does not depend on the endpoints' order
+            assert np.array_equal(
+                basis.mesh.vertices[basis.edges].sum(axis=1),
+                parent.mesh.vertices[parent.edges[e]].sum(axis=1))
+            assert np.array_equal(faces[basis.plus_face], parent.plus_face[e])
+            assert np.array_equal(faces[basis.minus_face],
+                                  parent.minus_face[e])
 
 
 class TestSamplingOperator:
