@@ -23,8 +23,7 @@ from .dofcore import (ConventionalModel, DofReport, ElementAnalysis,
                       dof_bounds, equivalent_channel, gamma_decomposition,
                       matrix_rank, point_source_channel, receiver_map,
                       transmitter_map)
-from .efie import (ExcitationVector, ImpedanceOperator, assemble_impedance,
-                   delta_gap_excitation)
+from .efie import ImpedanceOperator, assemble_impedance, delta_gap_excitation
 from .errors import (CmadofError, ConfigError, DegenerateStructureError,
                      GeometryError, NumericalError, RankDeficiencyError,
                      ReductionError, SingularityError)
@@ -32,7 +31,7 @@ from .ga import (GaRun, Individual, PixelProblem, PlateAnalysis, PlateModel,
                  Score, analyze_plate, crossover_mutate, evaluate, fitness,
                  link_report, phi_from_hex, phi_to_hex, run_ga,
                  select_parents)
-from .mesh import (PlateSpec, RwgBasis, SamplingMatrix, TriMesh,
+from .mesh import (PlateSpec, RwgBasis, TriMesh,
                    build_plate_mesh, extract_rwg, face_sampling_operator,
                    locate_port_edges, mesh_from_json, mesh_from_text,
                    mesh_to_json, mesh_to_text)
@@ -42,12 +41,12 @@ __version__ = "0.1.0"
 __all__ = [
     "__version__",
     # mesh
-    "PlateSpec", "TriMesh", "RwgBasis", "SamplingMatrix",
+    "PlateSpec", "TriMesh", "RwgBasis",
     "build_plate_mesh", "extract_rwg", "face_sampling_operator",
     "locate_port_edges", "mesh_to_text", "mesh_from_text",
     "mesh_to_json", "mesh_from_json",
     # efie
-    "ImpedanceOperator", "ExcitationVector", "assemble_impedance",
+    "ImpedanceOperator", "assemble_impedance",
     "delta_gap_excitation",
     # cma
     "ModeBasis", "solve_modes", "excitation_matrix", "mode_patterns",

@@ -21,6 +21,10 @@ reused, see `ImpedanceOperator.r_psd_eigh`), keep eigenvalues
 W = Q_k diag(w_k)^{-1/2}, and solve the standard symmetric eigenproblem
 W^T X W there. Modes are reported in descending |m_i| order, which is
 ascending |lambda_i| order.
+
+`excitation_matrix` and `mode_patterns` take the (E, L) port columns and
+the (3 Nf, E) face sampler as arrays and keep V and the patterns on the
+`ModeBasis` only.
 """
 
 from __future__ import annotations
@@ -30,9 +34,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .efie import ExcitationVector, ImpedanceOperator
+from .efie import ImpedanceOperator
 from .errors import DegenerateStructureError
-from .mesh import SamplingMatrix
 
 __all__ = [
     "ModeBasis",
@@ -176,12 +179,12 @@ def solve_modes(op: ImpedanceOperator, n_keep: int = 20) -> ModeBasis:
     )
 
 
-def excitation_matrix(modes: ModeBasis, excitation: ExcitationVector) -> np.ndarray:
+def excitation_matrix(modes: ModeBasis, excitation: np.ndarray) -> np.ndarray:
     """Modal excitation matrix V with V[i, l] = j_i^T b_l.
 
     Stores the result on `modes.excitation` and returns it.
     """
-    b = excitation.matrix if isinstance(excitation, ExcitationVector) else np.asarray(excitation)
+    b = np.asarray(excitation)
     if b.ndim != 2 or b.shape[0] != modes.mode_coeffs.shape[0]:
         raise ValueError(
             f"excitation rows {b.shape} do not match basis size "
@@ -192,26 +195,27 @@ def excitation_matrix(modes: ModeBasis, excitation: ExcitationVector) -> np.ndar
     return v
 
 
-def mode_patterns(modes: ModeBasis, sampler: SamplingMatrix) -> np.ndarray:
+def mode_patterns(modes: ModeBasis, sampler: np.ndarray) -> np.ndarray:
     """Unit-norm per-face current patterns, one column per mode.
 
     Column i is the sampled mode current S j_i, Euclidean-normalized, with
     the largest-|entry| sign convention. A sign flip applied to a pattern
-    is propagated to the mode coefficients and any stored excitation rows,
-    so pattern, coefficient, and excitation always describe the same signed
-    mode and the transmit map Jbar diag(m) V stays a faithful superposition.
+    is propagated to the mode coefficients and, in place, to any stored
+    excitation rows, so pattern, coefficient, and excitation always
+    describe the same signed mode and the transmit map Jbar diag(m) V stays
+    a faithful superposition.
     Modes whose sampled pattern is identically zero cannot couple to the
     channel; they are dropped from `modes` in place with a warning. The
     Gram deviation max|P^T P - I| is recorded on `modes.pattern_gram_dev`
     as the orthonormality diagnostic. Stores the pattern matrix on
     `modes.patterns` and returns it.
     """
-    if sampler.matrix.shape[1] != modes.mode_coeffs.shape[0]:
+    if sampler.shape[1] != modes.mode_coeffs.shape[0]:
         raise ValueError(
-            f"sampler columns {sampler.matrix.shape[1]} do not match basis "
+            f"sampler columns {sampler.shape[1]} do not match basis "
             f"size {modes.mode_coeffs.shape[0]}"
         )
-    raw = sampler.matrix @ modes.mode_coeffs
+    raw = sampler @ modes.mode_coeffs
     norms = np.linalg.norm(raw, axis=0)
     scale = np.abs(raw).max() if raw.size else 0.0
     alive = norms > 1e-14 * max(scale, 1.0)
@@ -233,7 +237,7 @@ def mode_patterns(modes: ModeBasis, sampler: SamplingMatrix) -> np.ndarray:
         patterns = patterns * flip[None, :]
         modes.mode_coeffs = modes.mode_coeffs * flip[None, :]
         if modes.excitation is not None:
-            modes.excitation = modes.excitation * flip[:, None]
+            modes.excitation *= flip[:, None]
     gram = patterns.T @ patterns
     dev = np.abs(gram - np.eye(gram.shape[0])).max() if gram.size else 0.0
     modes.patterns = patterns

@@ -137,7 +137,6 @@ class EquivalentChannel:
     """Port-to-port channel H = U_R G U_T with its cached spectrum."""
 
     matrix: np.ndarray
-    parts: dict | None = None
     _singulars: np.ndarray | None = field(default=None, repr=False)
 
     @property
@@ -160,7 +159,7 @@ def equivalent_channel(u_r: np.ndarray, g, u_t: np.ndarray) -> EquivalentChannel
             f"x {u_t.shape}"
         )
     h = u_r @ g_mat @ u_t
-    return EquivalentChannel(matrix=h, parts={"u_r": u_r, "g": g_mat, "u_t": u_t})
+    return EquivalentChannel(matrix=h)
 
 
 def achievable_dof(ch: EquivalentChannel, gamma: float = 0.5) -> int:

@@ -44,7 +44,6 @@ __all__ = [
     "EPS0",
     "MU0",
     "ImpedanceOperator",
-    "ExcitationVector",
     "assemble_impedance",
     "delta_gap_excitation",
     "psd_project",
@@ -142,27 +141,13 @@ class ImpedanceOperator:
         return cls(z=np.asarray(z, dtype=complex), frequency=float(frequency), basis=basis)
 
 
-@dataclass
-class ExcitationVector:
-    """Delta-gap port excitations, one column per port.
-
-    matrix is (E, L) complex; the entry at a port edge equals that edge's
-    length (one volt across the gap), all other entries are zero.
-    """
-
-    matrix: np.ndarray
-    port_edges: list
-
-    @property
-    def n_ports(self) -> int:
-        return self.matrix.shape[1]
-
-
-def delta_gap_excitation(basis: RwgBasis, port_edges) -> ExcitationVector:
-    """Excitation columns for delta-gap feeds on the given edges.
+def delta_gap_excitation(basis: RwgBasis, port_edges) -> np.ndarray:
+    """Excitation columns for delta-gap feeds on the given edges, (E, L).
 
     port_edges is a list of (vertex, vertex) pairs; each must carry an RWG
-    function. Duplicate port edges are rejected.
+    function. The entry at a port edge equals that edge's length (one volt
+    across the gap), all other entries are zero. Duplicate port edges are
+    rejected.
     """
     if len(set(tuple(sorted(p)) for p in port_edges)) != len(port_edges):
         raise ValueError("duplicate port edges")
@@ -170,7 +155,7 @@ def delta_gap_excitation(basis: RwgBasis, port_edges) -> ExcitationVector:
     for col, (va, vb) in enumerate(port_edges):
         idx = basis.edge_index(va, vb)  # GeometryError if absent
         mat[idx, col] = basis.lengths[idx]
-    return ExcitationVector(matrix=mat, port_edges=list(port_edges))
+    return mat
 
 
 def _face_adjacency_pairs(faces: np.ndarray) -> list[tuple[int, int]]:

@@ -5,16 +5,16 @@ and receive pixel grids (spine pixels are always metal and sit outside the
 encoding, so every configuration keeps all its ports). Each evaluation runs
 the physics pipeline
 
-    mesh -> impedance -> characteristic modes -> port excitation/patterns
-         -> transmit/receive maps -> free-space channel G -> H -> sigma(H)
+    impedance -> characteristic modes -> port excitation/patterns
+              -> transmit/receive maps -> free-space channel G -> H -> sigma(H)
 
-where the mesh, the edge basis, the impedance, the face sampler and the
-port columns of a configuration are gathered from its plate's all-metal
-parent (`PlateModel`, built once per plate spec and frequency), and G from
-the channel between the two parents (assembled once per problem). The
-fitness is the negated standard deviation of the singular values of H:
-flat spectra score 0 (the maximum), lopsided spectra score negative, so
-maximizing the score pushes toward more usable subchannels.
+where the impedance, the face sampler and the port columns of a
+configuration are gathered by its face and edge maps from its plate's
+all-metal parent (`PlateModel`, built once per plate spec and frequency),
+and G from the channel between the two parents (assembled once per
+problem). The fitness is the negated standard deviation of the singular
+values of H: flat spectra score 0 (the maximum), lopsided spectra score
+negative, so maximizing the score pushes toward more usable subchannels.
 
 `evaluate` keeps only what the GA needs of a configuration, a `Score` of
 sigma(H), the achievable DoF and the fitness. `link_report` builds the full
@@ -54,9 +54,8 @@ from .efie import (C0, ImpedanceOperator, assemble_impedance,
                    delta_gap_excitation)
 from .errors import (DegenerateStructureError, GeometryError, NumericalError,
                      RankDeficiencyError)
-from .mesh import (PlateSpec, TriMesh, RwgBasis, SamplingMatrix,
-                   build_plate_mesh, extract_rwg, face_sampling_operator,
-                   locate_port_edges)
+from .mesh import (PlateSpec, RwgBasis, build_plate_mesh, extract_rwg,
+                   face_sampling_operator, locate_port_edges)
 
 __all__ = [
     "NEG_INF",
@@ -96,12 +95,12 @@ class PlateModel:
 
     Every configuration's mesh is a subset of the parent's: the same grid
     nodes, the same row-major faces (two per pixel), and so the same plus
-    and minus faces and free vertices on every shared edge. A
-    configuration's mesh and basis are taken from the parent's arrays by
-    `RwgBasis.restrict`, equal to what `build_plate_mesh` and `extract_rwg`
-    build for it. Face-pair moments depend only on the two faces, so each
-    configuration operator is exactly a sub-block of the parent's, with f
-    and e mapping the configuration's faces and edges to the parent's:
+    and minus faces and free vertices on every shared edge. A configuration
+    is therefore its face map f, the parent faces of its metal pixels, and
+    its edge map e (`RwgBasis.edge_map`), the parent edge behind each edge
+    `extract_rwg` finds on the mesh `build_plate_mesh` builds for it, in
+    that order. Face-pair moments depend only on the two faces, so each
+    configuration operator is exactly a sub-block of the parent's:
 
         Z(config) = Z[e][:, e]        impedance
         S(config) = S[rows(f)][:, e]  face sampler, three rows per face
@@ -124,46 +123,39 @@ class PlateModel:
     def build(cls, spec: PlateSpec, frequency: float) -> "PlateModel":
         mesh = build_plate_mesh(spec, np.ones(spec.n_bits, dtype=np.uint8))
         basis = extract_rwg(mesh)
-        exc = delta_gap_excitation(basis, locate_port_edges(spec, mesh))
         return cls(
             spec=spec,
             frequency=frequency,
             basis=basis,
             impedance=assemble_impedance(basis, frequency),
-            sampler=face_sampling_operator(basis).matrix,
-            excitation=exc.matrix,
+            sampler=face_sampling_operator(basis),
+            excitation=delta_gap_excitation(
+                basis, locate_port_edges(spec, mesh)),
         )
 
-    def gather(self, bits) -> tuple[RwgBasis, ImpedanceOperator,
-                                    SamplingMatrix, np.ndarray, np.ndarray]:
-        """(basis, impedance, sampler, port columns, parent faces) of one
+    def gather(self, bits) -> tuple[ImpedanceOperator, np.ndarray,
+                                    np.ndarray, np.ndarray]:
+        """(impedance, sampler, port columns, parent faces f) of one
         configuration, all taken from the parent by index.
 
         Pixel t owns parent faces 2t and 2t + 1, so the configuration's
-        faces f keep the parent's order. The edge map e lists the parent
-        edge of each configuration edge, in the configuration's sorted
-        edge order.
+        faces f keep the parent's order.
         """
         f = (2 * self.spec.metal_pixels(bits)[:, None] + np.arange(2)).ravel()
-        basis, e = self.basis.restrict(f)
+        e = self.basis.edge_map(f)
         rows = (3 * f[:, None] + np.arange(3)).ravel()
         op = ImpedanceOperator(z=self.impedance.z[np.ix_(e, e)],
-                               frequency=self.frequency, basis=basis)
-        sampler = SamplingMatrix(mesh=basis.mesh,
-                                 matrix=self.sampler[np.ix_(rows, e)])
-        return basis, op, sampler, self.excitation[e], f
+                               frequency=self.frequency)
+        return op, self.sampler[np.ix_(rows, e)], self.excitation[e], f
 
 
 @dataclass
 class PlateAnalysis:
-    """Everything one plate contributes to the link model."""
+    """What one plate contributes to the link model: its modes, which hold
+    V and the patterns, and the parent face of each of its faces."""
 
-    mesh: TriMesh
-    basis: RwgBasis
     modes: ModeBasis
-    excitation: np.ndarray  # modal excitation V, (n_modes, L)
-    patterns: np.ndarray    # sampled mode currents, (3 n_faces, n_modes)
-    faces: np.ndarray       # parent face of each face
+    faces: np.ndarray
 
 
 def analyze_plate(
@@ -177,7 +169,7 @@ def analyze_plate(
     Modes are truncated to |m| >= floor before any map is built. Raises
     DegenerateStructureError when nothing significant radiates.
     """
-    basis, op, sampler, ports, faces = model.gather(bits)
+    op, sampler, ports, faces = model.gather(bits)
     modes = solve_modes(op, n_keep=n_keep).significant(floor)
     if modes.n_kept == 0:
         raise DegenerateStructureError(
@@ -185,10 +177,8 @@ def analyze_plate(
             f"{floor:g} on this configuration"
         )
     excitation_matrix(modes, ports)
-    patterns = mode_patterns(modes, sampler)
-    return PlateAnalysis(mesh=basis.mesh, basis=basis, modes=modes,
-                         excitation=modes.excitation, patterns=patterns,
-                         faces=faces)
+    mode_patterns(modes, sampler)
+    return PlateAnalysis(modes=modes, faces=faces)
 
 
 @dataclass
@@ -335,10 +325,10 @@ def _analyze_link(problem: PixelProblem,
                            problem.significance_floor)
         rx = analyze_plate(rx_model, phi_r, problem.n_keep,
                            problem.significance_floor)
-        u_t = transmitter_map(tx.patterns, tx.modes.significances,
-                              tx.excitation)
-        u_r = receiver_map(rx.excitation, rx.modes.significances,
-                           rx.patterns)
+        u_t = transmitter_map(tx.modes.patterns, tx.modes.significances,
+                              tx.modes.excitation)
+        u_r = receiver_map(rx.modes.excitation, rx.modes.significances,
+                           rx.modes.patterns)
         g = problem.channel.gather(rx.faces, tx.faces)
         ch = equivalent_channel(u_r, g, u_t)
         if not np.all(np.isfinite(ch.matrix)):
@@ -410,9 +400,10 @@ def link_report(problem: PixelProblem, phi) -> DofReport | None:
     else:
         link, _ = _analyze_link(problem, phi)
     try:
-        gm = gamma_decomposition(link.g, link.rx.patterns, link.tx.patterns)
+        tx, rx = link.tx.modes, link.rx.modes
+        gm = gamma_decomposition(link.g, rx.patterns, tx.patterns)
         return build_report(link.channel, link.g.singulars,
-                            link.rx.excitation, link.tx.excitation,
+                            rx.excitation, tx.excitation,
                             gm.gamma, problem.gamma)
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"linear algebra failed: {exc}") from exc

@@ -12,9 +12,10 @@ exactly two faces. Extraction is deterministic: edges are ordered by their
 sorted vertex-index pair, the lower-numbered face is the plus face.
 
 `build_plate_mesh` and `extract_rwg` build the all-metal parent plate
-(`cmadof.ga.PlateModel`) and the `export-mesh` output. Every other
-configuration's mesh and basis are taken from the parent's arrays by
-`RwgBasis.restrict`, which gives the same arrays as the two builders.
+(`cmadof.ga.PlateModel`) and the `export-mesh` output. No other
+configuration is meshed: it is a face map f, the parent faces of its
+metal pixels, and an edge map e (`RwgBasis.edge_map`), the parent edge
+behind each edge `extract_rwg` would find on it, in that order.
 """
 
 from __future__ import annotations
@@ -30,7 +31,6 @@ __all__ = [
     "PlateSpec",
     "TriMesh",
     "RwgBasis",
-    "SamplingMatrix",
     "build_plate_mesh",
     "extract_rwg",
     "face_sampling_operator",
@@ -192,48 +192,25 @@ class RwgBasis:
     def n_edges(self) -> int:
         return len(self.edges)
 
-    def restrict(self, faces) -> tuple["RwgBasis", np.ndarray]:
-        """The basis on a subset of the mesh's faces, and its edge map.
+    def edge_map(self, faces) -> np.ndarray:
+        """The edge map of the basis on a subset of the mesh's faces.
 
-        `faces` are ascending face indices. The sub-mesh keeps their order
-        and numbers its vertices in order of first use along its
-        face-vertex sequence, as `build_plate_mesh` does, and the basis is
-        the one `extract_rwg` extracts from it: the edges whose plus and
-        minus faces are both kept, re-keyed by the new vertex ids and
-        sorted, with the plus face still the lower face index. Geometry is
-        gathered, not recomputed. The second result maps each edge of the
-        sub-basis to its edge in this one.
+        `faces` are ascending face indices. The mesh made of exactly those
+        faces numbers its vertices in order of first use along its
+        face-vertex sequence, as `build_plate_mesh` does, and `extract_rwg`
+        finds its edges: the edges whose plus and minus faces are both kept,
+        sorted by their re-keyed vertex pairs. Entry i of the result is the
+        edge of this basis behind that basis's edge i.
         """
         mesh = self.mesh
-        faces = np.asarray(faces)
-        corners = mesh.faces[faces]
-        used, first = np.unique(corners, return_index=True)
-        used = used[np.argsort(first)]
+        used, first = np.unique(mesh.faces[faces], return_index=True)
         vertex = np.full(len(mesh.vertices), -1)
-        vertex[used] = np.arange(len(used))
-        sub = TriMesh(
-            vertices=mesh.vertices[used],
-            faces=vertex[corners],
-            face_areas=mesh.face_areas[faces],
-            face_centroids=mesh.face_centroids[faces],
-            face_tags=None if mesh.face_tags is None else mesh.face_tags[faces],
-        )
-        face = np.full(mesh.n_faces, -1)
-        face[faces] = np.arange(len(faces))
-        inner = np.flatnonzero((face[self.plus_face] >= 0)
-                               & (face[self.minus_face] >= 0))
+        vertex[used[np.argsort(first)]] = np.arange(len(used))
+        kept = np.zeros(mesh.n_faces, dtype=bool)
+        kept[faces] = True
+        inner = np.flatnonzero(kept[self.plus_face] & kept[self.minus_face])
         ends = np.sort(vertex[self.edges[inner]], axis=1)
-        order = np.lexsort((ends[:, 1], ends[:, 0]))
-        e = inner[order]
-        return RwgBasis(
-            mesh=sub,
-            edges=ends[order],
-            plus_face=face[self.plus_face[e]],
-            minus_face=face[self.minus_face[e]],
-            plus_free=vertex[self.plus_free[e]],
-            minus_free=vertex[self.minus_free[e]],
-            lengths=self.lengths[e],
-        ), e
+        return inner[np.lexsort((ends[:, 1], ends[:, 0]))]
 
     def edge_index(self, va: int, vb: int) -> int:
         """Index of the basis function on edge (va, vb); raises if absent."""
@@ -328,20 +305,13 @@ def extract_rwg(mesh: TriMesh) -> RwgBasis:
     )
 
 
-@dataclass
-class SamplingMatrix:
-    """Face-centroid current sampler.
+def face_sampling_operator(basis: RwgBasis) -> np.ndarray:
+    """Face-centroid current sampler, (3 Nf, E) real.
 
-    matrix is (3*Nf, E) real: column n holds the RWG function n evaluated at
-    every face centroid, stacked (x, y, z) per face. Faces not touched by an
-    edge function contribute zero rows.
+    Column n holds the RWG function n evaluated at every face centroid,
+    stacked (x, y, z) per face. Faces not touched by an edge function
+    contribute zero rows.
     """
-
-    mesh: TriMesh
-    matrix: np.ndarray
-
-
-def face_sampling_operator(basis: RwgBasis) -> SamplingMatrix:
     mesh = basis.mesh
     S = np.zeros((3 * mesh.n_faces, basis.n_edges))
     cent = mesh.face_centroids
@@ -356,7 +326,7 @@ def face_sampling_operator(basis: RwgBasis) -> SamplingMatrix:
                 cent[face] - mesh.vertices[free]
             )
             S[3 * face : 3 * face + 3, n] += val
-    return SamplingMatrix(mesh=mesh, matrix=S)
+    return S
 
 
 def locate_port_edges(spec: PlateSpec, mesh: TriMesh) -> list[tuple[int, int]]:

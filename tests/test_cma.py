@@ -17,11 +17,10 @@ from cmadof.cma import (
     mode_patterns,
     solve_modes,
 )
-from cmadof.efie import ExcitationVector, ImpedanceOperator, assemble_impedance, delta_gap_excitation
+from cmadof.efie import ImpedanceOperator, assemble_impedance, delta_gap_excitation
 from cmadof.errors import DegenerateStructureError
 from cmadof.mesh import (
     PlateSpec,
-    SamplingMatrix,
     build_plate_mesh,
     extract_rwg,
     face_sampling_operator,
@@ -272,8 +271,7 @@ class TestExcitationMatrix:
         b = np.zeros((3, 2), dtype=complex)
         b[0, 0] = 2.5
         b[2, 1] = -1.0 + 0.5j
-        exc = ExcitationVector(matrix=b, port_edges=[0, 2])
-        v = excitation_matrix(modes, exc)
+        v = excitation_matrix(modes, b)
         np.testing.assert_allclose(v, modes.mode_coeffs.T @ b, atol=1e-14)
         assert v.shape == (3, 2)
         assert modes.excitation is v
@@ -282,18 +280,15 @@ class TestExcitationMatrix:
         op, _ = synthetic_operator([0.3, 0.9], [1.0, 2.0])
         modes = solve_modes(op, n_keep=2)
         b = np.array([[1.0], [0.25]], dtype=complex)
-        v1 = excitation_matrix(modes, ExcitationVector(matrix=b, port_edges=[0]))
-        v2 = excitation_matrix(
-            modes, ExcitationVector(matrix=3.0 * b, port_edges=[0])
-        )
+        v1 = excitation_matrix(modes, b)
+        v2 = excitation_matrix(modes, 3.0 * b)
         np.testing.assert_allclose(v2, 3.0 * v1, atol=1e-14)
 
     def test_dimension_mismatch_rejected(self):
         op, _ = synthetic_operator([0.1, 0.2], [1.0, 1.0])
         modes = solve_modes(op, n_keep=2)
-        bad = ExcitationVector(matrix=np.ones((5, 1), dtype=complex), port_edges=[0])
         with pytest.raises(ValueError):
-            excitation_matrix(modes, bad)
+            excitation_matrix(modes, np.ones((5, 1), dtype=complex))
 
     def test_zero_gap_current_gives_zero_entry(self, plate_op):
         spec, mesh, basis, op = plate_op
@@ -301,12 +296,11 @@ class TestExcitationMatrix:
         ports = locate_port_edges(spec, mesh)
         exc = delta_gap_excitation(basis, ports)
         v = excitation_matrix(modes, exc)
-        port_edge = exc.port_edges[0]
-        row = np.flatnonzero(np.abs(exc.matrix[:, 0]))[0]
+        row = np.flatnonzero(np.abs(exc[:, 0]))[0]
         # the overlap is exactly gap length times the mode current there
         np.testing.assert_allclose(
             v[:, 0],
-            modes.mode_coeffs[row, :] * exc.matrix[row, 0],
+            modes.mode_coeffs[row, :] * exc[row, 0],
             atol=1e-14,
         )
 
@@ -329,8 +323,7 @@ class TestModePatterns:
         rng = np.random.default_rng(11)
         s_mat = rng.standard_normal((9, 4))
         modes = self.make_modes(np.eye(4))
-        sampler = SamplingMatrix(mesh=None, matrix=s_mat)
-        pat = mode_patterns(modes, sampler)
+        pat = mode_patterns(modes, s_mat)
         assert pat.shape == (9, 4)
         np.testing.assert_allclose(np.linalg.norm(pat, axis=0), 1.0, atol=1e-12)
         assert modes.patterns is pat
@@ -339,7 +332,7 @@ class TestModePatterns:
     def test_orthogonal_sampler_gives_tiny_gram_dev(self):
         q, _ = np.linalg.qr(np.random.default_rng(5).standard_normal((8, 8)))
         modes = self.make_modes(np.eye(8)[:, :3])
-        pat = mode_patterns(modes, SamplingMatrix(mesh=None, matrix=q))
+        pat = mode_patterns(modes, q)
         assert modes.pattern_gram_dev <= 1e-12
         gram = pat.T @ pat
         np.testing.assert_allclose(gram, np.eye(3), atol=1e-12)
@@ -349,7 +342,7 @@ class TestModePatterns:
         s_mat = np.array([[2.0, 0.0], [0.0, -3.0], [0.5, 1.0]])
         exc = np.array([[1.0 + 2.0j], [4.0 - 1.0j]])
         modes = self.make_modes(np.eye(2), excitation=exc.copy())
-        pat = mode_patterns(modes, SamplingMatrix(mesh=None, matrix=s_mat))
+        pat = mode_patterns(modes, s_mat)
         raw = s_mat / np.linalg.norm(s_mat, axis=0)[None, :]
         np.testing.assert_allclose(pat[:, 0], raw[:, 0], atol=1e-14)
         np.testing.assert_allclose(pat[:, 1], -raw[:, 1], atol=1e-14)
@@ -360,11 +353,23 @@ class TestModePatterns:
         for i in range(2):
             assert pat[lead[i], i].real > 0.0
 
+    def test_sign_flip_reaches_the_returned_excitation(self):
+        # the sampler of the test above flips the second mode; the V that
+        # excitation_matrix returned before must flip with it
+        s_mat = np.array([[2.0, 0.0], [0.0, -3.0], [0.5, 1.0]])
+        b = np.array([[1.0 + 2.0j], [4.0 - 1.0j]])
+        modes = self.make_modes(np.eye(2))
+        v = excitation_matrix(modes, b)
+        mode_patterns(modes, s_mat)
+        assert modes.excitation is v
+        np.testing.assert_array_equal(v, modes.mode_coeffs.T @ b)
+        np.testing.assert_array_equal(v[:, 0], [b[0, 0], -b[1, 0]])
+
     def test_zero_pattern_mode_dropped_with_warning(self):
         s_mat = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
         modes = self.make_modes(np.eye(3))
         with pytest.warns(UserWarning, match="zero sampled pattern"):
-            pat = mode_patterns(modes, SamplingMatrix(mesh=None, matrix=s_mat.T @ s_mat))
+            pat = mode_patterns(modes, s_mat.T @ s_mat)
         assert modes.n_kept == 2
         assert pat.shape[1] == 2
         np.testing.assert_array_equal(modes.eigenvalues, [0.0, 0.05])
@@ -372,7 +377,7 @@ class TestModePatterns:
     def test_sampler_mismatch_rejected(self):
         modes = self.make_modes(np.eye(3))
         with pytest.raises(ValueError):
-            mode_patterns(modes, SamplingMatrix(mesh=None, matrix=np.ones((6, 4))))
+            mode_patterns(modes, np.ones((6, 4)))
 
     def test_single_edge_mesh_pattern_is_sampled_shape(self):
         spec = PlateSpec(
@@ -385,7 +390,7 @@ class TestModePatterns:
         assert modes.n_kept == 1
         sampler = face_sampling_operator(basis)
         pat = mode_patterns(modes, sampler)
-        ref = sampler.matrix[:, 0] / np.linalg.norm(sampler.matrix[:, 0])
+        ref = sampler[:, 0] / np.linalg.norm(sampler[:, 0])
         lead = np.abs(ref).argmax()
         if ref[lead] < 0:
             ref = -ref

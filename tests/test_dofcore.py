@@ -147,7 +147,6 @@ class TestEquivalentChannel:
         ch = equivalent_channel(u_r, g, u_t)
         np.testing.assert_allclose(ch.matrix, u_r @ g @ u_t, rtol=1e-13)
         assert ch.shape == (3, 4)
-        assert ch.parts["g"] is g
 
     def test_shape_chain_enforced(self):
         rng = np.random.default_rng(13)

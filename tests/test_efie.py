@@ -187,12 +187,11 @@ class TestDeltaGap:
 
         ports = locate_port_edges(spec, mesh)
         exc = delta_gap_excitation(basis, ports)
-        assert exc.matrix.shape == (basis.n_edges, 2)
-        assert exc.n_ports == 2
+        assert exc.shape == (basis.n_edges, 2)
         for col, (va, vb) in enumerate(ports):
             idx = basis.edge_index(va, vb)
-            assert exc.matrix[idx, col] == pytest.approx(basis.lengths[idx])
-            others = np.delete(exc.matrix[:, col], idx)
+            assert exc[idx, col] == pytest.approx(basis.lengths[idx])
+            others = np.delete(exc[:, col], idx)
             np.testing.assert_array_equal(others, 0.0)
 
     def test_duplicate_ports_rejected(self):

@@ -12,6 +12,7 @@ from scipy.stats import chisquare
 
 import cmadof.efie
 import cmadof.ga
+from cmadof.cma import excitation_matrix, mode_patterns, solve_modes
 from cmadof.dofcore import EquivalentChannel, matrix_rank
 from cmadof.channel import assemble_channel, effective_rank
 from cmadof.efie import (ImpedanceOperator, assemble_impedance,
@@ -159,13 +160,13 @@ class TestPlateModel:
         rng = np.random.default_rng(spec.pixel_rows)
         for _ in range(20):
             bits = rng.integers(0, 2, spec.n_bits)
-            basis, op, sampler, ports, _ = model.gather(bits)
-            direct = delta_gap_excitation(
-                basis, locate_port_edges(spec, basis.mesh))
+            op, sampler, ports, _ = model.gather(bits)
+            mesh = build_plate_mesh(spec, bits)
+            basis = extract_rwg(mesh)
+            direct = delta_gap_excitation(basis, locate_port_edges(spec, mesh))
             assert np.array_equal(op.z, assemble_impedance(basis, FREQ).z)
-            assert np.array_equal(sampler.matrix,
-                                  face_sampling_operator(basis).matrix)
-            assert np.array_equal(ports, direct.matrix)
+            assert np.array_equal(sampler, face_sampling_operator(basis))
+            assert np.array_equal(ports, direct)
 
     def test_gathered_topology_equals_direct(self):
         spec = acceptance7_spec()
@@ -173,13 +174,20 @@ class TestPlateModel:
         rng = np.random.default_rng(8)
         for _ in range(10):
             bits = rng.integers(0, 2, spec.n_bits)
-            basis, *_, faces = model.gather(bits)
+            *_, faces = model.gather(bits)
             mesh = build_plate_mesh(spec, bits)
             direct = extract_rwg(mesh)
-            assert np.array_equal(basis.mesh.vertices, mesh.vertices)
-            assert np.array_equal(basis.mesh.faces, mesh.faces)
-            assert np.array_equal(basis.edges, direct.edges)
-            assert np.array_equal(basis.plus_face, direct.plus_face)
+            parent = model.basis
+            # the parent vertex of each direct vertex, through the faces
+            vertex = np.full(len(mesh.vertices), -1)
+            vertex[mesh.faces] = parent.mesh.faces[faces]
+            assert np.array_equal(parent.mesh.vertices[vertex], mesh.vertices)
+            assert np.array_equal(vertex[mesh.faces], parent.mesh.faces[faces])
+            e = parent.edge_map(faces)
+            assert np.array_equal(parent.edges[e],
+                                  np.sort(vertex[direct.edges], axis=1))
+            assert np.array_equal(parent.plus_face[e],
+                                  faces[direct.plus_face])
             # a pixel's two faces are consecutive in every plate mesh
             assert np.array_equal(
                 faces, 2 * mesh.face_tags + np.arange(mesh.n_faces) % 2)
@@ -187,9 +195,9 @@ class TestPlateModel:
     def test_all_metal_gather_is_the_parent(self):
         spec = cli_default_spec()
         model = PlateModel.build(spec, FREQ)
-        _, op, sampler, ports, faces = model.gather(np.ones(spec.n_bits))
+        op, sampler, ports, faces = model.gather(np.ones(spec.n_bits))
         assert np.array_equal(op.z, model.impedance.z)
-        assert np.array_equal(sampler.matrix, model.sampler)
+        assert np.array_equal(sampler, model.sampler)
         assert np.array_equal(ports, model.excitation)
         assert np.array_equal(faces, np.arange(2 * spec.n_bits))
 
@@ -204,12 +212,14 @@ class TestPlateModel:
         tx_model, rx_model = p.models
         rng = np.random.default_rng(17)
         for _ in range(20):
-            tx_basis, *_, tx_faces = tx_model.gather(
-                rng.integers(0, 2, tx_spec.n_bits))
-            rx_basis, *_, rx_faces = rx_model.gather(
-                rng.integers(0, 2, rx_spec.n_bits))
-            rx_mesh = rx_basis.mesh.translated((0.0, 0.0, p.separation))
-            direct = assemble_channel(tx_basis.mesh, rx_mesh, p.wavenumber)
+            tx_bits = rng.integers(0, 2, tx_spec.n_bits)
+            rx_bits = rng.integers(0, 2, rx_spec.n_bits)
+            *_, tx_faces = tx_model.gather(tx_bits)
+            *_, rx_faces = rx_model.gather(rx_bits)
+            rx_mesh = build_plate_mesh(rx_spec, rx_bits).translated(
+                (0.0, 0.0, p.separation))
+            direct = assemble_channel(build_plate_mesh(tx_spec, tx_bits),
+                                      rx_mesh, p.wavenumber)
             gathered = p.channel.gather(rx_faces, tx_faces)
             assert np.array_equal(gathered.matrix, direct.matrix)
             assert np.array_equal(gathered.tx_centroids, direct.tx_centroids)
@@ -238,7 +248,32 @@ class TestPlateModel:
 
 class TestAnalyzePlate:
     """R is decomposed once unless it has to be clamped, with the modes
-    unchanged from decomposing R_psd again."""
+    unchanged from decomposing R_psd again; and the gathered analysis is
+    the direct one, byte for byte."""
+
+    @pytest.mark.parametrize("make_spec", [acceptance7_spec, cli_default_spec])
+    def test_gather_matches_direct_pipeline_bytes(self, make_spec):
+        spec = make_spec()
+        model = PlateModel.build(spec, FREQ)
+        rng = np.random.default_rng(spec.pixel_cols)
+        for _ in range(10):
+            bits = rng.integers(0, 2, spec.n_bits)
+            got = analyze_plate(model, bits, n_keep=10).modes
+            mesh = build_plate_mesh(spec, bits)
+            basis = extract_rwg(mesh)
+            want = solve_modes(assemble_impedance(basis, FREQ),
+                               n_keep=10).significant()
+            excitation_matrix(want, delta_gap_excitation(
+                basis, locate_port_edges(spec, mesh)))
+            mode_patterns(want, face_sampling_operator(basis))
+            # bytes, which np.array_equal does not compare: -0.0 == 0.0
+            for name in ("eigenvalues", "mode_coeffs", "excitation",
+                         "patterns", "eigen_residuals"):
+                g, w = getattr(got, name), getattr(want, name)
+                assert g.shape == w.shape and g.dtype == w.dtype, name
+                assert g.tobytes() == w.tobytes(), name
+            assert got.r_cross_max == want.r_cross_max
+            assert got.pattern_gram_dev == want.pattern_gram_dev
 
     @staticmethod
     def analyze(model, bits, monkeypatch, reuse):

@@ -208,6 +208,10 @@ def parity_configs(spec):
 
 
 class TestRestrict:
+    """A configuration restricted from its all-metal parent: the face map
+    of its metal pixels and `RwgBasis.edge_map` name, in order, the parent
+    faces and edges of the mesh and basis built for it directly."""
+
     @pytest.mark.parametrize("make_spec", [
         bench_small_spec, bench_large_spec, alternate_row_spec])
     def test_equals_direct_mesh_and_basis(self, make_spec):
@@ -218,31 +222,43 @@ class TestRestrict:
             direct = extract_rwg(mesh)
             faces = (2 * spec.metal_pixels(bits)[:, None]
                      + np.arange(2)).ravel()
-            basis, e = parent.restrict(faces)
-            for name in ("vertices", "faces", "face_areas",
-                         "face_centroids", "face_tags"):
-                got, want = getattr(basis.mesh, name), getattr(mesh, name)
+            e = parent.edge_map(faces)
+            # the parent vertex of each direct vertex, through the faces
+            vertex = np.full(len(mesh.vertices), -1)
+            vertex[mesh.faces] = parent.mesh.faces[faces]
+            assert np.array_equal(vertex[mesh.faces], parent.mesh.faces[faces])
+            assert np.array_equal(parent.mesh.vertices[vertex], mesh.vertices)
+            for name in ("face_areas", "face_centroids", "face_tags"):
+                got = getattr(parent.mesh, name)[faces]
+                want = getattr(mesh, name)
                 assert got.dtype == want.dtype, name
                 assert np.array_equal(got, want), name
-            for name in ("edges", "plus_face", "minus_face", "plus_free",
-                         "minus_free", "lengths"):
-                got, want = getattr(basis, name), getattr(direct, name)
+            assert np.array_equal(parent.edges[e],
+                                  np.sort(vertex[direct.edges], axis=1))
+            for name, index in (("plus_face", faces), ("minus_face", faces),
+                                ("plus_free", vertex), ("minus_free", vertex)):
+                got = getattr(parent, name)[e]
+                want = index[getattr(direct, name)]
                 assert got.dtype == want.dtype, name
                 assert np.array_equal(got, want), name
+            assert parent.lengths[e].dtype == direct.lengths.dtype
+            assert np.array_equal(parent.lengths[e], direct.lengths)
 
     def test_edge_map_names_the_same_edges(self):
         spec = alternate_row_spec()
         parent = extract_rwg(build_plate_mesh(spec, np.ones(spec.n_bits)))
         for bits in parity_configs(spec):
+            mesh = build_plate_mesh(spec, bits)
+            direct = extract_rwg(mesh)
             faces = (2 * spec.metal_pixels(bits)[:, None]
                      + np.arange(2)).ravel()
-            basis, e = parent.restrict(faces)
+            e = parent.edge_map(faces)
             # the endpoint sum does not depend on the endpoints' order
             assert np.array_equal(
-                basis.mesh.vertices[basis.edges].sum(axis=1),
+                mesh.vertices[direct.edges].sum(axis=1),
                 parent.mesh.vertices[parent.edges[e]].sum(axis=1))
-            assert np.array_equal(faces[basis.plus_face], parent.plus_face[e])
-            assert np.array_equal(faces[basis.minus_face],
+            assert np.array_equal(faces[direct.plus_face], parent.plus_face[e])
+            assert np.array_equal(faces[direct.minus_face],
                                   parent.minus_face[e])
 
 
@@ -253,7 +269,7 @@ class TestSamplingOperator:
         basis = extract_rwg(mesh)
         assert basis.n_edges == 1  # the pixel diagonal
         smp = face_sampling_operator(basis)
-        assert smp.matrix.shape == (3 * mesh.n_faces, 1)
+        assert smp.shape == (3 * mesh.n_faces, 1)
         n = 0
         for face, free, sign in (
             (basis.plus_face[n], basis.plus_free[n], 1.0),
@@ -265,7 +281,7 @@ class TestSamplingOperator:
                 / (2.0 * mesh.face_areas[face])
                 * (mesh.face_centroids[face] - mesh.vertices[free])
             )
-            got = smp.matrix[3 * face : 3 * face + 3, 0]
+            got = smp[3 * face : 3 * face + 3, 0]
             np.testing.assert_allclose(got, expected, rtol=1e-14)
 
     def test_sampled_current_is_in_plane(self):
@@ -273,7 +289,7 @@ class TestSamplingOperator:
         mesh = build_plate_mesh(spec, np.ones(6, dtype=int))
         basis = extract_rwg(mesh)
         smp = face_sampling_operator(basis)
-        z_rows = smp.matrix[2::3, :]
+        z_rows = smp[2::3, :]
         np.testing.assert_allclose(z_rows, 0.0, atol=1e-15)
 
     def test_every_column_touches_two_faces(self):
@@ -281,7 +297,7 @@ class TestSamplingOperator:
         mesh = build_plate_mesh(spec, np.ones(4, dtype=int))
         basis = extract_rwg(mesh)
         smp = face_sampling_operator(basis)
-        per_face = smp.matrix.reshape(mesh.n_faces, 3, basis.n_edges)
+        per_face = smp.reshape(mesh.n_faces, 3, basis.n_edges)
         touched = np.linalg.norm(per_face, axis=1) > 0
         np.testing.assert_array_equal(touched.sum(axis=0), 2)
 
