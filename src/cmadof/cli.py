@@ -30,7 +30,7 @@ from .errors import (ConfigError, GeometryError, NumericalError)
 from .ga import (PixelProblem, PlateModel, analyze_plate, evaluate,
                  link_report, phi_from_hex, phi_to_hex, run_ga)
 from .mesh import PlateSpec, build_plate_mesh, mesh_to_json, mesh_to_text
-from .svgplot import LinePlot, write_plot
+from .svgplot import LinePlot, write_atomic, write_plot
 
 __all__ = ["main", "run"]
 
@@ -78,10 +78,8 @@ def _write_meta(cfg: RunConfig, command: str) -> None:
         "timestamp_utc": datetime.now(timezone.utc).isoformat(),
         "config": dataclasses.asdict(cfg),
     }
-    with open(os.path.join(cfg.out, "run_meta.json"), "w",
-              encoding="utf-8") as fh:
-        json.dump(meta, fh, indent=2)
-        fh.write("\n")
+    write_atomic(os.path.join(cfg.out, "run_meta.json"),
+                 json.dumps(meta, indent=2) + "\n")
 
 
 def _spectrum_db(singulars: np.ndarray) -> np.ndarray:
@@ -106,9 +104,7 @@ def cmd_modes(cfg: RunConfig) -> None:
                repr(float(sig[i]))]
         row += [repr(float(v_mag[i, p])) for p in range(spec.ports)]
         lines.append(",".join(row))
-    with open(os.path.join(cfg.out, "modes.csv"), "w",
-              encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+    write_atomic(os.path.join(cfg.out, "modes.csv"), "\n".join(lines) + "\n")
 
     plot = LinePlot(title="Modal significance",
                     xlabel="mode index (sorted)", ylabel="|m|")
@@ -130,9 +126,8 @@ def cmd_dof(cfg: RunConfig) -> None:
         raise NumericalError(
             "configured link is degenerate (no usable modes or ports)"
         )
-    with open(os.path.join(cfg.out, "dof_report.json"), "w",
-              encoding="utf-8") as fh:
-        fh.write(report.to_json() + "\n")
+    write_atomic(os.path.join(cfg.out, "dof_report.json"),
+                 report.to_json() + "\n")
 
     plot = LinePlot(title="Equivalent channel spectrum",
                     xlabel="subchannel index",
@@ -171,10 +166,8 @@ def cmd_optimize(cfg: RunConfig) -> None:
         "report": None if best_report is None
         else json.loads(best_report.to_json()),
     }
-    with open(os.path.join(cfg.out, "best_config.json"), "w",
-              encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2)
-        fh.write("\n")
+    write_atomic(os.path.join(cfg.out, "best_config.json"),
+                 json.dumps(payload, indent=2) + "\n")
 
     history = np.array(run.best_history, dtype=float)
     finite = np.isfinite(history)
@@ -255,9 +248,7 @@ def cmd_sweep(cfg: RunConfig) -> None:
             f"{random_mean!r},{opt_dof},{report.port_mode_upper},"
             f"{report.lower_bound}"
         )
-    with open(os.path.join(cfg.out, "sweep.csv"), "w",
-              encoding="utf-8") as fh:
-        fh.write("\n".join(rows) + "\n")
+    write_atomic(os.path.join(cfg.out, "sweep.csv"), "\n".join(rows) + "\n")
     _write_meta(cfg, "sweep")
 
 
@@ -266,13 +257,9 @@ def cmd_export_mesh(cfg: RunConfig) -> None:
     bits = _plate_bits(cfg, "tx", spec)
     mesh = build_plate_mesh(spec, bits)
     if cfg.mesh_format == "json":
-        path = os.path.join(cfg.out, "mesh.json")
-        payload = mesh_to_json(mesh)
+        write_atomic(os.path.join(cfg.out, "mesh.json"), mesh_to_json(mesh))
     else:
-        path = os.path.join(cfg.out, "mesh.txt")
-        payload = mesh_to_text(mesh)
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(payload)
+        write_atomic(os.path.join(cfg.out, "mesh.txt"), mesh_to_text(mesh))
     _write_meta(cfg, "export-mesh")
 
 

@@ -200,7 +200,7 @@ def mode_patterns(modes: ModeBasis, sampler: np.ndarray) -> np.ndarray:
 
     Column i is the sampled mode current S j_i, Euclidean-normalized, with
     the largest-|entry| sign convention. A sign flip applied to a pattern
-    is propagated to the mode coefficients and, in place, to any stored
+    is propagated, in place, to the mode coefficients and to any stored
     excitation rows, so pattern, coefficient, and excitation always
     describe the same signed mode and the transmit map Jbar diag(m) V stays
     a faithful superposition.
@@ -235,7 +235,7 @@ def mode_patterns(modes: ModeBasis, sampler: np.ndarray) -> np.ndarray:
         lead = patterns[idx, np.arange(patterns.shape[1])]
         flip = np.where(lead.real < 0.0, -1.0, 1.0)
         patterns = patterns * flip[None, :]
-        modes.mode_coeffs = modes.mode_coeffs * flip[None, :]
+        modes.mode_coeffs *= flip[None, :]
         if modes.excitation is not None:
             modes.excitation *= flip[:, None]
     gram = patterns.T @ patterns

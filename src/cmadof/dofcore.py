@@ -225,12 +225,14 @@ def gamma_decomposition(g, patterns_r: np.ndarray, patterns_t: np.ndarray) -> Ga
 
     e_pinv = np.linalg.pinv(e_r, rcond=PINV_RCOND)
     jt_pinv = np.linalg.pinv(j_t.T, rcond=PINV_RCOND)
-    gamma = e_pinv @ g_mat @ jt_pinv
+    left = e_pinv @ g_mat
+    gamma = left @ jt_pinv
 
     g_norm = np.linalg.norm(g_mat)
     if g_norm == 0.0:
         return GammaMatrix(gamma, 0.0, 0.0, kept_r, kept_t)
-    projected = (e_r @ e_pinv) @ g_mat @ (jt_pinv @ j_t.T)
+    # P_E G P_J from thin factors: O(n^2 k), never an n x n projector
+    projected = e_r @ (left @ (jt_pinv @ j_t.T))
     residual = float(np.linalg.norm(projected - e_r @ gamma @ j_t.T) / g_norm)
     unmodeled = float(np.linalg.norm(g_mat - projected) / g_norm)
     return GammaMatrix(gamma, residual, unmodeled, kept_r, kept_t)

@@ -13,6 +13,11 @@ class ConfigError(CmadofError):
     """Bad run configuration: unknown keys, unparseable or out-of-range values."""
 
 
+class CheckpointError(ConfigError, ValueError):
+    """A GA checkpoint that cannot be resumed: unreadable or malformed, or
+    written for another problem or other GA parameters."""
+
+
 class GeometryError(CmadofError):
     """Geometry that cannot be meshed or analyzed (degenerate faces,
     non-manifold edges, empty plates)."""

@@ -52,10 +52,11 @@ from .dofcore import (DofReport, EquivalentChannel, achievable_dof,
                       receiver_map, transmitter_map)
 from .efie import (C0, ImpedanceOperator, assemble_impedance,
                    delta_gap_excitation)
-from .errors import (DegenerateStructureError, GeometryError, NumericalError,
-                     RankDeficiencyError)
+from .errors import (CheckpointError, DegenerateStructureError, GeometryError,
+                     NumericalError, RankDeficiencyError)
 from .mesh import (PlateSpec, RwgBasis, build_plate_mesh, extract_rwg,
                    face_sampling_operator, locate_port_edges)
+from .svgplot import write_atomic
 
 __all__ = [
     "NEG_INF",
@@ -531,17 +532,7 @@ def _write_checkpoint(path, run: GaRun, rng: np.random.Generator,
             for ind in run.population
         ],
     }
-    # write beside the target, then rename over it: a crash mid-write
-    # leaves the previous checkpoint intact
-    tmp = os.fspath(path) + ".tmp"
-    try:
-        with open(tmp, "w", encoding="utf-8") as fh:
-            json.dump(state, fh)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.remove(tmp)
-        raise
+    write_atomic(path, json.dumps(state))
 
 
 def _checkpoint_dof_h(rec: dict) -> int | None:
@@ -554,33 +545,45 @@ def _checkpoint_dof_h(rec: dict) -> int | None:
 def _load_checkpoint(path) -> tuple[GaRun, np.random.Generator, dict | None]:
     """(run, generator, problem fingerprint) of a checkpoint.
 
-    A v1 checkpoint has no fingerprint; it loads with None.
+    A v1 checkpoint has no fingerprint; it loads with None. A file that
+    cannot be read, does not decode or parse, has another format tag, or
+    lacks or mangles a field raises CheckpointError.
     """
-    with open(path, encoding="utf-8") as fh:
-        state = json.load(fh)
-    if state.get("format") not in (CHECKPOINT_FORMAT, _CHECKPOINT_V1):
-        raise ValueError(f"not a GA checkpoint: {path}")
-    population = [
-        Individual(
-            phi=phi_from_hex(rec["phi_hex"], rec["n_bits"]),
-            fitness=NEG_INF if rec["fitness"] is None else float(rec["fitness"]),
-            dof_h=_checkpoint_dof_h(rec),
+    try:
+        with open(path, encoding="utf-8") as fh:
+            state = json.load(fh)
+    except (OSError, ValueError) as exc:
+        raise CheckpointError(f"unreadable GA checkpoint {path}: {exc}") \
+            from exc
+    if not isinstance(state, dict) or \
+            state.get("format") not in (CHECKPOINT_FORMAT, _CHECKPOINT_V1):
+        raise CheckpointError(f"not a GA checkpoint: {path}")
+    try:
+        population = [
+            Individual(
+                phi=phi_from_hex(rec["phi_hex"], rec["n_bits"]),
+                fitness=NEG_INF if rec["fitness"] is None
+                else float(rec["fitness"]),
+                dof_h=_checkpoint_dof_h(rec),
+            )
+            for rec in state["population"]
+        ]
+        run = GaRun(
+            population=population,
+            generation=int(state["generation"]),
+            k_max=int(state["k_max"]),
+            pop_size=int(state["pop_size"]),
+            n_parents=int(state["n_parents"]),
+            mutation_rate=float(state["mutation_rate"]),
+            rng_seed=int(state["rng_seed"]),
+            best_history=[NEG_INF if f is None else float(f)
+                          for f in state["best_history"]],
         )
-        for rec in state["population"]
-    ]
-    run = GaRun(
-        population=population,
-        generation=int(state["generation"]),
-        k_max=int(state["k_max"]),
-        pop_size=int(state["pop_size"]),
-        n_parents=int(state["n_parents"]),
-        mutation_rate=float(state["mutation_rate"]),
-        rng_seed=int(state["rng_seed"]),
-        best_history=[NEG_INF if f is None else float(f)
-                      for f in state["best_history"]],
-    )
-    rng = np.random.default_rng()
-    rng.bit_generator.state = state["rng_state"]
+        rng = np.random.default_rng()
+        rng.bit_generator.state = state["rng_state"]
+    except (KeyError, TypeError, ValueError) as exc:
+        raise CheckpointError(
+            f"malformed GA checkpoint {path}: {exc!r}") from exc
     return run, rng, state.get("problem")
 
 
@@ -642,10 +645,12 @@ def run_ga(
     if resume_from is not None:
         run, rng, fingerprint = _load_checkpoint(resume_from)
         if fingerprint is not None and fingerprint != problem.fingerprint():
-            raise ValueError("checkpoint was written for a different problem")
+            raise CheckpointError(
+                "checkpoint was written for a different problem")
         if (run.pop_size, run.n_parents) != (pop_size, n_parents) or \
                 abs(run.mutation_rate - rate) > 1e-15:
-            raise ValueError("checkpoint GA parameters do not match this call")
+            raise CheckpointError(
+                "checkpoint GA parameters do not match this call")
         run.k_max = k_max
         if log_path and os.path.exists(log_path):
             _truncate_log(log_path, run.generation)

@@ -1,4 +1,5 @@
-"""Minimal static SVG line plots with exact CSV co-emission.
+"""Minimal static SVG line plots with exact CSV co-emission, and the
+package's one file writer.
 
 Every figure the command-line tool writes comes from here: a handful of
 series drawn as polylines (optionally with circle markers), straight
@@ -6,15 +7,19 @@ reference lines, linear axes with rounded tick steps. No plotting library,
 no fonts beyond the viewer's sans-serif, no randomness, so the same data
 always produces byte-identical SVG. The companion CSV holds exactly the
 plotted numbers in long form (series, x, y), one row per point.
+
+Every file the package writes, the GA checkpoint included, goes through
+`write_atomic`.
 """
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
 
-__all__ = ["LinePlot", "write_plot"]
+__all__ = ["LinePlot", "write_atomic", "write_plot"]
 
 _COLORS = ["#1f6fb2", "#c44e52", "#2e8b57", "#8763a8", "#b08a00", "#444444"]
 
@@ -186,12 +191,35 @@ class LinePlot:
         return "\n".join(lines) + "\n"
 
 
+def write_atomic(path, text: str) -> None:
+    """Write `text` (UTF-8) to `path` through a temporary renamed into place.
+
+    The temporary `path + ".tmp"` gets all its blocks up front
+    (`posix_fallocate`), so no delayed allocation is left for ext4 to
+    flush at the rename or at the next truncation of the file, and the
+    caller never waits on the disk. A failure anywhere, including in the
+    preallocation, removes the temporary and leaves any previous `path`
+    as it was. There is no fsync: the file survives a process crash, not
+    a power cut.
+    """
+    data = text.encode("utf-8")
+    tmp = os.fspath(path) + ".tmp"
+    try:
+        with open(tmp, "wb") as fh:
+            if data and hasattr(os, "posix_fallocate"):
+                os.posix_fallocate(fh.fileno(), 0, len(data))
+            fh.write(data)
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+        raise
+
+
 def write_plot(base_path: str, plot: LinePlot) -> tuple[str, str]:
     """Write base_path.svg and base_path.csv; returns the two paths."""
     svg_path = f"{base_path}.svg"
     csv_path = f"{base_path}.csv"
-    with open(svg_path, "w", encoding="utf-8") as fh:
-        fh.write(plot.to_svg())
-    with open(csv_path, "w", encoding="utf-8") as fh:
-        fh.write(plot.to_csv())
+    write_atomic(svg_path, plot.to_svg())
+    write_atomic(csv_path, plot.to_csv())
     return svg_path, csv_path

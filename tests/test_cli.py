@@ -235,6 +235,39 @@ class TestOptimizeCommand:
         assert bests[: len(history1)] == history1
         assert all(b >= a for a, b in zip(bests, bests[1:]))
 
+    @pytest.mark.parametrize("spoil", [
+        "population", "separation", "zero-filled", "truncated", "format-only",
+        "directory",
+    ])
+    def test_refused_resume_is_config_error(self, tmp_path, capsys, spoil):
+        cfg = write_config(tmp_path, self.GA, name="first.ini")
+        out = tmp_path / "out"
+        assert run_cli("optimize", cfg, out) == 0
+        ck = out / "ga_checkpoint.json"
+        text = SMALL + self.GA + "resume = true\n"
+        if spoil == "population":
+            text = text.replace("population = 4", "population = 6")
+        elif spoil == "separation":
+            text = text.replace("separation = 0.01", "separation = 0.02")
+        elif spoil == "zero-filled":
+            ck.write_bytes(bytes(len(ck.read_bytes())))
+        elif spoil == "truncated":
+            data = ck.read_bytes()
+            ck.write_bytes(data[: len(data) // 2])
+        elif spoil == "format-only":
+            ck.write_text(json.dumps({"format": "cmadof-ga-checkpoint-v2"}))
+        else:
+            ck.unlink()
+            ck.mkdir()
+        second = tmp_path / "second.ini"
+        second.write_text(text)
+        capsys.readouterr()
+        assert run_cli("optimize", str(second), out) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ")
+        assert "checkpoint" in err
+        assert err.count("\n") == 1
+
     def test_jobs_key_changes_nothing(self, tmp_path):
         outs = []
         for jobs in (1, 2):
@@ -305,6 +338,29 @@ class TestExportMesh:
         ref = build_plate_mesh(spec, np.ones(4, dtype=np.uint8))
         np.testing.assert_allclose(mesh.vertices, ref.vertices, rtol=1e-15)
         np.testing.assert_array_equal(mesh.faces, ref.faces)
+
+
+@pytest.mark.parametrize("command, extra", [
+    ("modes", ""),
+    ("dof", ""),
+    ("optimize", TestOptimizeCommand.GA),
+    ("sweep", "sweep_axis = gamma\nsweep_values = 0.5\nrandom_count = 2\n"
+              "generations = 1\npopulation = 4\nparents = 2\n"),
+    ("export-mesh", ""),
+    ("export-mesh", "mesh_format = json\n"),
+])
+def test_rerun_into_same_directory_is_identical(tmp_path, command, extra):
+    cfg = write_config(tmp_path, extra)
+    out = tmp_path / "out"
+    assert run_cli(command, cfg, out) == 0
+    first = {p.name: p.read_bytes() for p in out.iterdir()}
+    assert run_cli(command, cfg, out) == 0
+    second = {p.name: p.read_bytes() for p in out.iterdir()}
+    assert sorted(second) == sorted(first)
+    assert not [name for name in second if name.endswith(".tmp")]
+    for name in first:
+        if name != "run_meta.json":
+            assert second[name] == first[name], name
 
 
 class TestExitCodes:

@@ -353,6 +353,16 @@ class TestModePatterns:
         for i in range(2):
             assert pat[lead[i], i].real > 0.0
 
+    def test_sign_flip_reaches_a_held_coefficient_array(self):
+        # the sampler of the test above flips the second mode; an array
+        # taken from mode_coeffs before the call must flip with it
+        s_mat = np.array([[2.0, 0.0], [0.0, -3.0], [0.5, 1.0]])
+        modes = self.make_modes(np.eye(2))
+        held = modes.mode_coeffs
+        mode_patterns(modes, s_mat)
+        assert modes.mode_coeffs is held
+        np.testing.assert_array_equal(held[:, 1], [0.0, -1.0])
+
     def test_sign_flip_reaches_the_returned_excitation(self):
         # the sampler of the test above flips the second mode; the V that
         # excitation_matrix returned before must flip with it

@@ -237,6 +237,33 @@ class TestGammaDecomposition:
         assert len(gm.kept_r) == 4
         assert gm.unmodeled_fraction <= 1e-10
 
+    def test_diagnostics_match_dense_projectors(self):
+        # the diagnostics come from thin products; the dense n x n
+        # projector formula is the reference
+        rng = np.random.default_rng(25)
+        ebar = rand_c(rng, 30, 4)
+        jbar = rand_c(rng, 24, 3)
+        bad_r = np.column_stack([ebar, ebar[:, 1] - 2.0 * ebar[:, 3]])
+        bad_t = np.column_stack([jbar[:, 0], jbar, 0.5j * jbar[:, 2]])
+        g = rand_c(rng, 30, 2) @ rand_c(rng, 2, 24) + \
+            ebar @ rand_c(rng, 4, 3) @ jbar.T
+        with pytest.warns(UserWarning, match="rank-deficient"):
+            gm = gamma_decomposition(g, bad_r, bad_t)
+        assert (len(gm.kept_r), len(gm.kept_t)) == (4, 3)
+        e_r = bad_r[:, gm.kept_r]
+        j_t = bad_t[:, gm.kept_t]
+        e_pinv = np.linalg.pinv(e_r, rcond=dofcore.PINV_RCOND)
+        jt_pinv = np.linalg.pinv(j_t.T, rcond=dofcore.PINV_RCOND)
+        np.testing.assert_array_equal(gm.gamma, e_pinv @ g @ jt_pinv)
+        projected = (e_r @ e_pinv) @ g @ (jt_pinv @ j_t.T)
+        g_norm = np.linalg.norm(g)
+        unmodeled = np.linalg.norm(g - projected) / g_norm
+        residual = np.linalg.norm(projected - e_r @ gm.gamma @ j_t.T) / g_norm
+        assert unmodeled > 0.05
+        assert gm.unmodeled_fraction == pytest.approx(unmodeled, rel=1e-9)
+        # the residual is a projector identity, roundoff in both formulas
+        assert gm.residual == pytest.approx(residual, rel=1e-9, abs=1e-13)
+
     def test_zero_channel(self):
         rng = np.random.default_rng(23)
         ebar, _ = np.linalg.qr(rand_c(rng, 12, 2))

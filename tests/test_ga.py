@@ -1,6 +1,7 @@
 """Tests for the genetic optimizer: operators, caching, evolution loop."""
 
 import dataclasses
+import errno
 import json
 import os
 from pathlib import Path
@@ -12,6 +13,7 @@ from scipy.stats import chisquare
 
 import cmadof.efie
 import cmadof.ga
+import cmadof.svgplot
 from cmadof.cma import excitation_matrix, mode_patterns, solve_modes
 from cmadof.dofcore import EquivalentChannel, matrix_rank
 from cmadof.channel import assemble_channel, effective_rank
@@ -687,19 +689,14 @@ class TestRunGa:
             run_ga(tiny_problem(), k_max=1, pop_size=4, n_parents=2,
                    resume_from=bad)
 
-    def test_failed_checkpoint_write_keeps_previous(self, tmp_path,
-                                                    monkeypatch):
+    def check_failed_write_keeps_previous(self, tmp_path, monkeypatch,
+                                          spoil, match):
         ck = tmp_path / "ck.json"
         run_ga(tiny_problem(), k_max=1, pop_size=4, n_parents=2, seed=2,
                checkpoint_path=ck)
         before = ck.read_bytes()
-
-        def crash(obj, fh):
-            fh.write('{"format": ')
-            raise OSError("disk full")
-
-        monkeypatch.setattr(cmadof.ga.json, "dump", crash)
-        with pytest.raises(OSError, match="disk full"):
+        spoil(monkeypatch)
+        with pytest.raises(OSError, match=match):
             run_ga(tiny_problem(), k_max=2, pop_size=4, n_parents=2, seed=2,
                    checkpoint_path=ck, resume_from=ck)
         monkeypatch.undo()
@@ -708,3 +705,44 @@ class TestRunGa:
         resumed = run_ga(tiny_problem(), k_max=1, pop_size=4, n_parents=2,
                          seed=2, resume_from=ck)
         assert resumed.generation == 1
+
+    def test_failed_checkpoint_write_keeps_previous(self, tmp_path,
+                                                    monkeypatch):
+        class TornFile:
+            """Writes half of what it is given, then fails."""
+
+            def __init__(self, fh):
+                self.fh = fh
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.fh.close()
+
+            def fileno(self):
+                return self.fh.fileno()
+
+            def write(self, data):
+                self.fh.write(data[: len(data) // 2])
+                self.fh.flush()
+                raise OSError("disk full")
+
+        def spoil(mp):
+            mp.setattr(cmadof.svgplot, "open",
+                       lambda *args, **kw: TornFile(open(*args, **kw)),
+                       raising=False)
+
+        self.check_failed_write_keeps_previous(tmp_path, monkeypatch, spoil,
+                                               "disk full")
+
+    def test_failed_checkpoint_preallocation_keeps_previous(self, tmp_path,
+                                                            monkeypatch):
+        def no_space(fd, offset, length):
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+        def spoil(mp):
+            mp.setattr(os, "posix_fallocate", no_space, raising=False)
+
+        self.check_failed_write_keeps_previous(
+            tmp_path, monkeypatch, spoil, os.strerror(errno.ENOSPC))

@@ -1,13 +1,16 @@
 """Tests for the static SVG plot writer and its exact CSV companion."""
 
+import ast
 import csv
 import io
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from cmadof.svgplot import LinePlot, write_plot
+import cmadof
+from cmadof.svgplot import LinePlot, write_atomic, write_plot
 
 SVG_NS = "{http://www.w3.org/2000/svg}"
 
@@ -114,3 +117,37 @@ class TestWritePlot:
         assert csv_path == str(base) + ".csv"
         assert (tmp_path / "fig1.svg").read_text() == plot.to_svg()
         assert (tmp_path / "fig1.csv").read_text() == plot.to_csv()
+
+
+class TestWriteAtomic:
+    @pytest.mark.parametrize("text", ["caf\u00e9\nline\n", ""])
+    def test_replaces_and_leaves_no_temporary(self, tmp_path, text):
+        path = tmp_path / "a.txt"
+        path.write_text("an older and longer file\n" * 10)
+        write_atomic(path, text)
+        assert path.read_bytes() == text.encode("utf-8")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["a.txt"]
+
+    def test_package_writes_files_only_through_it(self):
+        # a file opened for writing anywhere else would bring back the
+        # delayed-allocation flush that write_atomic avoids
+        offenders = []
+        for src in sorted(Path(cmadof.__file__).parent.glob("*.py")):
+            tree = ast.parse(src.read_text(encoding="utf-8"))
+            allowed = set()
+            for node in ast.walk(tree):
+                if isinstance(node, ast.FunctionDef) and \
+                        node.name == "write_atomic":
+                    allowed.update(id(n) for n in ast.walk(node))
+            for node in ast.walk(tree):
+                if not (isinstance(node, ast.Call)
+                        and isinstance(node.func, ast.Name)
+                        and node.func.id == "open") or id(node) in allowed:
+                    continue
+                mode = node.args[1] if len(node.args) > 1 else next(
+                    (kw.value for kw in node.keywords if kw.arg == "mode"),
+                    ast.Constant("r"))
+                if not isinstance(mode, ast.Constant) or \
+                        set(str(mode.value)) & {"w", "x"}:
+                    offenders.append(f"{src.name}:{node.lineno}")
+        assert offenders == []
