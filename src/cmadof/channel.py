@@ -15,11 +15,14 @@ lambda = 2 pi / k0. The three bracket terms are the radiating, induction,
 and electrostatic contributions; each is a symmetric 3x3 dyad, and the
 whole kernel is even in dh, so Gdy(r, r') = Gdy(r', r).
 
+`green_dyadic` broadcasts over leading point axes; its prefactor
+`los_amplitude` is also the point-source channel of `dofcore`.
 `assemble_channel` discretizes the integral with one point per source face
 (centroid value times area), giving the 3 N_R x 3 N_T matrix that maps
-stacked per-face transmit currents to stacked per-face receive fields. Face
-sizes of a small fraction of a wavelength keep the midpoint rule adequate;
-the DoF outputs downstream are invariant to the overall scalar convention.
+stacked per-face transmit currents to stacked per-face receive fields
+(rows `mesh.face_rows`). Face sizes of a small fraction of a wavelength
+keep the midpoint rule adequate; the DoF outputs downstream are invariant
+to the overall scalar convention.
 """
 
 from __future__ import annotations
@@ -30,7 +33,7 @@ import numpy as np
 
 from .efie import C0, EPS0, MU0
 from .errors import SingularityError
-from .mesh import TriMesh
+from .mesh import TriMesh, face_rows
 
 __all__ = [
     "ETA0",
@@ -49,31 +52,40 @@ ETA0 = float(np.sqrt(MU0 / EPS0))
 STRICT_RANK_TOL = 1e-12
 
 
-def green_dyadic(r, r_prime, k0: float, n_terms: int = 3) -> np.ndarray:
-    """The 3x3 dyadic Green kernel between two points.
+def los_amplitude(d, k0: float):
+    """Line-of-sight amplitude -j eta exp(-j k0 d) / (2 lambda d)."""
+    lam = 2.0 * np.pi / k0
+    return -1j * ETA0 * np.exp(-1j * k0 * d) / (2.0 * lam * d)
 
+
+def green_dyadic(r, r_prime, k0: float, n_terms: int = 3) -> np.ndarray:
+    """The dyadic Green kernel between points r and r_prime, (..., 3, 3).
+
+    Both point arguments broadcast over their leading axes, so
+    `green_dyadic(a[:, None], b[None], k0)` is the kernel over all pairs.
     n_terms keeps only the first 1, 2, or 3 bracket terms (3 = full kernel);
     the truncated forms support far-field and point-source comparisons.
     """
-    r = np.asarray(r, dtype=float)
-    r_prime = np.asarray(r_prime, dtype=float)
-    d_vec = r - r_prime
-    d = float(np.linalg.norm(d_vec))
-    if d == 0.0:
-        raise SingularityError("dyadic Green kernel evaluated at zero separation")
     if n_terms not in (1, 2, 3):
         raise ValueError("n_terms must be 1, 2, or 3")
-    lam = 2.0 * np.pi / k0
-    dh = d_vec / d
-    outer = np.outer(dh, dh)
+    d_vec = np.asarray(r, dtype=float) - np.asarray(r_prime, dtype=float)
+    d = np.linalg.norm(d_vec, axis=-1)
+    if np.min(d) <= 0.0:
+        raise SingularityError(
+            "dyadic Green kernel evaluated at zero separation "
+            "(coincident points or face centroids)"
+        )
+    dh = d_vec / d[..., None]
+    outer = np.einsum("...a,...b->...ab", dh, dh)
     eye = np.eye(3)
-    bracket = (eye - outer).astype(complex)
-    if n_terms >= 2:
-        fac = lam / (2.0 * np.pi * d)
+    if n_terms == 1:
+        bracket = (eye - outer) + 0j
+    else:
+        lam = 2.0 * np.pi / k0
+        fac = (lam / (2.0 * np.pi * d))[..., None, None]
         tail = 1j * fac if n_terms == 2 else 1j * fac - fac * fac
-        bracket += tail * (eye - 3.0 * outer)
-    pref = -1j * ETA0 * np.exp(-1j * k0 * d) / (2.0 * lam * d)
-    return pref * bracket
+        bracket = (eye - outer) + tail * (eye - 3.0 * outer)
+    return los_amplitude(d, k0)[..., None, None] * bracket
 
 
 @dataclass
@@ -105,8 +117,7 @@ class ChannelOperator:
         Each 3x3 block depends only on its two faces, so this equals
         `assemble_channel` on meshes made of exactly those faces.
         """
-        rows = (3 * np.asarray(rx_faces)[:, None] + np.arange(3)).ravel()
-        cols = (3 * np.asarray(tx_faces)[:, None] + np.arange(3)).ravel()
+        rows, cols = face_rows(rx_faces), face_rows(tx_faces)
         return ChannelOperator(
             matrix=self.matrix[np.ix_(rows, cols)],
             k0=self.k0,
@@ -124,25 +135,6 @@ class ChannelOperator:
         return len(self.rx_centroids)
 
 
-def _pairwise_green(rx_pts: np.ndarray, tx_pts: np.ndarray, k0: float) -> np.ndarray:
-    """(N_R, N_T, 3, 3) dyadic kernel over all centroid pairs."""
-    diff = rx_pts[:, None, :] - tx_pts[None, :, :]
-    d = np.linalg.norm(diff, axis=-1)
-    if d.min() <= 0.0:
-        raise SingularityError(
-            "transmit and receive apertures overlap (coincident face centroids)"
-        )
-    lam = 2.0 * np.pi / k0
-    dh = diff / d[..., None]
-    outer = np.einsum("pqa,pqb->pqab", dh, dh)
-    eye = np.eye(3)
-    fac = lam / (2.0 * np.pi * d)
-    tail = (1j * fac - fac * fac)[..., None, None]
-    bracket = (eye - outer) + tail * (eye - 3.0 * outer)
-    pref = -1j * ETA0 * np.exp(-1j * k0 * d) / (2.0 * lam * d)
-    return pref[..., None, None] * bracket
-
-
 def assemble_channel(tx: TriMesh, rx: TriMesh, k0: float) -> ChannelOperator:
     """Midpoint-rule discretization of the transmit-to-receive field map.
 
@@ -152,7 +144,7 @@ def assemble_channel(tx: TriMesh, rx: TriMesh, k0: float) -> ChannelOperator:
     if not k0 > 0:
         raise ValueError("wavenumber must be positive")
     omega = k0 * C0
-    blocks = _pairwise_green(rx.face_centroids, tx.face_centroids, k0)
+    blocks = green_dyadic(rx.face_centroids[:, None], tx.face_centroids[None], k0)
     blocks *= (-1j * omega * MU0) * tx.face_areas[None, :, None, None]
     n_r, n_t = rx.n_faces, tx.n_faces
     matrix = blocks.transpose(0, 2, 1, 3).reshape(3 * n_r, 3 * n_t)

@@ -53,12 +53,8 @@ def _plate_bits(cfg: RunConfig, side: str, spec: PlateSpec) -> np.ndarray:
         return np.ones(spec.n_bits, dtype=np.uint8)
     if text == "zeros":
         return np.zeros(spec.n_bits, dtype=np.uint8)
-    bits = np.array([int(c) for c in text], dtype=np.uint8)
-    if bits.size != spec.n_bits:
-        raise ConfigError(
-            f"{side}_bits has {bits.size} bits, plate needs {spec.n_bits}"
-        )
-    return bits
+    # RunConfig.validate has already matched the length to the plate
+    return np.array([int(c) for c in text], dtype=np.uint8)
 
 
 def _make_problem(cfg: RunConfig) -> PixelProblem:

@@ -30,7 +30,7 @@ the (3 Nf, E) face sampler as arrays and keep V and the patterns on the
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -104,18 +104,12 @@ class ModeBasis:
             self.patterns = self.patterns[:, keep]
 
     def significant(self, floor: float = SIGNIFICANCE_FLOOR) -> "ModeBasis":
-        """Copy restricted to modes with |m_i| >= floor."""
-        out = ModeBasis(
-            eigenvalues=self.eigenvalues.copy(),
-            mode_coeffs=self.mode_coeffs.copy(),
-            frequency=self.frequency,
-            subspace_dim=self.subspace_dim,
-            eigen_residuals=self.eigen_residuals.copy(),
-            r_cross_max=self.r_cross_max,
-            excitation=None if self.excitation is None else self.excitation.copy(),
-            patterns=None if self.patterns is None else self.patterns.copy(),
-            pattern_gram_dev=self.pattern_gram_dev,
-        )
+        """Copy restricted to modes with |m_i| >= floor.
+
+        Boolean indexing in `drop_modes` gives the copy its own arrays, so
+        in-place edits of either basis leave the other unchanged.
+        """
+        out = replace(self)
         out.drop_modes(np.abs(out.significances) >= floor)
         return out
 

@@ -42,13 +42,8 @@ from .errors import ConfigError
 __all__ = ["RunConfig", "parse_config_file", "load_run_config"]
 
 
-def _parse_float(text: str) -> float:
-    return float(text)
-
-
 def _parse_int(text: str) -> int:
-    value = int(text, 0)
-    return value
+    return int(text, 0)
 
 
 def _parse_bool(text: str) -> bool:
@@ -91,31 +86,31 @@ def _parse_values(text: str) -> tuple[float, ...]:
     return tuple(float(p) for p in parts)
 
 
-# key -> (parser, default); None default means "unset unless given"
-_SCHEMA = {
-    "frequency": (_parse_float, 27e9),
-    "pixel_size": (_parse_auto_float, None),
-    "gamma": (_parse_float, 0.5),
-    "n_keep": (_parse_int, 20),
-    "separation": (_parse_float, 0.3),
-    "seed": (_parse_int, 0),
-    "jobs": (_parse_int, 1),
-    "out": (str, "."),
-    "tx_ports": (_parse_int, 4),
-    "rx_ports": (_parse_int, 4),
-    "tx_pixels_per_port": (_parse_int, 8),
-    "rx_pixels_per_port": (_parse_int, 8),
-    "tx_bits": (_parse_bits, "ones"),
-    "rx_bits": (_parse_bits, "ones"),
-    "generations": (_parse_int, 10),
-    "population": (_parse_int, 10),
-    "parents": (_parse_int, 6),
-    "mutation_rate": (_parse_auto_float, None),
-    "resume": (_parse_bool, False),
-    "sweep_axis": (_parse_choice("ports", "separation", "gamma"), None),
-    "sweep_values": (_parse_values, None),
-    "random_count": (_parse_int, 5),
-    "mesh_format": (_parse_choice("text", "json"), "text"),
+# key -> parser; the defaults live on RunConfig alone
+_PARSERS = {
+    "frequency": float,
+    "pixel_size": _parse_auto_float,
+    "gamma": float,
+    "n_keep": _parse_int,
+    "separation": float,
+    "seed": _parse_int,
+    "jobs": _parse_int,
+    "out": str,
+    "tx_ports": _parse_int,
+    "rx_ports": _parse_int,
+    "tx_pixels_per_port": _parse_int,
+    "rx_pixels_per_port": _parse_int,
+    "tx_bits": _parse_bits,
+    "rx_bits": _parse_bits,
+    "generations": _parse_int,
+    "population": _parse_int,
+    "parents": _parse_int,
+    "mutation_rate": _parse_auto_float,
+    "resume": _parse_bool,
+    "sweep_axis": _parse_choice("ports", "separation", "gamma"),
+    "sweep_values": _parse_values,
+    "random_count": _parse_int,
+    "mesh_format": _parse_choice("text", "json"),
 }
 
 
@@ -212,16 +207,15 @@ def parse_config_file(path: str) -> dict:
             key, _, value = line.partition("=")
             key = key.strip()
             value = value.strip()
-            if key not in _SCHEMA:
+            if key not in _PARSERS:
                 raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
             if key in seen_lines:
                 raise ConfigError(
                     f"{path}:{lineno}: duplicate key {key!r} "
                     f"(first set on line {seen_lines[key]})"
                 )
-            parser, _ = _SCHEMA[key]
             try:
-                values[key] = parser(value)
+                values[key] = _PARSERS[key](value)
             except (ValueError, TypeError) as exc:
                 raise ConfigError(
                     f"{path}:{lineno}: bad value for {key!r}: {exc}"

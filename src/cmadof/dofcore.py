@@ -17,11 +17,15 @@ DoF counts come in two flavors throughout: the effective count
 numerical rank at relative cutoff RANK_TOL (where the rank inequalities
 live): the port/mode ceiling min(L_T, L_R, n_T, n_R), the channel ceiling
 rank(H) <= rank(G), and the floor
-rank(H) >= rank(V_R) + rank(V_T) + rank(Gamma) - n_R - n_T.
+rank(H) >= rank(V_R) + rank(V_T) + rank(Gamma) - n_R - n_T. Both are
+the `channel` counts on singular values. One pivoted-QR column order names
+the dependent columns of a rank-deficient matrix: the receive ports that
+`receiver_map` refuses, the pattern columns `gamma_decomposition` drops.
 
 `conventional_reduce` specializes the model to an array of identical
 single-mode elements, where U_T collapses to a block-diagonal stack of one
-element current and the channel to a scalar point-source matrix.
+element current and the channel to the kernel's scalar line-of-sight
+amplitude between element centers.
 """
 
 from __future__ import annotations
@@ -32,9 +36,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .channel import ChannelOperator, ETA0, effective_rank, strict_rank
+from .channel import (ChannelOperator, ETA0, effective_rank, los_amplitude,
+                      strict_rank)
 from .cma import SIGNIFICANCE_FLOOR
 from .errors import RankDeficiencyError, ReductionError
+from .mesh import face_rows
 
 __all__ = [
     "PINV_RCOND",
@@ -66,13 +72,22 @@ RANK_TOL = 1e-10
 
 def matrix_rank(a: np.ndarray, rel_tol: float = RANK_TOL) -> int:
     """Numerical rank with a relative singular-value cutoff."""
-    a = np.asarray(a)
-    if a.size == 0:
-        return 0
-    s = np.linalg.svd(a, compute_uv=False)
-    if s[0] == 0.0:
-        return 0
-    return int(np.count_nonzero(s >= rel_tol * s[0]))
+    return strict_rank(np.linalg.svd(a, compute_uv=False), rel_tol)
+
+
+def _pivoted_columns(a: np.ndarray) -> tuple[int, np.ndarray]:
+    """(rank r of a, its column indices in pivoted-QR order).
+
+    The first r indices name a maximal independent column set and the rest
+    the dependent columns; a full-rank a keeps its own column order.
+    """
+    r = matrix_rank(a)
+    if r == a.shape[1]:
+        return r, np.arange(r)
+    import scipy.linalg  # only the rank-deficient branch needs scipy
+
+    _, _, piv = scipy.linalg.qr(a, pivoting=True)
+    return r, piv
 
 
 def _as_matrix(g) -> np.ndarray:
@@ -117,12 +132,9 @@ def receiver_map(v_r: np.ndarray, m_r: np.ndarray, patterns_r: np.ndarray) -> np
             "receiver map received modes below the significance floor; "
             "truncate before building maps"
         )
-    rank_v = matrix_rank(v_r)
+    rank_v, order = _pivoted_columns(v_r)
     if rank_v < l_r:
-        import scipy.linalg  # only this rank-deficient branch needs scipy
-
-        _, _, piv = scipy.linalg.qr(v_r, pivoting=True)
-        offending = sorted(int(p) for p in piv[rank_v:])
+        offending = sorted(int(p) for p in order[rank_v:])
         raise RankDeficiencyError(
             f"modal excitation matrix has rank {rank_v} < {l_r} receive "
             f"ports; dependent ports: {offending}"
@@ -171,16 +183,13 @@ def achievable_dof(ch: EquivalentChannel, gamma: float = 0.5) -> int:
 class GammaMatrix:
     """Modal coupling matrix from factoring G in the mode-pattern bases.
 
-    gamma solves G ~= Ebar_R Gamma Jbar_T^T in the least-squares sense.
-    residual compares the factorization against G restricted to the modal
-    subspaces (a projector identity, ~0 whenever the pseudo-inverses are
-    honest); unmodeled_fraction reports how much of G lies outside those
-    subspaces altogether. kept_r/kept_t list the pattern columns used, which
-    drop dependent columns when a pattern matrix is rank-deficient.
+    gamma solves G ~= Ebar_R Gamma Jbar_T^T in the least-squares sense;
+    unmodeled_fraction reports how much of G lies outside the modal
+    subspaces. kept_r/kept_t list the pattern columns used, which drop
+    dependent columns when a pattern matrix is rank-deficient.
     """
 
     gamma: np.ndarray
-    residual: float
     unmodeled_fraction: float
     kept_r: np.ndarray
     kept_t: np.ndarray
@@ -192,20 +201,15 @@ class GammaMatrix:
 
 def _independent_columns(a: np.ndarray, label: str) -> np.ndarray:
     """Indices of a maximal independent column set, warning when reduced."""
-    r = matrix_rank(a)
-    if r == a.shape[1]:
-        return np.arange(a.shape[1])
-    import scipy.linalg  # only this rank-deficient branch needs scipy
-
-    _, _, piv = scipy.linalg.qr(a, pivoting=True)
-    keep = np.sort(piv[:r])
-    warnings.warn(
-        f"{label} pattern matrix is rank-deficient ({r} of {a.shape[1]} "
-        f"columns independent); dropping columns "
-        f"{sorted(int(c) for c in piv[r:])}",
-        stacklevel=3,
-    )
-    return keep
+    r, order = _pivoted_columns(a)
+    if r < a.shape[1]:
+        warnings.warn(
+            f"{label} pattern matrix is rank-deficient ({r} of {a.shape[1]} "
+            f"columns independent); dropping columns "
+            f"{sorted(int(c) for c in order[r:])}",
+            stacklevel=3,
+        )
+    return np.sort(order[:r])
 
 
 def gamma_decomposition(g, patterns_r: np.ndarray, patterns_t: np.ndarray) -> GammaMatrix:
@@ -230,12 +234,11 @@ def gamma_decomposition(g, patterns_r: np.ndarray, patterns_t: np.ndarray) -> Ga
 
     g_norm = np.linalg.norm(g_mat)
     if g_norm == 0.0:
-        return GammaMatrix(gamma, 0.0, 0.0, kept_r, kept_t)
+        return GammaMatrix(gamma, 0.0, kept_r, kept_t)
     # P_E G P_J from thin factors: O(n^2 k), never an n x n projector
     projected = e_r @ (left @ (jt_pinv @ j_t.T))
-    residual = float(np.linalg.norm(projected - e_r @ gamma @ j_t.T) / g_norm)
     unmodeled = float(np.linalg.norm(g_mat - projected) / g_norm)
-    return GammaMatrix(gamma, residual, unmodeled, kept_r, kept_t)
+    return GammaMatrix(gamma, unmodeled, kept_r, kept_t)
 
 
 def dof_bounds(
@@ -361,11 +364,10 @@ def point_source_channel(tx_centers: np.ndarray, rx_centers: np.ndarray, k0: flo
     """
     tx_centers = np.atleast_2d(np.asarray(tx_centers, dtype=float))
     rx_centers = np.atleast_2d(np.asarray(rx_centers, dtype=float))
-    lam = 2.0 * np.pi / k0
     d = np.linalg.norm(rx_centers[:, None, :] - tx_centers[None, :, :], axis=-1)
     if d.min() <= 0.0:
         raise ValueError("coincident element centers")
-    return -1j * ETA0 * np.exp(-1j * k0 * d) / (2.0 * lam * d)
+    return los_amplitude(d, k0)
 
 
 def _check_identical(elements: list[ElementAnalysis], side: str) -> np.ndarray:
@@ -408,8 +410,7 @@ def conventional_reduce(
     def block_map(elements, n_faces):
         out = np.zeros((3 * n_faces, len(elements)), dtype=complex)
         for l, el in enumerate(elements):
-            rows = (3 * np.asarray(el.faces)[:, None] + np.arange(3)[None, :]).ravel()
-            out[rows, l] = el.pattern
+            out[face_rows(el.faces), l] = el.pattern
         return out
 
     u_t = block_map(tx_elements, n_tx_faces)
@@ -429,9 +430,8 @@ def block_leakage(u_t: np.ndarray, elements: list[ElementAnalysis]) -> np.ndarra
     u_t = np.asarray(u_t)
     out = np.empty(len(elements))
     for l, el in enumerate(elements):
-        rows = (3 * np.asarray(el.faces)[:, None] + np.arange(3)[None, :]).ravel()
         col = u_t[:, l]
         total = np.linalg.norm(col) ** 2
-        own = np.linalg.norm(col[rows]) ** 2
+        own = np.linalg.norm(col[face_rows(el.faces)]) ** 2
         out[l] = 0.0 if total == 0.0 else 1.0 - own / total
     return out

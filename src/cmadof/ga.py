@@ -55,7 +55,7 @@ from .efie import (C0, ImpedanceOperator, assemble_impedance,
 from .errors import (CheckpointError, DegenerateStructureError, GeometryError,
                      NumericalError, RankDeficiencyError)
 from .mesh import (PlateSpec, RwgBasis, build_plate_mesh, extract_rwg,
-                   face_sampling_operator, locate_port_edges)
+                   face_rows, face_sampling_operator, locate_port_edges)
 from .svgplot import write_atomic
 
 __all__ = [
@@ -144,7 +144,7 @@ class PlateModel:
         """
         f = (2 * self.spec.metal_pixels(bits)[:, None] + np.arange(2)).ravel()
         e = self.basis.edge_map(f)
-        rows = (3 * f[:, None] + np.arange(3)).ravel()
+        rows = face_rows(f)
         op = ImpedanceOperator(z=self.impedance.z[np.ix_(e, e)],
                                frequency=self.frequency)
         return op, self.sampler[np.ix_(rows, e)], self.excitation[e], f
@@ -593,16 +593,25 @@ def _truncate_log(path, generation: int) -> None:
     `run_ga` writes a generation's log line before its checkpoint, so a run
     stopped between the two has logged one generation more than it saved,
     and a run stopped while writing a line leaves it torn. The first line
-    that is incomplete or does not parse is taken as past the checkpoint.
+    that is incomplete or does not parse is taken as past the checkpoint;
+    a parsed line that is not a record with an integer generation raises
+    CheckpointError.
     """
     with open(path, "rb+") as fh:
         end = 0
         for line in fh:
+            if not line.endswith(b"\n"):
+                break
             try:
-                record = json.loads(line) if line.endswith(b"\n") else None
+                record = json.loads(line)
             except ValueError:
-                record = None
-            if record is None or record["generation"] > generation:
+                break
+            if not isinstance(record, dict) or \
+                    type(record.get("generation")) is not int:
+                text = line.decode(errors="replace").strip()
+                raise CheckpointError(
+                    f"malformed GA log record in {path}: {text[:80]!r}")
+            if record["generation"] > generation:
                 break
             end += len(line)
         fh.truncate(end)

@@ -34,6 +34,7 @@ __all__ = [
     "build_plate_mesh",
     "extract_rwg",
     "face_sampling_operator",
+    "face_rows",
     "locate_port_edges",
     "mesh_to_text",
     "mesh_from_text",
@@ -327,6 +328,12 @@ def face_sampling_operator(basis: RwgBasis) -> np.ndarray:
             )
             S[3 * face : 3 * face + 3, n] += val
     return S
+
+
+def face_rows(faces) -> np.ndarray:
+    """Rows 3f, 3f + 1, 3f + 2 of each face f in the stacked (x, y, z)
+    per-face layout of sampled currents, fields and the channel."""
+    return (3 * np.asarray(faces)[:, None] + np.arange(3)).ravel()
 
 
 def locate_port_edges(spec: PlateSpec, mesh: TriMesh) -> list[tuple[int, int]]:

@@ -268,6 +268,23 @@ class TestOptimizeCommand:
         assert "checkpoint" in err
         assert err.count("\n") == 1
 
+    @pytest.mark.parametrize("record", ['[1]', '{}', '{"generation": "x"}'])
+    def test_malformed_log_record_is_config_error(self, tmp_path, capsys,
+                                                  record):
+        cfg = write_config(tmp_path, self.GA, name="first.ini")
+        out = tmp_path / "out"
+        assert run_cli("optimize", cfg, out) == 0
+        with open(out / "ga_log.jsonl", "a") as fh:
+            fh.write(record + "\n")
+        second = write_config(tmp_path, self.GA + "resume = true\n",
+                              name="second.ini")
+        capsys.readouterr()
+        assert run_cli("optimize", second, out) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ")
+        assert "log record" in err
+        assert err.count("\n") == 1
+
     def test_jobs_key_changes_nothing(self, tmp_path):
         outs = []
         for jobs in (1, 2):

@@ -255,6 +255,9 @@ class TestModeBasisMasking:
         assert basis.n_kept == 4
         kept.eigenvalues[0] = 42.0
         assert basis.eigenvalues[0] == 0.0
+        # mode_patterns flips signs in place on the copy it is given
+        kept.mode_coeffs *= -1
+        np.testing.assert_array_equal(basis.mode_coeffs, np.eye(5)[:, :4])
 
     def test_significant_default_floor_keeps_weak_modes(self):
         basis = self.make_basis([0.0, 900.0])

@@ -1,9 +1,11 @@
 """Tests for the strict key=value run-configuration parser."""
 
+import dataclasses
+
 import pytest
 from scipy.constants import c as c0
 
-from cmadof.config import RunConfig, load_run_config, parse_config_file
+from cmadof.config import _PARSERS, RunConfig, load_run_config, parse_config_file
 from cmadof.errors import ConfigError
 
 
@@ -33,6 +35,10 @@ class TestDefaults:
         assert cfg.sweep_axis is None and cfg.sweep_values is None
         assert cfg.random_count == 5
         assert cfg.mesh_format == "text"
+
+    def test_every_field_has_exactly_one_parser(self):
+        # defaults live only on RunConfig; the parser table names its keys
+        assert set(_PARSERS) == {f.name for f in dataclasses.fields(RunConfig)}
 
     def test_pixel_size_auto_tracks_frequency(self):
         cfg = RunConfig()

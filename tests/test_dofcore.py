@@ -123,7 +123,10 @@ class TestReceiverMap:
         v_bad = np.column_stack([v[:, 0], v[:, 1], v[:, 0] + v[:, 1]])
         m = rand_modal(rng, 5)
         patterns = rand_c(rng, 30, 5)
-        with pytest.raises(RankDeficiencyError, match="dependent ports"):
+        # pivoted QR keeps the largest column (port 2, the sum) first, then
+        # port 0; port 1 is the one left dependent
+        with pytest.raises(RankDeficiencyError,
+                           match=r"dependent ports: \[1\]$"):
             receiver_map(v_bad, m, patterns)
 
     def test_shape_and_floor_guards(self):
@@ -204,7 +207,6 @@ class TestGammaDecomposition:
         g = ebar @ gam_true @ jbar.T
         gm = gamma_decomposition(g, ebar, jbar)
         np.testing.assert_allclose(gm.gamma, gam_true, atol=1e-12)
-        assert gm.residual <= 1e-10
         assert gm.unmodeled_fraction <= 1e-10
         np.testing.assert_array_equal(gm.kept_r, np.arange(n_r))
         np.testing.assert_array_equal(gm.kept_t, np.arange(n_t))
@@ -221,8 +223,7 @@ class TestGammaDecomposition:
         g_in = ebar @ gam_true @ jbar.T
         g = g_in + outside @ rand_c(rng, 2, 3 * 8)
         gm = gamma_decomposition(g, ebar, jbar)
-        # projector identity still holds; the extra component is unmodeled
-        assert gm.residual <= 1e-10
+        # the component outside the receive span is unmodeled
         assert gm.unmodeled_fraction > 0.05
         np.testing.assert_allclose(gm.gamma, gam_true, atol=1e-10)
 
@@ -247,8 +248,9 @@ class TestGammaDecomposition:
         bad_t = np.column_stack([jbar[:, 0], jbar, 0.5j * jbar[:, 2]])
         g = rand_c(rng, 30, 2) @ rand_c(rng, 2, 24) + \
             ebar @ rand_c(rng, 4, 3) @ jbar.T
-        with pytest.warns(UserWarning, match="rank-deficient"):
+        with pytest.warns(UserWarning, match="rank-deficient") as caught:
             gm = gamma_decomposition(g, bad_r, bad_t)
+        assert str(caught[0].message).endswith("dropping columns [3]")
         assert (len(gm.kept_r), len(gm.kept_t)) == (4, 3)
         e_r = bad_r[:, gm.kept_r]
         j_t = bad_t[:, gm.kept_t]
@@ -258,18 +260,14 @@ class TestGammaDecomposition:
         projected = (e_r @ e_pinv) @ g @ (jt_pinv @ j_t.T)
         g_norm = np.linalg.norm(g)
         unmodeled = np.linalg.norm(g - projected) / g_norm
-        residual = np.linalg.norm(projected - e_r @ gm.gamma @ j_t.T) / g_norm
         assert unmodeled > 0.05
         assert gm.unmodeled_fraction == pytest.approx(unmodeled, rel=1e-9)
-        # the residual is a projector identity, roundoff in both formulas
-        assert gm.residual == pytest.approx(residual, rel=1e-9, abs=1e-13)
 
     def test_zero_channel(self):
         rng = np.random.default_rng(23)
         ebar, _ = np.linalg.qr(rand_c(rng, 12, 2))
         jbar, _ = np.linalg.qr(rand_c(rng, 12, 2))
         gm = gamma_decomposition(np.zeros((12, 12)), ebar, jbar)
-        assert gm.residual == 0.0
         assert gm.unmodeled_fraction == 0.0
         assert gm.rank == 0
 
