@@ -126,14 +126,6 @@ class ChannelOperator:
             tx_areas=self.tx_areas[tx_faces],
         )
 
-    @property
-    def n_tx_faces(self) -> int:
-        return len(self.tx_centroids)
-
-    @property
-    def n_rx_faces(self) -> int:
-        return len(self.rx_centroids)
-
 
 def assemble_channel(tx: TriMesh, rx: TriMesh, k0: float) -> ChannelOperator:
     """Midpoint-rule discretization of the transmit-to-receive field map.

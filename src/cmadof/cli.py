@@ -32,7 +32,7 @@ from .ga import (PixelProblem, PlateModel, analyze_plate, evaluate,
 from .mesh import PlateSpec, build_plate_mesh, mesh_to_json, mesh_to_text
 from .svgplot import LinePlot, write_atomic, write_plot
 
-__all__ = ["main", "run"]
+__all__ = ["main"]
 
 logger = logging.getLogger(__name__)
 
@@ -316,9 +316,5 @@ def main(argv=None) -> int:
     return 0
 
 
-def run() -> None:
-    sys.exit(main())
-
-
 if __name__ == "__main__":
-    run()
+    sys.exit(main())

@@ -14,10 +14,9 @@ weighs how strongly the mode radiates when excited.
 R is the radiated-power operator and is severely rank-deficient in floating
 point (an N-dimensional current space radiates through far fewer effective
 channels), so the raw pencil is ill-posed. `solve_modes` restricts it to the
-numerically radiating subspace: eigendecompose the clamped R_psd (R is
-decomposed once when it needs no clamp: the projection's eigenpairs are
-reused, see `ImpedanceOperator.r_psd_eigh`), keep eigenvalues
->= REL_RANK_CUT times the largest, whiten with
+numerically radiating subspace: take the eigenpairs of the clamped R_psd
+from `ImpedanceOperator.psd` (R is decomposed once when it needs no
+clamp), keep eigenvalues >= REL_RANK_CUT times the largest, whiten with
 W = Q_k diag(w_k)^{-1/2}, and solve the standard symmetric eigenproblem
 W^T X W there. Modes are reported in descending |m_i| order, which is
 ascending |lambda_i| order.
@@ -75,7 +74,6 @@ class ModeBasis:
 
     eigenvalues: np.ndarray
     mode_coeffs: np.ndarray
-    frequency: float
     subspace_dim: int
     eigen_residuals: np.ndarray
     r_cross_max: float
@@ -123,10 +121,9 @@ def solve_modes(op: ImpedanceOperator, n_keep: int = 20) -> ModeBasis:
     """
     if n_keep < 1:
         raise ValueError("n_keep must be at least 1")
-    r_psd = op.r_psd
+    r_psd, w, q = op.psd
     x_sym = 0.5 * (op.x + op.x.T)
 
-    w, q = op.r_psd_eigh
     w_max = w[-1] if w.size else 0.0
     if not w_max > 0.0:
         raise DegenerateStructureError(
@@ -166,7 +163,6 @@ def solve_modes(op: ImpedanceOperator, n_keep: int = 20) -> ModeBasis:
     return ModeBasis(
         eigenvalues=lam,
         mode_coeffs=modes,
-        frequency=op.frequency,
         subspace_dim=int(keep.sum()),
         eigen_residuals=residuals,
         r_cross_max=r_cross_max,

@@ -1,35 +1,34 @@
 """Strict flat key=value run configuration.
 
 One `key = value` pair per line; blank lines and `#` comments are ignored.
-Every key must belong to the documented schema below and parse to its
-declared type, otherwise a ConfigError pointing at the offending line is
-raised; nothing is written before the whole file validates. Strictness is
-deliberate: the defaults encode the reference operating point (27 GHz,
-gamma 0.5, 20 kept modes, 8 pixels per port, 0.24-wavelength pixels), and a
-silently ignored typo would drift results away from it.
+Every key must belong to the schema below and parse to its declared type,
+otherwise a ConfigError pointing at the offending line is raised; nothing
+is written before the whole file validates. Strictness is deliberate: the
+defaults, stated once on `RunConfig`, encode the reference operating point,
+and a silently ignored typo would drift results away from it.
 
-Schema (defaults in parentheses):
-  frequency            Hz (27e9)
-  pixel_size           meters; "auto" = 0.24 c/frequency ("auto")
-  gamma                DoF threshold in (0,1) (0.5)
-  n_keep               modes kept per plate (20)
-  separation           plate separation along z in meters (0.3)
-  seed                 RNG seed (0)
-  jobs                 accepted for compatibility; evaluation is serial (1)
-  out                  output directory (".")
-  tx_ports, rx_ports   ports = pixel rows per plate (4)
-  tx_pixels_per_port   pixel columns per plate (8); same for rx_
+Schema:
+  frequency            Hz
+  pixel_size           meters; "auto" = 0.24 c/frequency
+  gamma                DoF threshold in (0,1)
+  n_keep               modes kept per plate
+  separation           plate separation along z in meters
+  seed                 RNG seed
+  jobs                 accepted for compatibility; evaluation is serial
+  out                  output directory
+  tx_ports, rx_ports   ports = pixel rows per plate
+  tx_pixels_per_port   pixel columns per plate; same for rx_
   tx_bits, rx_bits     configuration: "ones", "zeros", or a 0/1 string of
-                       exactly rows*cols bits ("ones")
-  generations          GA generation budget (10)
-  population           GA population size (10)
-  parents              GA parents per generation, even (6)
-  mutation_rate        per-bit probability; "auto" = 1/bit_length ("auto")
-  resume               continue from the checkpoint in `out` (false)
-  sweep_axis           "ports" | "separation" | "gamma" (no default)
-  sweep_values         comma-separated numbers (no default)
-  random_count         random baseline configurations per sweep point (5)
-  mesh_format          "text" | "json" for export-mesh ("text")
+                       exactly rows*cols bits
+  generations          GA generation budget
+  population           GA population size
+  parents              GA parents drawn per generation by tournament, even
+  mutation_rate        per-bit probability; "auto" = 1/bit_length
+  resume               continue from the checkpoint in `out`
+  sweep_axis           "ports" | "separation" | "gamma"
+  sweep_values         comma-separated numbers
+  random_count         random baseline configurations per sweep point
+  mesh_format          "text" | "json" for export-mesh
 """
 
 from __future__ import annotations

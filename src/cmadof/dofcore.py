@@ -157,10 +157,6 @@ class EquivalentChannel:
             self._singulars = np.linalg.svd(self.matrix, compute_uv=False)
         return self._singulars
 
-    @property
-    def shape(self):
-        return self.matrix.shape
-
 
 def equivalent_channel(u_r: np.ndarray, g, u_t: np.ndarray) -> EquivalentChannel:
     """H = U_R G U_T; g may be a ChannelOperator or a raw matrix."""
@@ -193,10 +189,6 @@ class GammaMatrix:
     unmodeled_fraction: float
     kept_r: np.ndarray
     kept_t: np.ndarray
-
-    @property
-    def rank(self) -> int:
-        return matrix_rank(self.gamma)
 
 
 def _independent_columns(a: np.ndarray, label: str) -> np.ndarray:
@@ -249,20 +241,18 @@ def dof_bounds(
     n_t: int,
     l_t: int,
     l_r: int,
-    g_singulars: np.ndarray | None = None,
+    g_singulars: np.ndarray,
     gamma: float = 0.5,
-) -> tuple[int, int | None, int]:
+) -> tuple[int, int, int]:
     """(port/mode upper bound, channel upper bound, rank lower bound).
 
     upper_port_mode = min(L_T, L_R, n_T, n_R); upper_channel is the
-    effective DoF of the supplied channel spectrum (None when no spectrum
-    is given); lower = rank(V_R) + rank(V_T) + rank(Gamma) - n_R - n_T,
-    which may be <= 0. Ranks use the shared RANK_TOL cutoff.
+    effective DoF of the channel spectrum g_singulars; lower = rank(V_R) +
+    rank(V_T) + rank(Gamma) - n_R - n_T, which may be <= 0. Ranks use the
+    shared RANK_TOL cutoff.
     """
     upper_port_mode = int(min(l_t, l_r, n_t, n_r))
-    upper_channel = None
-    if g_singulars is not None:
-        upper_channel = effective_rank(np.asarray(g_singulars), gamma)
+    upper_channel = effective_rank(np.asarray(g_singulars), gamma)
     lower = int(
         matrix_rank(v_r) + matrix_rank(v_t) + matrix_rank(gamma_matrix) - n_r - n_t
     )
@@ -316,7 +306,7 @@ def build_report(
     )
     return DofReport(
         dof_h=achievable_dof(ch, gamma),
-        dof_g_effective=int(upper_ch),
+        dof_g_effective=upper_ch,
         port_mode_upper=upper_pm,
         lower_bound=lower,
         gamma=gamma,
@@ -342,19 +332,13 @@ class ElementAnalysis:
 class ConventionalModel:
     """Reduced signal model of an array of identical single-mode elements.
 
-    s_R = rho_T rho_R Gtilde s_T with Gtilde the scalar point-source
-    channel between element centers; u_t/u_r are the block maps the full
-    analysis should collapse to.
+    g_tilde is the scalar point-source channel between element centers;
+    u_t/u_r are the block maps the full analysis should collapse to.
     """
 
     u_t: np.ndarray
     u_r: np.ndarray
     g_tilde: np.ndarray
-    rho_t: complex
-    rho_r: complex
-
-    def predict(self, s_t: np.ndarray) -> np.ndarray:
-        return self.rho_t * self.rho_r * (self.g_tilde @ np.asarray(s_t))
 
 
 def point_source_channel(tx_centers: np.ndarray, rx_centers: np.ndarray, k0: float) -> np.ndarray:
@@ -390,10 +374,8 @@ def conventional_reduce(
     tx_elements: list[ElementAnalysis],
     rx_elements: list[ElementAnalysis],
     k0: float,
-    n_tx_faces: int,
-    n_rx_faces: int,
-    rho_t: complex = 1.0,
-    rho_r: complex = 1.0,
+    tx_face_count: int,
+    rx_face_count: int,
 ) -> ConventionalModel:
     """Block maps and point-source channel for identical-element arrays.
 
@@ -413,16 +395,15 @@ def conventional_reduce(
             out[face_rows(el.faces), l] = el.pattern
         return out
 
-    u_t = block_map(tx_elements, n_tx_faces)
-    e_blocks = block_map(rx_elements, n_rx_faces)
+    u_t = block_map(tx_elements, tx_face_count)
+    e_blocks = block_map(rx_elements, rx_face_count)
     u_r = np.linalg.pinv(e_blocks, rcond=PINV_RCOND)
     g_tilde = point_source_channel(
         np.array([el.center for el in tx_elements]),
         np.array([el.center for el in rx_elements]),
         k0,
     )
-    return ConventionalModel(u_t=u_t, u_r=u_r, g_tilde=g_tilde,
-                             rho_t=complex(rho_t), rho_r=complex(rho_r))
+    return ConventionalModel(u_t=u_t, u_r=u_r, g_tilde=g_tilde)
 
 
 def block_leakage(u_t: np.ndarray, elements: list[ElementAnalysis]) -> np.ndarray:

@@ -31,13 +31,14 @@ from __future__ import annotations
 
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .errors import GeometryError
 from .mesh import RwgBasis
-from .quadrature import static_potential_integrals, tri_points, tri_rule
+from .quadrature import TRI_BARY, TRI_W, static_potential_integrals, tri_points
 
 __all__ = [
     "C0",
@@ -63,21 +64,23 @@ MIN_FACE_AREA = 1e-12
 PSD_CLAMP_TOL = 1e-12
 
 
-def psd_project(r_matrix: np.ndarray) -> tuple[np.ndarray, tuple | None]:
+def psd_project(r_matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Positive-semidefinite spectral projection of a symmetric matrix.
 
     Eigenvalues below zero are clamped. A matrix whose smallest eigenvalue
     is already above -PSD_CLAMP_TOL times the largest is returned unchanged,
-    which makes the projection exactly idempotent. Returns the projection
-    and, when that is r_matrix itself, the eigenpairs (w, q) of r_matrix
-    computed on the way; None in their place when it was clamped.
+    which makes the projection exactly idempotent. Returns (R_psd, w, q)
+    with the ascending eigenpairs of R_psd: those of r_matrix computed on
+    the way when it is returned unchanged, else a decomposition of the
+    clamped matrix.
     """
     w, q = np.linalg.eigh(r_matrix)
     top = max(w[-1], 0.0)
     if w[0] >= -PSD_CLAMP_TOL * top:
-        return r_matrix, (w, q)
+        return r_matrix, w, q
     clipped = (q * np.maximum(w, 0.0)) @ q.T
-    return 0.5 * (clipped + clipped.T), None
+    r_psd = 0.5 * (clipped + clipped.T)
+    return (r_psd, *np.linalg.eigh(r_psd))
 
 
 @dataclass
@@ -87,8 +90,6 @@ class ImpedanceOperator:
     z: np.ndarray
     frequency: float
     basis: RwgBasis | None = None
-    _r_psd: np.ndarray | None = field(default=None, repr=False)
-    _r_psd_eigh: tuple | None = field(default=None, repr=False)
 
     def __post_init__(self):
         self.z = np.asarray(self.z, dtype=complex)
@@ -98,43 +99,20 @@ class ImpedanceOperator:
             raise ValueError("frequency must be positive")
 
     @property
-    def n(self) -> int:
-        return self.z.shape[0]
-
-    @property
-    def r(self) -> np.ndarray:
-        """Radiated-power (real) part."""
-        return self.z.real
-
-    @property
     def x(self) -> np.ndarray:
         """Stored-energy (imaginary) part."""
         return self.z.imag
 
+    @cached_property
+    def psd(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """`psd_project` of the symmetric part of R: (R_psd, w, q), so R is
+        decomposed once unless it had to be clamped."""
+        return psd_project(0.5 * (self.z.real + self.z.real.T))
+
     @property
     def r_psd(self) -> np.ndarray:
         """Spectrally clamped positive-semidefinite version of R."""
-        if self._r_psd is None:
-            self._r_psd, self._r_psd_eigh = psd_project(
-                0.5 * (self.z.real + self.z.real.T))
-        return self._r_psd
-
-    @property
-    def r_psd_eigh(self) -> tuple[np.ndarray, np.ndarray]:
-        """Eigenpairs (ascending) of r_psd. Unless R had to be clamped they
-        are the ones the projection computed, so R is decomposed once."""
-        r_psd = self.r_psd
-        if self._r_psd_eigh is None:
-            self._r_psd_eigh = np.linalg.eigh(r_psd)
-        return self._r_psd_eigh
-
-    @property
-    def omega(self) -> float:
-        return 2.0 * np.pi * self.frequency
-
-    @property
-    def wavenumber(self) -> float:
-        return self.omega / C0
+        return self.psd[0]
 
     @classmethod
     def from_matrix(cls, z, frequency, basis=None) -> "ImpedanceOperator":
@@ -195,7 +173,6 @@ def _refined_rule(levels: int):
     integrand of the extracted static kernel has edge kinks, so plain order
     elevation stalls; uniform subdivision restores the accuracy.
     """
-    bary7, w7 = tri_rule(7)
     corners = [np.eye(3)]
     for _ in range(levels):
         nxt = []
@@ -209,8 +186,8 @@ def _refined_rule(levels: int):
             ]
         corners = nxt
     frac = 0.25 ** levels
-    bary = np.concatenate([bary7 @ t for t in corners])
-    wts = np.concatenate([w7 * frac for _ in corners])
+    bary = np.concatenate([TRI_BARY @ t for t in corners])
+    wts = np.concatenate([TRI_W * frac for _ in corners])
     return bary, wts
 
 
@@ -233,13 +210,12 @@ def _singular_moments(p_verts, q_verts, area_p, area_q, k0):
     rule. Each pair's moments are computed by the same arithmetic whatever
     else the batch holds.
     """
-    bary7, w7 = tri_rule(7)
-    xp = bary7 @ p_verts  # (P, 7, 3)
-    xq = bary7 @ q_verts
+    xp = TRI_BARY @ p_verts  # (P, 7, 3)
+    xq = TRI_BARY @ q_verts
 
     # smooth remainder
     dist = np.linalg.norm(xp[:, :, None, :] - xq[:, None, :, :], axis=-1)
-    kd = _smooth_kernel(dist, k0) * (w7[:, None] * w7[None, :])
+    kd = _smooth_kernel(dist, k0) * (TRI_W[:, None] * TRI_W[None, :])
     kd *= (area_p * area_q)[:, None, None]
     m00 = kd.sum(axis=(1, 2))
     m_in = np.einsum("pij,pjd->pd", kd, xq)
@@ -344,9 +320,8 @@ def assemble_impedance(basis: RwgBasis, frequency: float) -> ImpedanceOperator:
     tv = mesh.vertices[mesh.faces]  # (F, 3, 3)
     areas = mesh.face_areas
 
-    _, w7 = tri_rule(7)
-    x7 = tri_points(tv, 7)  # (F, 7, 3)
-    wa = w7[None, :] * areas[:, None]  # (F, 7) combined weights
+    x7 = tri_points(tv)  # (F, 7, 3)
+    wa = TRI_W[None, :] * areas[:, None]  # (F, 7) combined weights
 
     # regular face pairs: full kernel under the 7x7 point rule, which holds
     # up on well separated pairs and on near pairs one disabled pixel apart.

@@ -36,7 +36,6 @@ from __future__ import annotations
 import dataclasses
 import json
 import logging
-import os
 from collections import OrderedDict
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -159,23 +158,19 @@ class PlateAnalysis:
     faces: np.ndarray
 
 
-def analyze_plate(
-    model: PlateModel,
-    bits,
-    n_keep: int = 20,
-    floor: float = SIGNIFICANCE_FLOOR,
-) -> PlateAnalysis:
+def analyze_plate(model: PlateModel, bits, n_keep: int = 20) -> PlateAnalysis:
     """Run gather -> modes -> (V, patterns) for one plate configuration.
 
-    Modes are truncated to |m| >= floor before any map is built. Raises
-    DegenerateStructureError when nothing significant radiates.
+    Modes are truncated to |m| >= SIGNIFICANCE_FLOOR before any map is
+    built. Raises DegenerateStructureError when nothing significant
+    radiates.
     """
     op, sampler, ports, faces = model.gather(bits)
-    modes = solve_modes(op, n_keep=n_keep).significant(floor)
+    modes = solve_modes(op, n_keep=n_keep).significant(SIGNIFICANCE_FLOOR)
     if modes.n_kept == 0:
         raise DegenerateStructureError(
             "no mode reaches the significance floor "
-            f"{floor:g} on this configuration"
+            f"{SIGNIFICANCE_FLOOR:g} on this configuration"
         )
     excitation_matrix(modes, ports)
     mode_patterns(modes, sampler)
@@ -204,7 +199,6 @@ class PixelProblem:
     separation: float
     gamma: float = 0.5
     n_keep: int = 20
-    significance_floor: float = SIGNIFICANCE_FLOOR
     cache: OrderedDict = field(default_factory=OrderedDict, repr=False,
                                compare=False)
     cache_hits: int = field(default=0, repr=False, compare=False)
@@ -256,7 +250,7 @@ class PixelProblem:
             "separation": self.separation,
             "gamma": self.gamma,
             "n_keep": self.n_keep,
-            "significance_floor": self.significance_floor,
+            "significance_floor": SIGNIFICANCE_FLOOR,
         }))
 
     def split(self, phi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -322,10 +316,8 @@ def _analyze_link(problem: PixelProblem,
     phi_t, phi_r = problem.split(phi)
     tx_model, rx_model = problem.models
     try:
-        tx = analyze_plate(tx_model, phi_t, problem.n_keep,
-                           problem.significance_floor)
-        rx = analyze_plate(rx_model, phi_r, problem.n_keep,
-                           problem.significance_floor)
+        tx = analyze_plate(tx_model, phi_t, problem.n_keep)
+        rx = analyze_plate(rx_model, phi_r, problem.n_keep)
         u_t = transmitter_map(tx.modes.patterns, tx.modes.significances,
                               tx.modes.excitation)
         u_r = receiver_map(rx.modes.excitation, rx.modes.significances,
@@ -595,9 +587,15 @@ def _truncate_log(path, generation: int) -> None:
     and a run stopped while writing a line leaves it torn. The first line
     that is incomplete or does not parse is taken as past the checkpoint;
     a parsed line that is not a record with an integer generation raises
-    CheckpointError.
+    CheckpointError, and so does a log that is missing or keeps no record
+    up to `generation`, which the resumed run's history would lack.
     """
-    with open(path, "rb+") as fh:
+    try:
+        fh = open(path, "rb+")
+    except OSError as exc:
+        raise CheckpointError(f"cannot resume the GA log {path}: {exc}") \
+            from exc
+    with fh:
         end = 0
         for line in fh:
             if not line.endswith(b"\n"):
@@ -614,6 +612,10 @@ def _truncate_log(path, generation: int) -> None:
             if record["generation"] > generation:
                 break
             end += len(line)
+        if end == 0:
+            raise CheckpointError(
+                f"GA log {path} has no record up to the checkpoint's "
+                f"generation {generation}")
         fh.truncate(end)
 
 
@@ -638,8 +640,10 @@ def run_ga(
     mutation_rate, seed) always produces the same run. With resume_from,
     the run continues from that checkpoint toward this call's k_max; the
     problem (when the checkpoint records it) and the other GA parameters
-    must match. Log records after the checkpoint's generation are dropped
-    first, so the log reads as an uninterrupted run's.
+    must match, and every checkpoint configuration must have the problem's
+    bit length. Log records after the checkpoint's generation are dropped
+    first, so the log reads as an uninterrupted run's; with log_path, the
+    log must exist and keep a record up to that generation.
     """
     if pop_size < 2:
         raise ValueError("population size must be at least 2")
@@ -660,8 +664,12 @@ def run_ga(
                 abs(run.mutation_rate - rate) > 1e-15:
             raise CheckpointError(
                 "checkpoint GA parameters do not match this call")
+        if any(ind.phi.size != problem.bit_length for ind in run.population):
+            raise CheckpointError(
+                "checkpoint configurations do not have the problem's "
+                f"{problem.bit_length} bits")
         run.k_max = k_max
-        if log_path and os.path.exists(log_path):
+        if log_path:
             _truncate_log(log_path, run.generation)
     log_fh = open(log_path, "a", encoding="utf-8") if log_path else None
 

@@ -1,8 +1,8 @@
 """Triangle quadrature rules and the static potential integrals.
 
-The symmetric Gauss rules are given in barycentric coordinates with weights
-that sum to one, so an integral over a physical triangle is
-area * sum(w_i * f(x_i)).
+The degree-5 symmetric 7-point Gauss rule is given in barycentric
+coordinates `TRI_BARY` with weights `TRI_W` that sum to one, so an integral
+over a physical triangle is area * sum(w_i * f(x_i)).
 
 `static_potential_integrals` evaluates four closed-form integrals over a
 flat triangle T with respect to an observation point r, for one triangle
@@ -23,69 +23,43 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["tri_rule", "tri_points", "static_potential_integrals"]
-
-_RULES = {}
-
-# degree-1 (centroid) rule
-_RULES[1] = (np.array([[1 / 3, 1 / 3, 1 / 3]]), np.array([1.0]))
-
-# degree-2 symmetric 3-point rule
-_RULES[3] = (
-    np.array(
-        [
-            [2 / 3, 1 / 6, 1 / 6],
-            [1 / 6, 2 / 3, 1 / 6],
-            [1 / 6, 1 / 6, 2 / 3],
-        ]
-    ),
-    np.array([1 / 3, 1 / 3, 1 / 3]),
-)
+__all__ = ["TRI_BARY", "TRI_W", "tri_points", "static_potential_integrals"]
 
 # degree-5 symmetric 7-point rule
 _A1, _B1 = 0.059715871789770, 0.470142064105115
 _A2, _B2 = 0.797426985353087, 0.101286507323456
-_RULES[7] = (
-    np.array(
-        [
-            [1 / 3, 1 / 3, 1 / 3],
-            [_A1, _B1, _B1],
-            [_B1, _A1, _B1],
-            [_B1, _B1, _A1],
-            [_A2, _B2, _B2],
-            [_B2, _A2, _B2],
-            [_B2, _B2, _A2],
-        ]
-    ),
-    np.array(
-        [
-            0.225,
-            0.132394152788506,
-            0.132394152788506,
-            0.132394152788506,
-            0.125939180544827,
-            0.125939180544827,
-            0.125939180544827,
-        ]
-    ),
+#: barycentric points (7, 3) of the 7-point rule
+TRI_BARY = np.array(
+    [
+        [1 / 3, 1 / 3, 1 / 3],
+        [_A1, _B1, _B1],
+        [_B1, _A1, _B1],
+        [_B1, _B1, _A1],
+        [_A2, _B2, _B2],
+        [_B2, _A2, _B2],
+        [_B2, _B2, _A2],
+    ]
+)
+#: weights (7,) of the 7-point rule, summing to one
+TRI_W = np.array(
+    [
+        0.225,
+        0.132394152788506,
+        0.132394152788506,
+        0.132394152788506,
+        0.125939180544827,
+        0.125939180544827,
+        0.125939180544827,
+    ]
 )
 
 
-def tri_rule(npoints: int):
-    """(barycentric (n,3), weights (n,)) for an n-point symmetric rule."""
-    try:
-        return _RULES[npoints]
-    except KeyError:
-        raise ValueError(f"no {npoints}-point triangle rule") from None
+def tri_points(tri_vertices: np.ndarray) -> np.ndarray:
+    """Physical points of the 7-point rule on triangles.
 
-
-def tri_points(tri_vertices: np.ndarray, npoints: int) -> np.ndarray:
-    """Physical quadrature points for triangles.
-
-    tri_vertices is (..., 3, 3); returns (..., npoints, 3).
+    tri_vertices is (..., 3, 3); returns (..., 7, 3).
     """
-    bary, _ = tri_rule(npoints)
-    return np.einsum("qi,...id->...qd", bary, tri_vertices)
+    return np.einsum("qi,...id->...qd", TRI_BARY, tri_vertices)
 
 
 def _dot3(a: np.ndarray, b: np.ndarray) -> np.ndarray:

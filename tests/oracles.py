@@ -91,9 +91,8 @@ def duffy_green_moments(obs, tri, k0, order=16):
 
 def _refined_outer_rule(tri, levels=1):
     """Physical points/weights: 7-point rule on a 4**levels subdivision."""
-    from cmadof.quadrature import tri_rule
+    from cmadof.quadrature import TRI_BARY as bary7, TRI_W as w7
 
-    bary7, w7 = tri_rule(7)
     tris = [np.asarray(tri, dtype=float)]
     for _ in range(levels):
         nxt = []
@@ -158,7 +157,7 @@ def untiled_impedance(basis, frequency):
     every entry by the same arithmetic as `assemble_impedance`.
     """
     from cmadof.efie import TOUCH_CHUNK, _face_adjacency_pairs, _singular_moments
-    from cmadof.quadrature import tri_points, tri_rule
+    from cmadof.quadrature import TRI_W as w7, tri_points
 
     mesh = basis.mesh
     omega = 2.0 * np.pi * frequency
@@ -166,8 +165,7 @@ def untiled_impedance(basis, frequency):
     nf = mesh.n_faces
     tv = mesh.vertices[mesh.faces]
     areas = mesh.face_areas
-    _, w7 = tri_rule(7)
-    x7 = tri_points(tv, 7)
+    x7 = tri_points(tv)
 
     m00 = np.empty((nf, nf), dtype=complex)
     m_in = np.empty((nf, nf, 3), dtype=complex)

@@ -183,7 +183,6 @@ class TestAssembleChannel:
             s, np.linalg.svd(op.matrix, compute_uv=False), rtol=1e-12
         )
         assert op.singulars is s
-        assert op.n_tx_faces == 2 and op.n_rx_faces == 2
 
     def test_far_field_single_polarization_collapses(self):
         # the co-polarized transverse sub-channel between two tiny plates

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from cmadof.mesh import PlateSpec, build_plate_mesh, mesh_from_json, mesh_from_t
 
 FREQ = 27e9
 PIX = 0.24 * c0 / FREQ
+DATA = Path(__file__).parent / "data"
 
 SMALL = """
 tx_ports = 2
@@ -284,6 +286,54 @@ class TestOptimizeCommand:
         assert err.startswith("config error: ")
         assert "log record" in err
         assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("generations", [2, 3])
+    @pytest.mark.parametrize("spoil", ["removed", "emptied"])
+    def test_resume_without_log_records_is_config_error(
+            self, tmp_path, capsys, spoil, generations):
+        cfg = write_config(tmp_path, self.GA, name="first.ini")
+        out = tmp_path / "out"
+        assert run_cli("optimize", cfg, out) == 0
+        log = out / "ga_log.jsonl"
+        if spoil == "removed":
+            log.unlink()
+        else:
+            log.write_bytes(b"")
+        (out / "best_config.json").unlink()
+        checkpoint = (out / "ga_checkpoint.json").read_bytes()
+        second = write_config(
+            tmp_path, self.GA.replace("generations = 2",
+                                      f"generations = {generations}")
+            + "resume = true\n", name="second.ini")
+        capsys.readouterr()
+        assert run_cli("optimize", second, out) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ")
+        assert "GA log" in err
+        assert err.count("\n") == 1
+        assert not (out / "best_config.json").exists()
+        assert (out / "ga_checkpoint.json").read_bytes() == checkpoint
+
+    def test_resume_with_other_bit_count_is_config_error(self, tmp_path,
+                                                         capsys):
+        # the v1 checkpoint (no problem fingerprint) holds 8-bit
+        # configurations of 2 x 2-pixel plates; these plates have 2 x 3
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / "ga_checkpoint.json").write_bytes(
+            (DATA / "ga_checkpoint_v1.json").read_bytes())
+        cfg = tmp_path / "run.ini"
+        cfg.write_text(
+            SMALL.replace("pixels_per_port = 2", "pixels_per_port = 3")
+            + "generations = 3\npopulation = 6\nparents = 4\n"
+            "mutation_rate = 0.125\nresume = true\n")
+        capsys.readouterr()
+        assert run_cli("optimize", str(cfg), out) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ")
+        assert "12 bits" in err
+        assert err.count("\n") == 1
+        assert sorted(os.listdir(out)) == ["ga_checkpoint.json"]
 
     def test_jobs_key_changes_nothing(self, tmp_path):
         outs = []

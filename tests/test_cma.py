@@ -224,7 +224,6 @@ class TestModeBasisMasking:
         return ModeBasis(
             eigenvalues=lam,
             mode_coeffs=coeffs,
-            frequency=FREQ,
             subspace_dim=5,
             eigen_residuals=np.full(n, 1e-12),
             r_cross_max=0.0,
@@ -315,7 +314,6 @@ class TestModePatterns:
         return ModeBasis(
             eigenvalues=np.linspace(0.0, 0.1, n),
             mode_coeffs=coeffs,
-            frequency=FREQ,
             subspace_dim=coeffs.shape[0],
             eigen_residuals=np.zeros(n),
             r_cross_max=0.0,

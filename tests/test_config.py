@@ -1,12 +1,15 @@
 """Tests for the strict key=value run-configuration parser."""
 
 import dataclasses
+from pathlib import Path
 
 import pytest
 from scipy.constants import c as c0
 
 from cmadof.config import _PARSERS, RunConfig, load_run_config, parse_config_file
 from cmadof.errors import ConfigError
+
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 
 def write(tmp_path, text, name="run.ini"):
@@ -39,6 +42,20 @@ class TestDefaults:
     def test_every_field_has_exactly_one_parser(self):
         # defaults live only on RunConfig; the parser table names its keys
         assert set(_PARSERS) == {f.name for f in dataclasses.fields(RunConfig)}
+
+    def test_readme_table_states_the_defaults(self):
+        lines = README.read_text(encoding="utf-8").splitlines()
+        start = lines.index("| key | default | meaning |") + 2
+        readme = {}
+        for line in lines[start:]:
+            if not line.startswith("|"):
+                break
+            keys, default, _ = (c.strip() for c in line.strip("|").split("|"))
+            for key in keys.split(", "):
+                readme[key] = None if default in ("auto", "none") \
+                    else _PARSERS[key](default)
+        defaults = {f.name: f.default for f in dataclasses.fields(RunConfig)}
+        assert readme == defaults
 
     def test_pixel_size_auto_tracks_frequency(self):
         cfg = RunConfig()

@@ -290,8 +290,12 @@ class TestAnalyzePlate:
             m.setattr(np.linalg, "eigh", counting)
             if not reuse:
                 project = cmadof.efie.psd_project
-                m.setattr(cmadof.efie, "psd_project",
-                          lambda r: (project(r)[0], None))
+
+                def redecompose(r):
+                    r_psd = project(r)[0]
+                    return (r_psd, *np.linalg.eigh(r_psd))
+
+                m.setattr(cmadof.efie, "psd_project", redecompose)
             return analyze_plate(model, bits, n_keep=8), len(calls)
 
     @staticmethod
@@ -310,7 +314,7 @@ class TestAnalyzePlate:
         bits = np.random.default_rng(4).integers(0, 2, model.spec.n_bits)
         got, n_eigh = self.analyze(model, bits, monkeypatch, reuse=True)
         want, n_ref = self.analyze(model, bits, monkeypatch, reuse=False)
-        assert (n_eigh, n_ref) == ((3, 3) if clamp else (2, 3))
+        assert (n_eigh, n_ref) == ((3, 4) if clamp else (2, 3))
         for name in ("eigenvalues", "mode_coeffs", "eigen_residuals",
                      "excitation", "patterns"):
             assert np.array_equal(getattr(got.modes, name),
@@ -374,8 +378,9 @@ class TestEvaluate:
         assert p.evaluations == 20 and p.cache_hits == 20
         assert sum(s.h_singulars is not None for s in scores) >= 15
 
-    def test_unreachable_floor_is_degenerate(self, caplog):
-        p = tiny_problem(significance_floor=1.01)
+    def test_unreachable_floor_is_degenerate(self, caplog, monkeypatch):
+        monkeypatch.setattr(cmadof.ga, "SIGNIFICANCE_FLOOR", 1.01)
+        p = tiny_problem()
         with caplog.at_level("WARNING", logger="cmadof.ga"):
             score = evaluate(p, np.ones(8, dtype=np.uint8))
         assert score == (None, None, NEG_INF)

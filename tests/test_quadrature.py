@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from cmadof.quadrature import static_potential_integrals, tri_points, tri_rule
+from cmadof.quadrature import TRI_BARY, TRI_W, static_potential_integrals, tri_points
 
 
 TRI = np.array([[0.0, 0.0, 0.0], [2.0, 0.0, 0.0], [0.5, 1.5, 0.0]])
@@ -51,25 +51,17 @@ def brute_integrals(obs, tri, n=220):
 
 class TestTriRule:
     def test_weights_sum_to_one(self):
-        for n in (1, 3, 7):
-            _, w = tri_rule(n)
-            assert w.sum() == pytest.approx(1.0, abs=1e-14)
+        assert TRI_W.sum() == pytest.approx(1.0, abs=1e-14)
 
     def test_barycentric_coordinates_valid(self):
-        for n in (1, 3, 7):
-            bary, _ = tri_rule(n)
-            assert np.all(bary >= 0)
-            np.testing.assert_allclose(bary.sum(axis=1), 1.0, atol=1e-14)
+        assert np.all(TRI_BARY >= 0)
+        np.testing.assert_allclose(TRI_BARY.sum(axis=1), 1.0, atol=1e-14)
 
-    def test_unknown_rule_rejected(self):
-        with pytest.raises(ValueError):
-            tri_rule(4)
-
-    @pytest.mark.parametrize("npts,degree", [(1, 1), (3, 2), (7, 5)])
+    @pytest.mark.parametrize("npts,degree", [(7, 5)])
     def test_polynomial_exactness(self, npts, degree):
         area = tri_area(TRI)
-        bary, w = tri_rule(npts)
-        pts_bary = bary
+        pts_bary, w = TRI_BARY, TRI_W
+        assert len(w) == npts
         for a in range(degree + 1):
             for b in range(degree + 1 - a):
                 c = degree - a - b
@@ -83,9 +75,9 @@ class TestTriRule:
                 assert approx == pytest.approx(exact, rel=1e-12)
 
     def test_tri_points_maps_vertices(self):
-        pts = tri_points(TRI, 3)
-        assert pts.shape == (3, 3)
-        # each 3-point location is a convex combination inside the triangle
+        pts = tri_points(TRI)
+        assert pts.shape == (7, 3)
+        # each 7-point location is a convex combination inside the triangle
         v0, v1, v2 = TRI
         for p in pts:
             # solve for barycentric coordinates, must be in [0,1]
@@ -96,7 +88,7 @@ class TestTriRule:
 
     def test_tri_points_batched(self):
         tris = np.stack([TRI, TRI + 1.0])
-        pts = tri_points(tris, 7)
+        pts = tri_points(tris)
         assert pts.shape == (2, 7, 3)
         np.testing.assert_allclose(pts[1], pts[0] + 1.0, atol=1e-14)
 
