@@ -37,6 +37,7 @@ from .mesh import TriMesh, face_rows
 
 __all__ = [
     "ETA0",
+    "RANK_TOL",
     "ChannelOperator",
     "green_dyadic",
     "assemble_channel",
@@ -48,8 +49,9 @@ __all__ = [
 #: free-space wave impedance, ohms
 ETA0 = float(np.sqrt(MU0 / EPS0))
 
-#: relative singular-value cutoff for strict numerical rank of G
-STRICT_RANK_TOL = 1e-12
+#: relative singular-value cutoff of every strict numerical rank and
+#: pseudo-inverse in the package
+RANK_TOL = 1e-10
 
 
 def los_amplitude(d, k0: float):
@@ -162,7 +164,7 @@ def effective_rank(singulars: np.ndarray, gamma: float) -> int:
     return int(np.count_nonzero(s ** 2 >= gamma * top))
 
 
-def strict_rank(singulars: np.ndarray, rel_tol: float = STRICT_RANK_TOL) -> int:
+def strict_rank(singulars: np.ndarray, rel_tol: float = RANK_TOL) -> int:
     """Numerical rank: count of singular values >= rel_tol * sigma_1."""
     s = np.asarray(singulars, dtype=float)
     if s.size == 0 or s[0] == 0.0:
@@ -175,6 +177,6 @@ def dof_g(op: ChannelOperator, gamma: float = 0.5) -> tuple[int, int]:
 
     The effective count applies the threshold rule sigma_l^2 >= gamma *
     sigma_1^2 to the channel's singular values; the strict rank uses the
-    relative cutoff 1e-12.
+    relative cutoff RANK_TOL.
     """
     return effective_rank(op.singulars, gamma), strict_rank(op.singulars)

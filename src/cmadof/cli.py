@@ -91,7 +91,7 @@ def cmd_modes(cfg: RunConfig) -> None:
     plate = analyze_plate(PlateModel.build(spec, cfg.frequency), bits,
                           cfg.n_keep)
     sig = np.abs(plate.modes.significances)
-    v_mag = np.abs(plate.modes.excitation)
+    v_mag = np.abs(plate.v)
 
     lines = ["mode,eigenvalue," + "significance," +
              ",".join(f"v_mag_port{p}" for p in range(spec.ports))]

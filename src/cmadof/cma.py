@@ -21,9 +21,12 @@ W = Q_k diag(w_k)^{-1/2}, and solve the standard symmetric eigenproblem
 W^T X W there. Modes are reported in descending |m_i| order, which is
 ascending |lambda_i| order.
 
-`excitation_matrix` and `mode_patterns` take the (E, L) port columns and
-the (3 Nf, E) face sampler as arrays and keep V and the patterns on the
-`ModeBasis` only.
+A mode is defined only up to sign. `solve_modes` fixes it once, making
+each mode's largest-|coefficient| entry positive, and nothing changes it
+afterwards. `excitation_matrix` and `mode_patterns` take the (E, L) port
+columns and the (3 Nf, E) face sampler as arrays and return V and the
+patterns; a mode's row of V and its pattern column carry its sign, so the
+channel H built from them does not depend on it.
 """
 
 from __future__ import annotations
@@ -54,8 +57,6 @@ SIGNIFICANCE_FLOOR = 1e-3
 
 def _sign_fix(columns: np.ndarray) -> np.ndarray:
     """Flip column signs so each column's largest-|entry| is positive."""
-    if columns.size == 0:
-        return columns
     lead = np.abs(columns).argmax(axis=0)
     signs = np.sign(columns[lead, np.arange(columns.shape[1])])
     signs[signs == 0] = 1.0
@@ -67,9 +68,8 @@ class ModeBasis:
     """Characteristic modes of one antenna at one frequency.
 
     mode_coeffs columns are RWG coefficient vectors, Euclidean-normalized,
-    sorted by descending modal significance. excitation (modal excitation
-    matrix, n x L) and patterns (per-face sampled currents, 3*Nf x n) start
-    empty and are filled in place by `excitation_matrix` / `mode_patterns`.
+    sign-fixed by `solve_modes`, and sorted by descending modal
+    significance. pattern_gram_dev is filled in by `mode_patterns`.
     """
 
     eigenvalues: np.ndarray
@@ -77,8 +77,6 @@ class ModeBasis:
     subspace_dim: int
     eigen_residuals: np.ndarray
     r_cross_max: float
-    excitation: np.ndarray | None = None
-    patterns: np.ndarray | None = None
     pattern_gram_dev: float | None = field(default=None)
 
     @property
@@ -96,10 +94,6 @@ class ModeBasis:
         self.eigenvalues = self.eigenvalues[keep]
         self.mode_coeffs = self.mode_coeffs[:, keep]
         self.eigen_residuals = self.eigen_residuals[keep]
-        if self.excitation is not None:
-            self.excitation = self.excitation[keep, :]
-        if self.patterns is not None:
-            self.patterns = self.patterns[:, keep]
 
     def significant(self, floor: float = SIGNIFICANCE_FLOOR) -> "ModeBasis":
         """Copy restricted to modes with |m_i| >= floor.
@@ -170,35 +164,25 @@ def solve_modes(op: ImpedanceOperator, n_keep: int = 20) -> ModeBasis:
 
 
 def excitation_matrix(modes: ModeBasis, excitation: np.ndarray) -> np.ndarray:
-    """Modal excitation matrix V with V[i, l] = j_i^T b_l.
-
-    Stores the result on `modes.excitation` and returns it.
-    """
+    """Modal excitation matrix V with V[i, l] = j_i^T b_l."""
     b = np.asarray(excitation)
     if b.ndim != 2 or b.shape[0] != modes.mode_coeffs.shape[0]:
         raise ValueError(
             f"excitation rows {b.shape} do not match basis size "
             f"{modes.mode_coeffs.shape[0]}"
         )
-    v = modes.mode_coeffs.T @ b
-    modes.excitation = v
-    return v
+    return modes.mode_coeffs.T @ b
 
 
 def mode_patterns(modes: ModeBasis, sampler: np.ndarray) -> np.ndarray:
     """Unit-norm per-face current patterns, one column per mode.
 
     Column i is the sampled mode current S j_i, Euclidean-normalized, with
-    the largest-|entry| sign convention. A sign flip applied to a pattern
-    is propagated, in place, to the mode coefficients and to any stored
-    excitation rows, so pattern, coefficient, and excitation always
-    describe the same signed mode and the transmit map Jbar diag(m) V stays
-    a faithful superposition.
+    the sign `solve_modes` gave mode i.
     Modes whose sampled pattern is identically zero cannot couple to the
     channel; they are dropped from `modes` in place with a warning. The
     Gram deviation max|P^T P - I| is recorded on `modes.pattern_gram_dev`
-    as the orthonormality diagnostic. Stores the pattern matrix on
-    `modes.patterns` and returns it.
+    as the orthonormality diagnostic.
     """
     if sampler.shape[1] != modes.mode_coeffs.shape[0]:
         raise ValueError(
@@ -220,17 +204,8 @@ def mode_patterns(modes: ModeBasis, sampler: np.ndarray) -> np.ndarray:
         raw = raw[:, alive]
         norms = norms[alive]
     patterns = raw / norms[None, :]
-    if patterns.size:
-        idx = np.abs(patterns).argmax(axis=0)
-        lead = patterns[idx, np.arange(patterns.shape[1])]
-        flip = np.where(lead.real < 0.0, -1.0, 1.0)
-        patterns = patterns * flip[None, :]
-        modes.mode_coeffs *= flip[None, :]
-        if modes.excitation is not None:
-            modes.excitation *= flip[:, None]
     gram = patterns.T @ patterns
     dev = np.abs(gram - np.eye(gram.shape[0])).max() if gram.size else 0.0
-    modes.patterns = patterns
     modes.pattern_gram_dev = float(dev)
     return patterns
 

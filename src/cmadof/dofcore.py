@@ -8,13 +8,13 @@ The port-to-port channel of a mode-modeled link is
 
 where Jbar/Ebar hold unit-norm sampled mode patterns, m the modal
 significances, V the modal excitation matrices, and ^+ the SVD
-pseudo-inverse with relative cutoff PINV_RCOND. The receive map projects
-the incident field onto the receive mode span; whatever lies outside it is
-lost, never amplified.
+pseudo-inverse with relative cutoff `channel.RANK_TOL`. The receive map
+projects the incident field onto the receive mode span; whatever lies
+outside it is lost, never amplified.
 
 DoF counts come in two flavors throughout: the effective count
 #{sigma_l^2 >= gamma sigma_1^2} (the headline metric) and the strict
-numerical rank at relative cutoff RANK_TOL (where the rank inequalities
+numerical rank at the same RANK_TOL cutoff (where the rank inequalities
 live): the port/mode ceiling min(L_T, L_R, n_T, n_R), the channel ceiling
 rank(H) <= rank(G), and the floor
 rank(H) >= rank(V_R) + rank(V_T) + rank(Gamma) - n_R - n_T. Both are
@@ -36,15 +36,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .channel import (ChannelOperator, ETA0, effective_rank, los_amplitude,
-                      strict_rank)
+from .channel import (ETA0, RANK_TOL, ChannelOperator, effective_rank,
+                      los_amplitude, strict_rank)
 from .cma import SIGNIFICANCE_FLOOR
 from .errors import RankDeficiencyError, ReductionError
 from .mesh import face_rows
 
 __all__ = [
-    "PINV_RCOND",
-    "RANK_TOL",
     "EquivalentChannel",
     "GammaMatrix",
     "DofReport",
@@ -63,16 +61,9 @@ __all__ = [
     "block_leakage",
 ]
 
-#: relative cutoff for every pseudo-inverse in the receive chain
-PINV_RCOND = 1e-10
-
-#: relative singular-value cutoff for strict numerical ranks
-RANK_TOL = 1e-10
-
-
-def matrix_rank(a: np.ndarray, rel_tol: float = RANK_TOL) -> int:
-    """Numerical rank with a relative singular-value cutoff."""
-    return strict_rank(np.linalg.svd(a, compute_uv=False), rel_tol)
+def matrix_rank(a: np.ndarray) -> int:
+    """Numerical rank at the relative singular-value cutoff RANK_TOL."""
+    return strict_rank(np.linalg.svd(a, compute_uv=False))
 
 
 def _pivoted_columns(a: np.ndarray) -> tuple[int, np.ndarray]:
@@ -139,8 +130,8 @@ def receiver_map(v_r: np.ndarray, m_r: np.ndarray, patterns_r: np.ndarray) -> np
             f"modal excitation matrix has rank {rank_v} < {l_r} receive "
             f"ports; dependent ports: {offending}"
         )
-    v_pinv = np.linalg.pinv(v_r, rcond=PINV_RCOND)
-    e_pinv = np.linalg.pinv(patterns_r, rcond=PINV_RCOND)
+    v_pinv = np.linalg.pinv(v_r, rcond=RANK_TOL)
+    e_pinv = np.linalg.pinv(patterns_r, rcond=RANK_TOL)
     return v_pinv @ ((1.0 / m_r)[:, None] * e_pinv)
 
 
@@ -219,8 +210,8 @@ def gamma_decomposition(g, patterns_r: np.ndarray, patterns_t: np.ndarray) -> Ga
     e_r = patterns_r[:, kept_r]
     j_t = patterns_t[:, kept_t]
 
-    e_pinv = np.linalg.pinv(e_r, rcond=PINV_RCOND)
-    jt_pinv = np.linalg.pinv(j_t.T, rcond=PINV_RCOND)
+    e_pinv = np.linalg.pinv(e_r, rcond=RANK_TOL)
+    jt_pinv = np.linalg.pinv(j_t.T, rcond=RANK_TOL)
     left = e_pinv @ g_mat
     gamma = left @ jt_pinv
 
@@ -313,8 +304,8 @@ def build_report(
         h_singulars=np.asarray(ch.singulars, dtype=float),
         g_singulars=np.asarray(g_singulars, dtype=float),
         gamma_matrix_rank=matrix_rank(gamma_matrix),
-        h_strict_rank=strict_rank(ch.singulars, RANK_TOL),
-        g_strict_rank=strict_rank(np.asarray(g_singulars), RANK_TOL),
+        h_strict_rank=strict_rank(ch.singulars),
+        g_strict_rank=strict_rank(np.asarray(g_singulars)),
     )
 
 
@@ -397,7 +388,7 @@ def conventional_reduce(
 
     u_t = block_map(tx_elements, tx_face_count)
     e_blocks = block_map(rx_elements, rx_face_count)
-    u_r = np.linalg.pinv(e_blocks, rcond=PINV_RCOND)
+    u_r = np.linalg.pinv(e_blocks, rcond=RANK_TOL)
     g_tilde = point_source_channel(
         np.array([el.center for el in tx_elements]),
         np.array([el.center for el in rx_elements]),

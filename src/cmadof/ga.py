@@ -151,10 +151,13 @@ class PlateModel:
 
 @dataclass
 class PlateAnalysis:
-    """What one plate contributes to the link model: its modes, which hold
-    V and the patterns, and the parent face of each of its faces."""
+    """What one plate contributes to the link model: its modes, the modal
+    excitation matrix V, the unit-norm mode patterns, and the parent face
+    of each of its faces."""
 
     modes: ModeBasis
+    v: np.ndarray
+    patterns: np.ndarray
     faces: np.ndarray
 
 
@@ -162,7 +165,8 @@ def analyze_plate(model: PlateModel, bits, n_keep: int = 20) -> PlateAnalysis:
     """Run gather -> modes -> (V, patterns) for one plate configuration.
 
     Modes are truncated to |m| >= SIGNIFICANCE_FLOOR before any map is
-    built. Raises DegenerateStructureError when nothing significant
+    built. The patterns come first, so a mode `mode_patterns` drops never
+    reaches V. Raises DegenerateStructureError when nothing significant
     radiates.
     """
     op, sampler, ports, faces = model.gather(bits)
@@ -172,9 +176,9 @@ def analyze_plate(model: PlateModel, bits, n_keep: int = 20) -> PlateAnalysis:
             "no mode reaches the significance floor "
             f"{SIGNIFICANCE_FLOOR:g} on this configuration"
         )
-    excitation_matrix(modes, ports)
-    mode_patterns(modes, sampler)
-    return PlateAnalysis(modes=modes, faces=faces)
+    patterns = mode_patterns(modes, sampler)
+    return PlateAnalysis(modes=modes, v=excitation_matrix(modes, ports),
+                         patterns=patterns, faces=faces)
 
 
 @dataclass
@@ -318,10 +322,8 @@ def _analyze_link(problem: PixelProblem,
     try:
         tx = analyze_plate(tx_model, phi_t, problem.n_keep)
         rx = analyze_plate(rx_model, phi_r, problem.n_keep)
-        u_t = transmitter_map(tx.modes.patterns, tx.modes.significances,
-                              tx.modes.excitation)
-        u_r = receiver_map(rx.modes.excitation, rx.modes.significances,
-                           rx.modes.patterns)
+        u_t = transmitter_map(tx.patterns, tx.modes.significances, tx.v)
+        u_r = receiver_map(rx.v, rx.modes.significances, rx.patterns)
         g = problem.channel.gather(rx.faces, tx.faces)
         ch = equivalent_channel(u_r, g, u_t)
         if not np.all(np.isfinite(ch.matrix)):
@@ -393,10 +395,9 @@ def link_report(problem: PixelProblem, phi) -> DofReport | None:
     else:
         link, _ = _analyze_link(problem, phi)
     try:
-        tx, rx = link.tx.modes, link.rx.modes
+        tx, rx = link.tx, link.rx
         gm = gamma_decomposition(link.g, rx.patterns, tx.patterns)
-        return build_report(link.channel, link.g.singulars,
-                            rx.excitation, tx.excitation,
+        return build_report(link.channel, link.g.singulars, rx.v, tx.v,
                             gm.gamma, problem.gamma)
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"linear algebra failed: {exc}") from exc

@@ -128,8 +128,8 @@ class TriMesh:
 
     vertices: np.ndarray  # (Nv, 3) float
     faces: np.ndarray  # (Nf, 3) int
-    face_areas: np.ndarray = None  # type: ignore[assignment]
-    face_centroids: np.ndarray = None  # type: ignore[assignment]
+    face_areas: np.ndarray = field(init=False)
+    face_centroids: np.ndarray = field(init=False)
     face_tags: np.ndarray = None  # pixel index per face, or None
 
     def __post_init__(self):
@@ -140,11 +140,10 @@ class TriMesh:
         nv = len(self.vertices)
         if self.faces.size and not 0 <= self.faces.min() <= self.faces.max() < nv:
             raise GeometryError("face index out of range")
-        if self.face_areas is None or self.face_centroids is None:
-            v = self.vertices[self.faces]
-            cross = np.cross(v[:, 1] - v[:, 0], v[:, 2] - v[:, 0])
-            self.face_areas = 0.5 * np.linalg.norm(cross, axis=1)
-            self.face_centroids = v.mean(axis=1)
+        v = self.vertices[self.faces]
+        cross = np.cross(v[:, 1] - v[:, 0], v[:, 2] - v[:, 0])
+        self.face_areas = 0.5 * np.linalg.norm(cross, axis=1)
+        self.face_centroids = v.mean(axis=1)
         # one int64 key per vertex set; a stable sort puts each repeat after
         # the earlier faces with its key, so the first repeat in face order
         # is the smallest face index that follows an equal key

@@ -50,15 +50,14 @@ def duffy_green_moments(obs, tri, k0, order=16):
 
     u, wu = _gauss01(order)
     v, wv = _gauss01(order)
-    uu, vv = np.meshgrid(u, v, indexing="ij")
     ww = wu[:, None] * wv[None, :]
 
-    i0 = 0.0 + 0.0j
-    ir = np.zeros(3, dtype=complex)
+    # every fan wedge [a, b] of the three edges, integrated in one batch;
+    # narrow angular wedges keep the v-integrand gentle even when the fan
+    # sub-triangle is very obtuse at the apex
+    starts, ends = [], []
     for e in range(3):
         a0, b0 = tri[e], tri[(e + 1) % 3]
-        # narrow angular wedges keep the v-integrand gentle even when the
-        # fan sub-triangle is very obtuse at the apex
         va, vb = a0 - rho, b0 - rho
         na, nb = np.linalg.norm(va), np.linalg.norm(vb)
         if na > 0 and nb > 0:
@@ -66,27 +65,27 @@ def duffy_green_moments(obs, tri, k0, order=16):
             nseg = max(2, int(np.ceil(np.arccos(cosang) / (np.pi / 32))))
         else:
             nseg = 2
-        splits = np.linspace(0.0, 1.0, nseg + 1)
-        for s0, s1 in zip(splits[:-1], splits[1:]):
-            a = a0 + s0 * (b0 - a0)
-            b = a0 + s1 * (b0 - a0)
-            signed_area = 0.5 * float(np.cross(a - rho, b - rho) @ nhat)
-            if signed_area == 0.0:
-                continue
-            # r'(u,v) = rho + u*((a-rho) + v*(b-a)); |J| = 2|area| u
-            lead = (a - rho)[None, None, :] + vv[..., None] * (b - a)[None, None, :]
-            pts = rho[None, None, :] + uu[..., None] * lead
-            rad = np.sqrt(
-                (uu * np.linalg.norm(lead, axis=-1)) ** 2 + height ** 2
-            )
-            np.maximum(rad, 1e-300, out=rad)
-            kern = np.exp(-1j * k0 * rad) / (4.0 * np.pi * rad)
-            jac = 2.0 * abs(signed_area) * uu
-            sign = 1.0 if signed_area > 0 else -1.0
-            contrib = sign * ww * jac * kern
-            i0 += contrib.sum()
-            ir += np.einsum("uv,uvd->d", contrib, pts)
-    return i0, ir
+        splits = np.linspace(0.0, 1.0, nseg + 1)[:, None]
+        starts.append(a0 + splits[:-1] * (b0 - a0))
+        ends.append(a0 + splits[1:] * (b0 - a0))
+    a, b = np.concatenate(starts), np.concatenate(ends)
+    signed_area = 0.5 * (np.cross(a - rho, b - rho) @ nhat)
+    live = signed_area != 0.0
+    a, b, signed_area = a[live], b[live], signed_area[live]
+
+    # r'(u,v) = rho + u*((a-rho) + v*(b-a)); |J| = 2|area| u
+    lead = (a - rho)[:, None, :] + v[None, :, None] * (b - a)[:, None, :]
+    pts = rho + u[None, :, None, None] * lead[:, None]
+    rad = np.sqrt(
+        (u[None, :, None] * np.linalg.norm(lead, axis=-1)[:, None]) ** 2
+        + height ** 2
+    )
+    np.maximum(rad, 1e-300, out=rad)
+    kern = np.exp(-1j * k0 * rad) / (4.0 * np.pi * rad)
+    jac = 2.0 * np.abs(signed_area)[:, None, None] * u[None, :, None]
+    sign = np.where(signed_area > 0, 1.0, -1.0)[:, None, None]
+    contrib = sign * ww * jac * kern
+    return contrib.sum(), np.einsum("wuv,wuvd->d", contrib, pts)
 
 
 def _refined_outer_rule(tri, levels=1):
@@ -113,21 +112,37 @@ def _refined_outer_rule(tri, levels=1):
     return np.concatenate(pts), np.concatenate(wts)
 
 
+#: oracle entries by the exact bytes of everything the integration reads
+_ENTRY_CACHE: dict[bytes, complex] = {}
+
+
 def oracle_impedance_entry(basis, m, n, frequency, outer_levels=1, duffy_order=16):
-    """Z[m, n] by brute-force double-surface quadrature of the full kernel."""
+    """Z[m, n] by brute-force double-surface quadrature of the full kernel.
+
+    Memoized on the exact bytes of the two edges' faces, free vertices,
+    areas and lengths, the frequency and the rule orders, so bit-equal
+    geometry is integrated once per session.
+    """
     mesh = basis.mesh
     omega = 2.0 * np.pi * frequency
     k0 = omega / C0
     verts = mesh.vertices
 
-    a_val = 0.0 + 0.0j
-    phi_val = 0.0 + 0.0j
     m_faces = [(basis.plus_face[m], basis.plus_free[m], 1.0),
                (basis.minus_face[m], basis.minus_free[m], -1.0)]
     n_faces = [(basis.plus_face[n], basis.plus_free[n], 1.0),
                (basis.minus_face[n], basis.minus_free[n], -1.0)]
     lm, ln = basis.lengths[m], basis.lengths[n]
+    key = np.concatenate(
+        [np.concatenate([verts[mesh.faces[f]].ravel(), verts[free],
+                         [mesh.face_areas[f], sign]])
+         for f, free, sign in m_faces + n_faces]
+        + [[lm, ln, frequency, outer_levels, duffy_order]]).tobytes()
+    if key in _ENTRY_CACHE:
+        return _ENTRY_CACHE[key]
 
+    a_val = 0.0 + 0.0j
+    phi_val = 0.0 + 0.0j
     for fp, freep, sp in m_faces:
         tri_p = verts[mesh.faces[fp]]
         area_p = mesh.face_areas[fp]
@@ -146,7 +161,9 @@ def oracle_impedance_entry(basis, m, n, frequency, outer_levels=1, duffy_order=1
             a_val += coef * np.dot(wts, dots)
             phi_val += sp * sq * lm * ln / (area_p * area_q) * np.dot(wts, i0s)
 
-    return 1j * omega * MU0 * a_val - 1j / (omega * EPS0) * phi_val
+    entry = 1j * omega * MU0 * a_val - 1j / (omega * EPS0) * phi_val
+    _ENTRY_CACHE[key] = entry
+    return entry
 
 
 def untiled_impedance(basis, frequency):

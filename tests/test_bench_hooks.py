@@ -48,15 +48,19 @@ def test_traced_singulars_is_a_property():
     assert isinstance(ChannelOperator.__dict__["singulars"], property)
 
 
-def load_harness(monkeypatch):
-    """bench/harness.py as a module; it imports only the standard library
-    at module level."""
-    spec = importlib.util.spec_from_file_location("bench_harness",
-                                                  BENCH / "harness.py")
+def load_bench_module(monkeypatch, filename, name):
+    """bench/`filename` as module `name`, registered for this test only."""
+    spec = importlib.util.spec_from_file_location(name, BENCH / filename)
     module = importlib.util.module_from_spec(spec)
     monkeypatch.setitem(sys.modules, spec.name, module)
     spec.loader.exec_module(module)
     return module
+
+
+def load_harness(monkeypatch):
+    """bench/harness.py as a module; it imports only the standard library
+    at module level."""
+    return load_bench_module(monkeypatch, "harness.py", "bench_harness")
 
 
 def recorded(monkeypatch, module, name):
@@ -128,3 +132,29 @@ def test_benchmark_configs_load(tmp_path, monkeypatch, command):
         cfg = load_run_config(str(path))
         if command == "optimize":
             assert cfg.jobs == workload.jobs
+
+
+@pytest.mark.parametrize("command", ["dof", "optimize"])
+def test_ga_link_seed_zero_passes_the_gate(tmp_path, monkeypatch, command):
+    # the benchmark's own job runner and correctness gate, on the first
+    # GA seed of the small link (the large link's reference does not
+    # survive a roundoff-level change of Z, so it is left to bench/)
+    import cmadof.cli  # loaded first, so its binding is put back too
+    import cmadof.ga
+
+    harness = load_harness(monkeypatch)
+    load_bench_module(monkeypatch, "tracing.py", "tracing")
+    # EvalCounter.install rebinds every cmadof binding of ga.evaluate;
+    # setting each to itself lets monkeypatch put it back afterwards
+    for mod_name, module in list(sys.modules.items()):
+        if mod_name == "cmadof" or mod_name.startswith("cmadof."):
+            for name, value in list(vars(module).items()):
+                if value is cmadof.ga.evaluate:
+                    monkeypatch.setattr(module, name, value)
+    counter = harness.EvalCounter()
+    counter.install()
+    workload = harness.WORKLOADS["ga_link"]
+    values = harness.job_config(workload, command, tmp_path / "out", 0)
+    job = harness.run_job(command, values, tmp_path, counter)
+    harness.check(job, harness.load_reference()[workload.reference], 0)
+    assert job.ok, job.error

@@ -227,8 +227,6 @@ class TestModeBasisMasking:
             subspace_dim=5,
             eigen_residuals=np.full(n, 1e-12),
             r_cross_max=0.0,
-            excitation=np.arange(2 * n, dtype=float).reshape(n, 2) + 0j,
-            patterns=np.arange(3 * n, dtype=float).reshape(3, n) + 0j,
         )
 
     def test_drop_modes_masks_every_array(self):
@@ -239,10 +237,6 @@ class TestModeBasisMasking:
         np.testing.assert_array_equal(basis.eigenvalues, [0.0, 2.0])
         assert basis.mode_coeffs.shape == (5, 2)
         assert basis.eigen_residuals.shape == (2,)
-        np.testing.assert_array_equal(basis.excitation.real, [[0, 1], [4, 5]])
-        np.testing.assert_array_equal(
-            basis.patterns.real, [[0, 2], [4, 6], [8, 10]]
-        )
 
     def test_significant_filters_by_floor(self):
         basis = self.make_basis([0.0, 1.0, 3.0, 100.0])
@@ -254,7 +248,7 @@ class TestModeBasisMasking:
         assert basis.n_kept == 4
         kept.eigenvalues[0] = 42.0
         assert basis.eigenvalues[0] == 0.0
-        # mode_patterns flips signs in place on the copy it is given
+        # an in-place edit of the copy's coefficients stays on the copy
         kept.mode_coeffs *= -1
         np.testing.assert_array_equal(basis.mode_coeffs, np.eye(5)[:, :4])
 
@@ -276,7 +270,6 @@ class TestExcitationMatrix:
         v = excitation_matrix(modes, b)
         np.testing.assert_allclose(v, modes.mode_coeffs.T @ b, atol=1e-14)
         assert v.shape == (3, 2)
-        assert modes.excitation is v
 
     def test_linear_in_excitation(self):
         op, _ = synthetic_operator([0.3, 0.9], [1.0, 2.0])
@@ -308,7 +301,7 @@ class TestExcitationMatrix:
 
 
 class TestModePatterns:
-    def make_modes(self, coeffs, excitation=None):
+    def make_modes(self, coeffs):
         coeffs = np.asarray(coeffs, dtype=float)
         n = coeffs.shape[1]
         return ModeBasis(
@@ -317,7 +310,6 @@ class TestModePatterns:
             subspace_dim=coeffs.shape[0],
             eigen_residuals=np.zeros(n),
             r_cross_max=0.0,
-            excitation=excitation,
         )
 
     def test_columns_unit_norm_and_stored(self):
@@ -327,7 +319,6 @@ class TestModePatterns:
         pat = mode_patterns(modes, s_mat)
         assert pat.shape == (9, 4)
         np.testing.assert_allclose(np.linalg.norm(pat, axis=0), 1.0, atol=1e-12)
-        assert modes.patterns is pat
         assert isinstance(modes.pattern_gram_dev, float)
 
     def test_orthogonal_sampler_gives_tiny_gram_dev(self):
@@ -337,44 +328,6 @@ class TestModePatterns:
         assert modes.pattern_gram_dev <= 1e-12
         gram = pat.T @ pat
         np.testing.assert_allclose(gram, np.eye(3), atol=1e-12)
-
-    def test_sign_flip_propagates_to_coeffs_and_excitation(self):
-        # second mode's sampled pattern leads with a negative entry
-        s_mat = np.array([[2.0, 0.0], [0.0, -3.0], [0.5, 1.0]])
-        exc = np.array([[1.0 + 2.0j], [4.0 - 1.0j]])
-        modes = self.make_modes(np.eye(2), excitation=exc.copy())
-        pat = mode_patterns(modes, s_mat)
-        raw = s_mat / np.linalg.norm(s_mat, axis=0)[None, :]
-        np.testing.assert_allclose(pat[:, 0], raw[:, 0], atol=1e-14)
-        np.testing.assert_allclose(pat[:, 1], -raw[:, 1], atol=1e-14)
-        np.testing.assert_array_equal(modes.mode_coeffs[:, 1], [0.0, -1.0])
-        np.testing.assert_allclose(modes.excitation[0, 0], exc[0, 0])
-        np.testing.assert_allclose(modes.excitation[1, 0], -exc[1, 0])
-        lead = np.abs(pat).argmax(axis=0)
-        for i in range(2):
-            assert pat[lead[i], i].real > 0.0
-
-    def test_sign_flip_reaches_a_held_coefficient_array(self):
-        # the sampler of the test above flips the second mode; an array
-        # taken from mode_coeffs before the call must flip with it
-        s_mat = np.array([[2.0, 0.0], [0.0, -3.0], [0.5, 1.0]])
-        modes = self.make_modes(np.eye(2))
-        held = modes.mode_coeffs
-        mode_patterns(modes, s_mat)
-        assert modes.mode_coeffs is held
-        np.testing.assert_array_equal(held[:, 1], [0.0, -1.0])
-
-    def test_sign_flip_reaches_the_returned_excitation(self):
-        # the sampler of the test above flips the second mode; the V that
-        # excitation_matrix returned before must flip with it
-        s_mat = np.array([[2.0, 0.0], [0.0, -3.0], [0.5, 1.0]])
-        b = np.array([[1.0 + 2.0j], [4.0 - 1.0j]])
-        modes = self.make_modes(np.eye(2))
-        v = excitation_matrix(modes, b)
-        mode_patterns(modes, s_mat)
-        assert modes.excitation is v
-        np.testing.assert_array_equal(v, modes.mode_coeffs.T @ b)
-        np.testing.assert_array_equal(v[:, 0], [b[0, 0], -b[1, 0]])
 
     def test_zero_pattern_mode_dropped_with_warning(self):
         s_mat = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
@@ -399,12 +352,11 @@ class TestModePatterns:
         op = assemble_impedance(basis, FREQ)
         modes = solve_modes(op, n_keep=5)
         assert modes.n_kept == 1
+        # the lone coefficient is the largest, so solve_modes makes it +1
+        np.testing.assert_array_equal(modes.mode_coeffs, [[1.0]])
         sampler = face_sampling_operator(basis)
         pat = mode_patterns(modes, sampler)
         ref = sampler[:, 0] / np.linalg.norm(sampler[:, 0])
-        lead = np.abs(ref).argmax()
-        if ref[lead] < 0:
-            ref = -ref
         np.testing.assert_allclose(pat[:, 0], ref, atol=1e-12)
 
     def test_plate_patterns_quasi_orthogonal(self, plate_op):
@@ -414,3 +366,40 @@ class TestModePatterns:
         gram = np.abs(pat.T @ pat)
         off = gram - np.diag(np.diag(gram))
         assert off.max() < 0.2
+
+
+class TestOneSignConvention:
+    """solve_modes signs each mode once; V and the patterns are plain
+    products of its coefficients and change none of them."""
+
+    @pytest.fixture
+    def plate_maps(self, plate_op):
+        spec, mesh, basis, op = plate_op
+        sampler = face_sampling_operator(basis)
+        ports = delta_gap_excitation(basis, locate_port_edges(spec, mesh))
+        return solve_modes(op, n_keep=20), sampler, ports
+
+    def test_largest_coefficient_positive_on_plate(self, plate_maps):
+        modes, _, _ = plate_maps
+        coeffs = modes.mode_coeffs
+        lead = np.abs(coeffs).argmax(axis=0)
+        assert modes.n_kept > 1
+        assert np.all(coeffs[lead, np.arange(modes.n_kept)] > 0.0)
+
+    def test_maps_are_plain_products(self, plate_maps):
+        modes, sampler, ports = plate_maps
+        coeffs = modes.mode_coeffs
+        raw = sampler @ coeffs
+        patterns = raw / np.linalg.norm(raw, axis=0)[None, :]
+        assert mode_patterns(modes, sampler).tobytes() == patterns.tobytes()
+        v = coeffs.T @ ports
+        assert excitation_matrix(modes, ports).tobytes() == v.tobytes()
+
+    def test_maps_leave_coefficients_unchanged(self, plate_maps):
+        modes, sampler, ports = plate_maps
+        held = modes.mode_coeffs
+        before = held.tobytes()
+        mode_patterns(modes, sampler)
+        excitation_matrix(modes, ports)
+        assert modes.mode_coeffs is held
+        assert held.tobytes() == before

@@ -254,8 +254,8 @@ class TestGammaDecomposition:
         assert (len(gm.kept_r), len(gm.kept_t)) == (4, 3)
         e_r = bad_r[:, gm.kept_r]
         j_t = bad_t[:, gm.kept_t]
-        e_pinv = np.linalg.pinv(e_r, rcond=dofcore.PINV_RCOND)
-        jt_pinv = np.linalg.pinv(j_t.T, rcond=dofcore.PINV_RCOND)
+        e_pinv = np.linalg.pinv(e_r, rcond=dofcore.RANK_TOL)
+        jt_pinv = np.linalg.pinv(j_t.T, rcond=dofcore.RANK_TOL)
         np.testing.assert_array_equal(gm.gamma, e_pinv @ g @ jt_pinv)
         projected = (e_r @ e_pinv) @ g @ (jt_pinv @ j_t.T)
         g_norm = np.linalg.norm(g)

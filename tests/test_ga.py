@@ -15,7 +15,8 @@ import cmadof.efie
 import cmadof.ga
 import cmadof.svgplot
 from cmadof.cma import excitation_matrix, mode_patterns, solve_modes
-from cmadof.dofcore import EquivalentChannel, matrix_rank
+from cmadof.dofcore import (EquivalentChannel, equivalent_channel,
+                            matrix_rank, receiver_map, transmitter_map)
 from cmadof.channel import assemble_channel, effective_rank
 from cmadof.efie import (ImpedanceOperator, assemble_impedance,
                          delta_gap_excitation)
@@ -25,6 +26,7 @@ from cmadof.ga import (
     Individual,
     NEG_INF,
     PixelProblem,
+    PlateAnalysis,
     PlateModel,
     analyze_plate,
     crossover_mutate,
@@ -250,8 +252,8 @@ class TestPlateModel:
 
 class TestAnalyzePlate:
     """R is decomposed once unless it has to be clamped, with the modes
-    unchanged from decomposing R_psd again; and the gathered analysis is
-    the direct one, byte for byte."""
+    unchanged from decomposing R_psd again; the gathered analysis is the
+    direct one, byte for byte; and a mode's sign does not reach sigma(H)."""
 
     @pytest.mark.parametrize("make_spec", [acceptance7_spec, cli_default_spec])
     def test_gather_matches_direct_pipeline_bytes(self, make_spec):
@@ -260,18 +262,22 @@ class TestAnalyzePlate:
         rng = np.random.default_rng(spec.pixel_cols)
         for _ in range(10):
             bits = rng.integers(0, 2, spec.n_bits)
-            got = analyze_plate(model, bits, n_keep=10).modes
+            plate = analyze_plate(model, bits, n_keep=10)
+            got = plate.modes
             mesh = build_plate_mesh(spec, bits)
             basis = extract_rwg(mesh)
             want = solve_modes(assemble_impedance(basis, FREQ),
                                n_keep=10).significant()
-            excitation_matrix(want, delta_gap_excitation(
+            patterns = mode_patterns(want, face_sampling_operator(basis))
+            v = excitation_matrix(want, delta_gap_excitation(
                 basis, locate_port_edges(spec, mesh)))
-            mode_patterns(want, face_sampling_operator(basis))
             # bytes, which np.array_equal does not compare: -0.0 == 0.0
-            for name in ("eigenvalues", "mode_coeffs", "excitation",
-                         "patterns", "eigen_residuals"):
-                g, w = getattr(got, name), getattr(want, name)
+            pairs = [(name, getattr(got, name), getattr(want, name))
+                     for name in ("eigenvalues", "mode_coeffs",
+                                  "eigen_residuals")]
+            pairs += [("v", plate.v, v),
+                      ("patterns", plate.patterns, patterns)]
+            for name, g, w in pairs:
                 assert g.shape == w.shape and g.dtype == w.dtype, name
                 assert g.tobytes() == w.tobytes(), name
             assert got.r_cross_max == want.r_cross_max
@@ -315,12 +321,50 @@ class TestAnalyzePlate:
         got, n_eigh = self.analyze(model, bits, monkeypatch, reuse=True)
         want, n_ref = self.analyze(model, bits, monkeypatch, reuse=False)
         assert (n_eigh, n_ref) == ((3, 4) if clamp else (2, 3))
-        for name in ("eigenvalues", "mode_coeffs", "eigen_residuals",
-                     "excitation", "patterns"):
+        for name in ("eigenvalues", "mode_coeffs", "eigen_residuals"):
             assert np.array_equal(getattr(got.modes, name),
                                   getattr(want.modes, name)), name
+        assert np.array_equal(got.v, want.v)
+        assert np.array_equal(got.patterns, want.patterns)
         assert got.modes.r_cross_max == want.modes.r_cross_max
         assert got.modes.subspace_dim == want.modes.subspace_dim
+
+    @staticmethod
+    def flipped(model, bits, plate, k):
+        """`plate` of configuration `bits` with mode k's coefficients
+        negated, and V and the patterns rebuilt from them."""
+        coeffs = plate.modes.mode_coeffs.copy()
+        coeffs[:, k] *= -1.0
+        modes = dataclasses.replace(plate.modes, mode_coeffs=coeffs)
+        _, sampler, ports, faces = model.gather(bits)
+        patterns = mode_patterns(modes, sampler)
+        return PlateAnalysis(modes=modes, v=excitation_matrix(modes, ports),
+                             patterns=patterns, faces=faces)
+
+    def test_mode_sign_leaves_sigma_h(self):
+        spec = acceptance7_spec()
+        p = PixelProblem(tx_spec=spec, rx_spec=spec, frequency=FREQ,
+                         separation=1.0 * LAM, n_keep=10)
+        model = p.models[0]
+        rng = np.random.default_rng(31)
+
+        def sigma_h(tx, rx):
+            u_t = transmitter_map(tx.patterns, tx.modes.significances, tx.v)
+            u_r = receiver_map(rx.v, rx.modes.significances, rx.patterns)
+            g = p.channel.gather(rx.faces, tx.faces)
+            return equivalent_channel(u_r, g, u_t).singulars
+
+        for _ in range(5):
+            tx_bits, rx_bits = rng.integers(0, 2, (2, spec.n_bits))
+            tx = analyze_plate(model, tx_bits, p.n_keep)
+            rx = analyze_plate(model, rx_bits, p.n_keep)
+            want = sigma_h(tx, rx)
+            for k in range(min(tx.modes.n_kept, rx.modes.n_kept)):
+                tx_k, rx_k = (self.flipped(model, tx_bits, tx, k),
+                              self.flipped(model, rx_bits, rx, k))
+                for pair in ((tx_k, rx), (tx, rx_k), (tx_k, rx_k)):
+                    np.testing.assert_allclose(sigma_h(*pair), want,
+                                               rtol=1e-14, atol=0.0)
 
 
 class TestEvaluate:
