@@ -25,11 +25,20 @@ blocks of the edge-space combination run on a thread pool of at most one
 thread per core, but no entry's arithmetic depends on the tile shape, the
 batch or the thread that computes it, and the calling thread places every
 result in a fixed order, so Z is bit-identical for any number of cores.
+
+A pool thread computes all of its tiles and batches in one
+`quadrature.Scratch`: the tile's distances and kernel and the temporaries
+of the closed-form integrals are written with `out=` into the same
+buffers, one array per Cartesian component, so the arithmetic allocates
+little beyond its results. The buffers are unmapped when the face moments
+are done.
 """
 
 from __future__ import annotations
 
+import contextlib
 import os
+import queue
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import cached_property
@@ -38,7 +47,8 @@ import numpy as np
 
 from .errors import GeometryError
 from .mesh import RwgBasis
-from .quadrature import TRI_BARY, TRI_W, static_potential_integrals, tri_points
+from .quadrature import (TRI_BARY, TRI_W, Scratch, static_potential_integrals,
+                         tri_points)
 
 __all__ = [
     "C0",
@@ -196,7 +206,7 @@ def _refined_rule(levels: int):
 _BARY_STATIC, _W_STATIC = _refined_rule(3)
 
 
-def _singular_moments(p_verts, q_verts, area_p, area_q, k0):
+def _singular_moments(p_verts, q_verts, area_p, area_q, k0, scratch: Scratch):
     """Double-surface kernel moments for a batch of P touching face pairs.
 
     p_verts and q_verts are (P, 3, 3), area_p and area_q (P,). Returns
@@ -208,7 +218,8 @@ def _singular_moments(p_verts, q_verts, area_p, area_q, k0):
     Extracted part (1/R - k^2 R / 2)/(4 pi): closed-form inner integral
     under a subdivided 7-point outer rule. Smooth remainder: 7x7 double
     rule. Each pair's moments are computed by the same arithmetic whatever
-    else the batch holds.
+    else the batch holds. The static integrals keep their temporaries in
+    `scratch`.
     """
     xp = TRI_BARY @ p_verts  # (P, 7, 3)
     xq = TRI_BARY @ q_verts
@@ -222,13 +233,16 @@ def _singular_moments(p_verts, q_verts, area_p, area_q, k0):
     m_out = np.einsum("pij,pid->pd", kd, xp)
     mdot = np.einsum("pij,pid,pjd->p", kd, xp, xq)
 
-    # extracted part, inner integrals in closed form
+    # extracted part, inner integrals in closed form; the static kernel's
+    # results are this call's own, so they become the kernel in place
     xs = _BARY_STATIC @ p_verts
     ws = _W_STATIC
-    i0, ir, j0, jr = static_potential_integrals(xs, q_verts)
+    g0, gr, j0, jr = static_potential_integrals(xs, q_verts, scratch=scratch)
     half_ksq = 0.5 * k0 ** 2
-    g0 = i0 - half_ksq * j0
-    gr = ir - half_ksq * jr
+    j0 *= half_ksq
+    g0 -= j0
+    jr *= half_ksq
+    gr -= jr
     scale = area_p / (4.0 * np.pi)
     m00 += scale * np.einsum("i,pi->p", ws, g0)
     m_in += scale[:, None] * np.einsum("i,pid->pd", ws, gr)
@@ -237,18 +251,20 @@ def _singular_moments(p_verts, q_verts, area_p, area_q, k0):
     return m00, m_in, m_out, mdot
 
 
-#: touching face pairs per batched moment call. One call makes dozens of
-#: temporaries over P pairs x 448 outer points (115 kB per scalar and
-#: 344 kB per vector at P = 32). Under glibc's default malloc settings,
-#: P = 64 has them mapped afresh call after call (13k minor page faults
-#: inside the calls of one 4x8-pixel parent assembly, none at P = 16 or
-#: 32), while smaller P pays more per-call Python overhead
+#: touching face pairs per batched moment call. The closed-form integrals
+#: of a batch take 23 arrays of P pairs x 448 outer points from the
+#: thread's Scratch (2.6 MB at P = 32). Smaller P pays more per-call Python
+#: overhead and larger P only grows the buffers: on one thread of a 2-vCPU
+#: machine, the 357 pairs of a 4x8-pixel parent took 25.3, 24.0 and
+#: 23.7 ms at P = 16, 32 and 64, and the 1,605 pairs of an 8x16-pixel
+#: parent 102.6, 92.6 and 98.3 ms
 TOUCH_CHUNK = 32
 
 #: faces per side of a regular-pair tile, and edges per row block of the
 #: edge-space combination. A 32 x 32 face tile holds 50,176 point pairs:
-#: 1.2 MB of coordinate differences and 0.8 MB of kernel values, against
-#: 77 MB of differences for the whole 256-face plate at once
+#: 0.8 MB of kernel values and 0.8 MB for the distances, one temporary and
+#: then the mirror kernel, against 103 MB for the whole 256-face plate
+#: at once
 TILE = 32
 
 
@@ -271,7 +287,7 @@ def _tile_moments(kern, xp, xq):
     )
 
 
-def _regular_tile(x7, wa, k0, a: slice, b: slice):
+def _regular_tile(x7, wa, k0, a: slice, b: slice, scratch: Scratch):
     """Full-kernel 7x7-rule moments of the face blocks a x b, and of b x a
     unless a is b.
 
@@ -279,19 +295,35 @@ def _regular_tile(x7, wa, k0, a: slice, b: slice):
     changes only its sign when the faces swap, so the kernel of b x a is
     the transpose of a x b's bit for bit, and the mirror tile runs the same
     einsums on a contiguous transposed copy instead of computing it again.
-    Each entry's arithmetic does not depend on the tile's shape.
+    Each entry's arithmetic does not depend on the tile's shape. The
+    kernel, the distances and the mirror live in `scratch`.
     """
-    diff = x7[a, :, None, None, :] - x7[None, None, b, :, :]
-    dist = np.linalg.norm(diff, axis=-1)  # (A, 7, B, 7)
+    shape = (a.stop - a.start, 7, b.stop - b.start, 7)
+    kern, spare = scratch.take(shape, 2, complex)
+    # the spare slot holds the distances and one real temporary, and then
+    # the mirror kernel
+    dist, tmp = spare.view(float).reshape((2,) + shape)
+    for c in range(3):
+        np.subtract(x7[a, :, None, None, c], x7[None, None, b, :, c], out=tmp)
+        if c == 0:
+            np.multiply(tmp, tmp, out=dist)
+        else:
+            tmp *= tmp
+            dist += tmp
+    np.sqrt(dist, out=dist)  # (A, 7, B, 7), equal to the norm of the difference
     np.maximum(dist, 1e-300, out=dist)  # self-points are overwritten later
-    kern = np.exp(-1j * k0 * dist) / (4.0 * np.pi * dist)
-    kern *= wa[a, :, None, None] * wa[None, None, b, :]
+    np.multiply(-1j * k0, dist, out=kern)
+    np.exp(kern, out=kern)
+    np.multiply(4.0 * np.pi, dist, out=tmp)
+    kern /= tmp
+    np.multiply(wa[a, :, None, None], wa[None, None, b, :], out=tmp)
+    kern *= tmp
     ab = _tile_moments(kern, x7[a], x7[b])
     if a == b:
         return ab, None
-    return ab, _tile_moments(
-        np.ascontiguousarray(kern.transpose(2, 3, 0, 1)), x7[b], x7[a]
-    )
+    mirror = spare.reshape(shape[2:] + shape[:2])
+    np.copyto(mirror, kern.transpose(2, 3, 0, 1))
+    return ab, _tile_moments(mirror, x7[b], x7[a])
 
 
 def assemble_impedance(basis: RwgBasis, frequency: float) -> ImpedanceOperator:
@@ -374,13 +406,34 @@ def assemble_impedance(basis: RwgBasis, frequency: float) -> ImpedanceOperator:
         phi_mat = np.einsum("manb->mn", coef * g00)
         return 1j * omega * MU0 * a_mat - 1j / (omega * EPS0) * phi_mat
 
+    # each task computes in a Scratch that no running task holds, so there
+    # are at most as many as pool threads, and a thread reuses one from
+    # tile to tile and batch to batch
+    spares = queue.SimpleQueue()
+
+    @contextlib.contextmanager
+    def scratch():
+        try:
+            held = spares.get_nowait()
+        except queue.Empty:
+            held = Scratch()
+        try:
+            yield held
+        finally:
+            spares.put(held)
+
+    def tile(ab):
+        with scratch() as s:
+            return _regular_tile(x7, wa, k0, *ab, s)
+
+    def touching_batch(pq):
+        p, q = pq
+        with scratch() as s:
+            return _singular_moments(tv[p], tv[q], areas[p], areas[q], k0, s)
+
     with ThreadPoolExecutor(min(_cores(), len(tiles) + len(batches))) as pool:
-        regular = pool.map(lambda ab: _regular_tile(x7, wa, k0, *ab), tiles)
-        touching = pool.map(
-            lambda pq: _singular_moments(tv[pq[0]], tv[pq[1]], areas[pq[0]],
-                                         areas[pq[1]], k0),
-            batches,
-        )
+        regular = pool.map(tile, tiles)
+        touching = pool.map(touching_batch, batches)
         for (a, b), (ab, ba) in zip(tiles, regular):
             m00[a, b], m_in[a, b], m_out[a, b], mdot[a, b] = ab
             if ba is not None:
@@ -396,6 +449,7 @@ def assemble_impedance(basis: RwgBasis, frequency: float) -> ImpedanceOperator:
             s_avg = 0.5 * (s_in[own] + s_out[own])
             m_in[p[own], p[own]] = s_avg
             m_out[p[own], p[own]] = s_avg
+        del spares  # every task is done: unmap the buffers
 
         rows = [slice(s, min(s + TILE, ne)) for s in range(0, ne, TILE)]
         z = np.concatenate(list(pool.map(edge_rows, rows)))

@@ -21,9 +21,12 @@ the linear moments J0 and Jr are needed alongside the potentials.
 
 from __future__ import annotations
 
+import mmap
+
 import numpy as np
 
-__all__ = ["TRI_BARY", "TRI_W", "tri_points", "static_potential_integrals"]
+__all__ = ["TRI_BARY", "TRI_W", "Scratch", "tri_points",
+           "static_potential_integrals"]
 
 # degree-5 symmetric 7-point rule
 _A1, _B1 = 0.059715871789770, 0.470142064105115
@@ -68,7 +71,41 @@ def _dot3(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return a[..., 0] * b[..., 0] + a[..., 1] * b[..., 1] + a[..., 2] * b[..., 2]
 
 
-def static_potential_integrals(obs: np.ndarray, tri: np.ndarray):
+class Scratch:
+    """Buffers that one thread reuses from call to call.
+
+    `take` hands out arrays laid end to end in one flat float64 array,
+    which grows to the largest request seen and is otherwise reused, so a
+    thread that computes batch after batch allocates its temporaries once.
+    Every `take` returns views of the same memory, starting at its front:
+    a caller takes everything it needs in one request, and returns nothing
+    that lives in it.
+
+    The flat array is a private anonymous memory map of its own, so its
+    pages go back to the system when the last view goes. Freed from the
+    heap instead, they would stay resident in the heap of the pool thread
+    that used them, which nothing else in the process allocates from.
+    """
+
+    def __init__(self):
+        self._flat = np.empty(0)
+
+    def take(self, shape: tuple, count: int, dtype=float) -> list[np.ndarray]:
+        """`count` C-contiguous arrays of `shape` and `dtype` (float64 or
+        complex128), each starting on a 16-byte boundary."""
+        size = int(np.prod(shape)) * np.dtype(dtype).itemsize // 8
+        step = size + size % 2
+        if self._flat.size < step * count:
+            nbytes = 8 * step * count
+            private = ({"flags": mmap.MAP_PRIVATE}
+                       if hasattr(mmap, "MAP_PRIVATE") else {})
+            self._flat = np.frombuffer(mmap.mmap(-1, nbytes, **private))
+        return [self._flat[i * step:i * step + size].view(dtype).reshape(shape)
+                for i in range(count)]
+
+
+def static_potential_integrals(obs: np.ndarray, tri: np.ndarray,
+                               scratch: Scratch | None = None):
     """Closed-form potential and distance moments of triangles.
 
     obs is (M, 3) observation points and tri is (3, 3) vertices, or, for a
@@ -85,6 +122,9 @@ def static_potential_integrals(obs: np.ndarray, tri: np.ndarray):
     Observation points may lie anywhere, including inside the triangle or
     its plane; points exactly on an edge line are handled by the standard
     limiting values.
+
+    The temporaries are (P, M) arrays, one per Cartesian component, in
+    `scratch` when given; the returned arrays are new on every call.
     """
     tri = np.asarray(tri, dtype=float)
     single = tri.ndim == 2
@@ -93,61 +133,147 @@ def static_potential_integrals(obs: np.ndarray, tri: np.ndarray):
         tri = tri[None]
     else:
         obs = np.asarray(obs, dtype=float)
+    if scratch is None:
+        scratch = Scratch()
     normal = np.cross(tri[:, 1] - tri[:, 0], tri[:, 2] - tri[:, 0])
     two_area = np.sqrt(_dot3(normal, normal))
     nhat = (normal / two_area[:, None])[:, None, :]  # (P, 1, 3)
-    diam = np.sqrt(two_area)[:, None]
-
-    d = _dot3(obs - tri[:, None, 0], nhat)  # signed height above the plane, (P, M)
-    rho = obs - d[..., None] * nhat  # in-plane projection
-    absd = np.abs(d)
-
-    I0 = np.zeros(d.shape)
-    Irho = np.zeros(obs.shape)
-    beta_sum = np.zeros(d.shape)
-    J0 = np.zeros(d.shape)
-    Jrho = np.zeros(obs.shape)
-
+    edge_line_sq = (1e-12 * np.sqrt(two_area)[:, None]) ** 2
+    verts = tri[:, None]  # (P, 1, 3, 3)
+    lhat, uhat = [], []
     for e in range(3):
-        a, b = tri[:, None, e], tri[:, None, (e + 1) % 3]
-        ell = b - a
-        lhat = ell / np.sqrt(_dot3(ell, ell))[..., None]
-        uhat = np.cross(lhat, nhat)  # outward edge normal for ccw vertices
-        sm = _dot3(a - rho, lhat)
-        sp = _dot3(b - rho, lhat)
-        t0 = _dot3(a - rho, uhat)
-        r0sq = t0 ** 2 + d ** 2
-        rp = np.sqrt(sp ** 2 + r0sq)
-        rm = np.sqrt(sm ** 2 + r0sq)
+        ell = verts[:, :, (e + 1) % 3] - verts[:, :, e]
+        lhat.append(ell / np.sqrt(_dot3(ell, ell))[..., None])
+        uhat.append(np.cross(lhat[e], nhat))  # outward edge normal for ccw vertices
 
-        on_edge_line = r0sq < (1e-12 * diam) ** 2
-        # stable log of (R+ + s+)/(R- + s-); flip both fractions when the
-        # segment sits mostly at negative s to avoid cancellation
-        with np.errstate(divide="ignore", invalid="ignore"):
-            f_pos = np.log((rp + sp) / (rm + sm))
-            f_neg = np.log((rm - sm) / (rp - sp))
-        f = np.where(sp + sm >= 0, f_pos, f_neg)
-        f = np.where(on_edge_line, 0.0, f)
+    shape = obs.shape[:2]
+    (dsq, absd, beta_sum, r0sq, rp, rm, f, t1, t2, t3, t4,
+     *rest) = scratch.take(shape, 23)
+    rho, sm, sp, t0 = rest[:3], rest[3:6], rest[6:9], rest[9:]
+    on_edge_line = np.empty(shape, dtype=bool)
+    positive_side = np.empty(shape, dtype=bool)
+    I0 = np.zeros(shape)
+    J0 = np.zeros(shape)
+    Ir = np.zeros(obs.shape)  # Int (r' - rho)/R until rho I0 is added
+    Jr = np.zeros(obs.shape)  # 3 Int (r' - rho) R until the end
 
-        with np.errstate(divide="ignore", invalid="ignore"):
-            bp = np.arctan(t0 * sp / (r0sq + absd * rp))
-            bm = np.arctan(t0 * sm / (r0sq + absd * rm))
-        beta = np.where(on_edge_line, 0.0, bp - bm)
+    def dot_into(out, parts, c, vec):
+        """Add component c of the dot product `parts . vec` to out, in the
+        order x, y, z."""
+        if c == 0:
+            np.multiply(parts, vec[..., 0], out=out)
+        else:
+            np.multiply(parts, vec[..., c], out=t4)
+            out += t4
 
-        I0 += t0 * f
-        beta_sum += beta
-        Irho += 0.5 * uhat * (r0sq * f + sp * rp - sm * rm)[..., None]
+    d = dsq  # signed height above the plane until it is squared
+    for c in range(3):
+        np.subtract(obs[..., c], verts[:, :, 0, c], out=t1)
+        dot_into(d, t1, c, nhat)
+    for c in range(3):
+        np.multiply(d, nhat[..., c], out=t1)
+        np.subtract(obs[..., c], t1, out=rho[c])  # in-plane projection
+    np.abs(d, out=absd)
+    np.multiply(d, d, out=dsq)
 
-        # edge line integrals of R and R^3 feed the distance moments
-        line1 = 0.5 * (sp * rp - sm * rm + r0sq * f)
-        line3 = 0.25 * (sp * rp ** 3 - sm * rm ** 3) + 0.75 * r0sq * line1
-        J0 += t0 * line1
-        Jrho += uhat * line3[..., None]
+    # each vertex's offset from rho enters sm and t0 of the edge it starts
+    # and sp of the edge it ends
+    for v in range(3):
+        e_end = (v - 1) % 3
+        for c in range(3):
+            np.subtract(verts[:, :, v, c], rho[c], out=t1)
+            dot_into(sm[v], t1, c, lhat[v])
+            dot_into(t0[v], t1, c, uhat[v])
+            dot_into(sp[e_end], t1, c, lhat[e_end])
 
-    I0 -= absd * beta_sum
-    Ir = Irho + rho * I0[..., None]
-    J0 = (J0 + d ** 2 * I0) / 3.0
-    Jr = Jrho / 3.0 + rho * J0[..., None]
+    beta_sum.fill(0.0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for e in range(3):
+            np.multiply(t0[e], t0[e], out=r0sq)
+            r0sq += dsq
+            np.multiply(sp[e], sp[e], out=rp)
+            rp += r0sq
+            np.sqrt(rp, out=rp)
+            np.multiply(sm[e], sm[e], out=rm)
+            rm += r0sq
+            np.sqrt(rm, out=rm)
+            np.less(r0sq, edge_line_sq, out=on_edge_line)
+
+            # stable log of (R+ + s+)/(R- + s-); flip both fractions when
+            # the segment sits mostly at negative s to avoid cancellation
+            np.add(sp[e], sm[e], out=t1)
+            np.greater_equal(t1, 0, out=positive_side)
+            np.add(rp, sp[e], out=t1)
+            np.subtract(rm, sm[e], out=t2)
+            np.copyto(t2, t1, where=positive_side)
+            np.add(rm, sm[e], out=t1)
+            np.subtract(rp, sp[e], out=f)
+            np.copyto(f, t1, where=positive_side)
+            np.divide(t2, f, out=f)
+            np.log(f, out=f)
+            np.copyto(f, 0.0, where=on_edge_line)
+
+            # arctangent terms
+            np.multiply(t0[e], sp[e], out=t1)
+            np.multiply(absd, rp, out=t2)
+            np.add(r0sq, t2, out=t2)
+            np.divide(t1, t2, out=t1)
+            np.arctan(t1, out=t1)
+            np.multiply(t0[e], sm[e], out=t3)
+            np.multiply(absd, rm, out=t2)
+            np.add(r0sq, t2, out=t2)
+            np.divide(t3, t2, out=t3)
+            np.arctan(t3, out=t3)
+            t1 -= t3
+            np.copyto(t1, 0.0, where=on_edge_line)
+            beta_sum += t1
+
+            np.multiply(t0[e], f, out=t1)
+            I0 += t1
+            # the products r0sq f (in f), sp rp (t2) and sm rm (t3) enter
+            # the in-plane potential, (r0sq f + sp rp - sm rm) u / 2 ...
+            f *= r0sq
+            np.multiply(sp[e], rp, out=t2)
+            np.multiply(sm[e], rm, out=t3)
+            np.add(f, t2, out=t1)
+            t1 -= t3
+            for c in range(3):
+                np.multiply(0.5 * uhat[e][..., c], t1, out=t4)
+                Ir[..., c] += t4
+
+            # ... and the edge line integrals of R, (sp rp - sm rm + r0sq f)/2,
+            # and of R^3, which feed the distance moments
+            line1 = t2
+            line1 -= t3
+            line1 += f
+            line1 *= 0.5
+            np.multiply(t0[e], line1, out=t4)
+            J0 += t4
+            line3 = t1
+            np.power(rp, 3, out=line3)
+            line3 *= sp[e]
+            np.power(rm, 3, out=t3)
+            t3 *= sm[e]
+            line3 -= t3
+            line3 *= 0.25
+            np.multiply(0.75, r0sq, out=t3)
+            t3 *= line1
+            line3 += t3
+            for c in range(3):
+                np.multiply(uhat[e][..., c], line3, out=t4)
+                Jr[..., c] += t4
+
+    np.multiply(absd, beta_sum, out=t1)
+    I0 -= t1
+    np.multiply(dsq, I0, out=t1)
+    J0 += t1
+    J0 /= 3.0
+    for c in range(3):
+        np.multiply(rho[c], I0, out=t1)
+        Ir[..., c] += t1
+        Jr[..., c] /= 3.0
+        np.multiply(rho[c], J0, out=t1)
+        Jr[..., c] += t1
     if single:
         return I0[0], Ir[0], J0[0], Jr[0]
     return I0, Ir, J0, Jr

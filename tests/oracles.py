@@ -11,8 +11,10 @@ Nothing in here shares code paths with the package internals it checks:
 * the mesh oracle counts interior edges by scanning all face pairs;
 * the untiled impedance reference is the exception: it keeps the
   single-threaded whole-plate face-moment loop that the tiled, pooled
-  assembly replaced, reusing the package's touching-pair moments, so that
-  the two can be required to agree bit for bit.
+  assembly replaced, and its own copy of the allocating (P, M, 3)
+  touching-pair arithmetic that the package's component-first kernel in
+  reused buffers replaced, so that the two can be required to agree bit
+  for bit.
 """
 
 from __future__ import annotations
@@ -166,14 +168,145 @@ def oracle_impedance_entry(basis, m, n, frequency, outer_levels=1, duffy_order=1
     return entry
 
 
+def _dot3(a, b):
+    return a[..., 0] * b[..., 0] + a[..., 1] * b[..., 1] + a[..., 2] * b[..., 2]
+
+
+def static_potential_integrals(obs, tri):
+    """(I0, Ir, J0, Jr) of a batch: obs (P, M, 3) observing triangles tri
+    (P, 3, 3), by the edge-by-edge closed form on (P, M, 3) arrays with
+    a fresh array for every temporary. Every entry is computed by the
+    arithmetic of `cmadof.quadrature.static_potential_integrals`, operation
+    for operation."""
+    tri = np.asarray(tri, dtype=float)
+    obs = np.asarray(obs, dtype=float)
+    normal = np.cross(tri[:, 1] - tri[:, 0], tri[:, 2] - tri[:, 0])
+    two_area = np.sqrt(_dot3(normal, normal))
+    nhat = (normal / two_area[:, None])[:, None, :]
+    diam = np.sqrt(two_area)[:, None]
+
+    d = _dot3(obs - tri[:, None, 0], nhat)
+    rho = obs - d[..., None] * nhat
+    absd = np.abs(d)
+
+    I0 = np.zeros(d.shape)
+    Irho = np.zeros(obs.shape)
+    beta_sum = np.zeros(d.shape)
+    J0 = np.zeros(d.shape)
+    Jrho = np.zeros(obs.shape)
+
+    for e in range(3):
+        a, b = tri[:, None, e], tri[:, None, (e + 1) % 3]
+        ell = b - a
+        lhat = ell / np.sqrt(_dot3(ell, ell))[..., None]
+        uhat = np.cross(lhat, nhat)
+        sm = _dot3(a - rho, lhat)
+        sp = _dot3(b - rho, lhat)
+        t0 = _dot3(a - rho, uhat)
+        r0sq = t0 ** 2 + d ** 2
+        rp = np.sqrt(sp ** 2 + r0sq)
+        rm = np.sqrt(sm ** 2 + r0sq)
+
+        on_edge_line = r0sq < (1e-12 * diam) ** 2
+        with np.errstate(divide="ignore", invalid="ignore"):
+            f_pos = np.log((rp + sp) / (rm + sm))
+            f_neg = np.log((rm - sm) / (rp - sp))
+        f = np.where(sp + sm >= 0, f_pos, f_neg)
+        f = np.where(on_edge_line, 0.0, f)
+
+        with np.errstate(divide="ignore", invalid="ignore"):
+            bp = np.arctan(t0 * sp / (r0sq + absd * rp))
+            bm = np.arctan(t0 * sm / (r0sq + absd * rm))
+        beta = np.where(on_edge_line, 0.0, bp - bm)
+
+        I0 += t0 * f
+        beta_sum += beta
+        Irho += 0.5 * uhat * (r0sq * f + sp * rp - sm * rm)[..., None]
+
+        line1 = 0.5 * (sp * rp - sm * rm + r0sq * f)
+        line3 = 0.25 * (sp * rp ** 3 - sm * rm ** 3) + 0.75 * r0sq * line1
+        J0 += t0 * line1
+        Jrho += uhat * line3[..., None]
+
+    I0 -= absd * beta_sum
+    Ir = Irho + rho * I0[..., None]
+    J0 = (J0 + d ** 2 * I0) / 3.0
+    Jr = Jrho / 3.0 + rho * J0[..., None]
+    return I0, Ir, J0, Jr
+
+
+def _smooth_kernel(dist, k0):
+    small = dist < 1e-300
+    safe = np.where(small, 1.0, dist)
+    out = (np.exp(-1j * k0 * safe) - 1.0 + 0.5 * (k0 * safe) ** 2) / (
+        4.0 * np.pi * safe
+    )
+    out[small] = -1j * k0 / (4.0 * np.pi)
+    return out
+
+
+def _static_outer_rule(levels=3):
+    """Barycentric points and weights of the 7-point rule on a 4**levels
+    subdivision, built as `cmadof.efie` builds its outer rule."""
+    from cmadof.quadrature import TRI_BARY as bary7, TRI_W as w7
+
+    corners = [np.eye(3)]
+    for _ in range(levels):
+        nxt = []
+        for t in corners:
+            m01, m12, m20 = 0.5 * (t[0] + t[1]), 0.5 * (t[1] + t[2]), 0.5 * (t[2] + t[0])
+            nxt += [
+                np.array([t[0], m01, m20]),
+                np.array([m01, t[1], m12]),
+                np.array([m20, m12, t[2]]),
+                np.array([m01, m12, m20]),
+            ]
+        corners = nxt
+    frac = 0.25 ** levels
+    return (np.concatenate([bary7 @ t for t in corners]),
+            np.concatenate([w7 * frac for _ in corners]))
+
+
+def touching_moments(p_verts, q_verts, area_p, area_q, k0):
+    """(m00, m_in, m_out, mdot) of a batch of touching face pairs, by the
+    arithmetic of `cmadof.efie._singular_moments` on this module's
+    `static_potential_integrals`."""
+    from cmadof.quadrature import TRI_BARY as bary7, TRI_W as w7
+
+    xp = bary7 @ p_verts
+    xq = bary7 @ q_verts
+
+    dist = np.linalg.norm(xp[:, :, None, :] - xq[:, None, :, :], axis=-1)
+    kd = _smooth_kernel(dist, k0) * (w7[:, None] * w7[None, :])
+    kd *= (area_p * area_q)[:, None, None]
+    m00 = kd.sum(axis=(1, 2))
+    m_in = np.einsum("pij,pjd->pd", kd, xq)
+    m_out = np.einsum("pij,pid->pd", kd, xp)
+    mdot = np.einsum("pij,pid,pjd->p", kd, xp, xq)
+
+    bary, ws = _static_outer_rule()
+    xs = bary @ p_verts
+    i0, ir, j0, jr = static_potential_integrals(xs, q_verts)
+    half_ksq = 0.5 * k0 ** 2
+    g0 = i0 - half_ksq * j0
+    gr = ir - half_ksq * jr
+    scale = area_p / (4.0 * np.pi)
+    m00 += scale * np.einsum("i,pi->p", ws, g0)
+    m_in += scale[:, None] * np.einsum("i,pid->pd", ws, gr)
+    m_out += scale[:, None] * np.einsum("i,pi,pid->pd", ws, g0, xs)
+    mdot += scale * np.einsum("i,pid,pid->p", ws, xs, gr)
+    return m00, m_in, m_out, mdot
+
+
 def untiled_impedance(basis, frequency):
     """Z by the whole-plate, single-threaded face-moment loop.
 
     Regular face pairs in row chunks against every face, touching pairs in
     batches of TOUCH_CHUNK, then one edge-space combination over all edges;
-    every entry by the same arithmetic as `assemble_impedance`.
+    every entry by the same arithmetic as `assemble_impedance`, the
+    touching pairs by `touching_moments`.
     """
-    from cmadof.efie import TOUCH_CHUNK, _face_adjacency_pairs, _singular_moments
+    from cmadof.efie import TOUCH_CHUNK, _face_adjacency_pairs
     from cmadof.quadrature import TRI_W as w7, tri_points
 
     mesh = basis.mesh
@@ -206,7 +339,7 @@ def untiled_impedance(basis, frequency):
     pairs = np.array(_face_adjacency_pairs(mesh.faces)).reshape(-1, 2)
     for start in range(0, len(pairs), TOUCH_CHUNK):
         p, q = pairs[start:start + TOUCH_CHUNK].T
-        s00, s_in, s_out, sdot = _singular_moments(
+        s00, s_in, s_out, sdot = touching_moments(
             tv[p], tv[q], areas[p], areas[q], k0
         )
         m00[p, q] = m00[q, p] = s00

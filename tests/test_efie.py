@@ -1,17 +1,31 @@
 """Tests for the dense EFIE impedance assembly and delta-gap excitation."""
+import gc
+import os
+import subprocess
+import sys
+import types
+from pathlib import Path
+
 import numpy as np
 import pytest
 from scipy.constants import c as c0
 
 import cmadof.efie
+from cmadof.cli import _plate_spec
+from cmadof.config import RunConfig
 from cmadof.efie import (
     ImpedanceOperator,
+    _BARY_STATIC,
+    _face_adjacency_pairs,
+    _regular_tile,
+    _singular_moments,
     assemble_impedance,
     delta_gap_excitation,
     psd_project,
 )
 from cmadof.errors import GeometryError
 from cmadof.mesh import PlateSpec, build_plate_mesh, extract_rwg
+from cmadof.quadrature import Scratch, TRI_W, static_potential_integrals, tri_points
 from oracles import oracle_impedance_entry, untiled_impedance
 
 FREQ = 27e9
@@ -154,12 +168,27 @@ def translated_holey_8x4_plate():
     return extract_rwg(mesh.translated((0.3 * PIX, -1.7 * PIX, 4.1 * PIX)))
 
 
-PLATES = [acceptance7_plate, holey_3x3_plate, translated_holey_8x4_plate]
+def cli_parent(cfg=None):
+    """All-metal transmit parent of a CLI run (by default 4x8 pixels at
+    0.24 wavelength, 64 faces)."""
+    spec = _plate_spec(cfg or RunConfig(), "tx")
+    return extract_rwg(build_plate_mesh(spec, np.ones(spec.n_bits)))
+
+
+def ga_link_parent():
+    """All-metal parent of the benchmark's small link: 4x8 pixels at 0.35
+    wavelength, 357 touching face pairs."""
+    return cli_parent(RunConfig(pixel_size=0.35 * c0 / FREQ))
+
+
+PLATES = [acceptance7_plate, holey_3x3_plate, translated_holey_8x4_plate,
+          cli_parent]
 
 
 class TestAssemblyIsExact:
     """The tiled, pooled assembly computes every entry of Z by the same
-    arithmetic as the single-threaded whole-plate loop."""
+    arithmetic as the single-threaded whole-plate loop with the allocating
+    touching-pair kernel it replaced."""
 
     @pytest.mark.parametrize("cores", [None, 1, 2, 3],
                              ids=["machine", "1", "2", "3"])
@@ -170,6 +199,112 @@ class TestAssemblyIsExact:
         basis = make_basis()
         z = assemble_impedance(basis, FREQ).z
         assert np.array_equal(z, untiled_impedance(basis, FREQ))
+
+
+def touching_batch(basis, pairs):
+    """_singular_moments arguments of the face pairs `pairs` (P, 2)."""
+    mesh = basis.mesh
+    tv = mesh.vertices[mesh.faces]
+    p, q = pairs.T
+    return tv[p], tv[q], mesh.face_areas[p], mesh.face_areas[q], 2 * np.pi * FREQ / c0
+
+
+class TestScratchReuse:
+    """Each pool thread reuses one Scratch across its tiles and batches."""
+
+    def test_results_survive_later_work_in_the_same_buffers(self):
+        basis = ga_link_parent()
+        mesh = basis.mesh
+        pairs = np.array(_face_adjacency_pairs(mesh.faces))
+        x7 = tri_points(mesh.vertices[mesh.faces])
+        wa = TRI_W[None, :] * mesh.face_areas[:, None]
+        k0 = 2 * np.pi * FREQ / c0
+        scratch = Scratch()
+
+        def work(tile, batch):
+            """A tile with its mirror, a touching batch and its static
+            integrals, all in `scratch`."""
+            args = touching_batch(basis, batch)
+            ab, ba = _regular_tile(x7, wa, k0, *tile, scratch)
+            return [*ab, *ba, *_singular_moments(*args, scratch),
+                    *static_potential_integrals(_BARY_STATIC @ args[0],
+                                                args[1], scratch=scratch)]
+
+        later = (slice(32, 64), slice(0, 32)), pairs[32:64]
+        work(*later)  # the buffers reach their largest size first
+        first = work((slice(0, 32), slice(32, 64)), pairs[:32])
+        kept = [a.copy() for a in first]
+        work(*later)
+        for got, want in zip(first, kept):
+            assert not np.shares_memory(got, scratch._flat)
+            assert np.array_equal(got, want)
+
+    def test_partial_last_batch_equals_a_full_batch(self):
+        basis = ga_link_parent()
+        pairs = np.array(_face_adjacency_pairs(basis.mesh.faces))
+        chunk = cmadof.efie.TOUCH_CHUNK
+        assert len(pairs) == 11 * chunk + 5
+        scratch = Scratch()
+        full = _singular_moments(*touching_batch(basis, pairs[-chunk:]), scratch)
+        # the partial batch runs in buffers sized by the full one before it
+        last = _singular_moments(*touching_batch(basis, pairs[-5:]), scratch)
+        for got, want in zip(last, full):
+            assert np.array_equal(got, want[-5:])
+
+    def test_assembling_another_plate_in_between_changes_nothing(self):
+        plate_a, plate_b = acceptance7_plate(), holey_3x3_plate()
+        z_first = assemble_impedance(plate_a, FREQ).z
+        assemble_impedance(plate_b, FREQ)
+        assert np.array_equal(assemble_impedance(plate_a, FREQ).z, z_first)
+
+
+def reachable_arrays(module_names):
+    """Every ndarray reachable from the globals of the named modules,
+    without entering other modules or their globals."""
+    module_dicts = {id(vars(m)) for m in list(sys.modules.values())
+                    if m is not None}
+    stack = [vars(sys.modules[name]) for name in module_names]
+    seen, arrays = set(), []
+    while stack:
+        obj = stack.pop()
+        if id(obj) in seen or isinstance(obj, types.ModuleType):
+            continue
+        seen.add(id(obj))
+        if id(obj) in module_dicts and not any(
+                obj is vars(sys.modules[name]) for name in module_names):
+            continue
+        if isinstance(obj, np.ndarray):
+            arrays.append(obj)
+            if obj.base is not None:
+                stack.append(obj.base)
+            continue
+        stack.extend(gc.get_referents(obj))
+        own = getattr(obj, "__dict__", None)  # also a thread-local's
+        if isinstance(own, dict):
+            stack.append(own)
+    return arrays
+
+
+def test_no_buffer_outlives_the_assembly():
+    # in a fresh interpreter, so that no earlier assembly of this session
+    # can have filled a cache before the first snapshot
+    script = (
+        "from test_efie import FREQ, acceptance7_plate, reachable_arrays\n"
+        "from cmadof.efie import assemble_impedance\n"
+        "names = ['cmadof.efie', 'cmadof.quadrature']\n"
+        "known = reachable_arrays(names)\n"
+        "assemble_impedance(acceptance7_plate(), FREQ)\n"
+        "ids = {id(a) for a in known}\n"
+        "print([a.shape for a in reachable_arrays(names) if id(a) not in ids])\n"
+    )
+    tests_dir = Path(__file__).resolve().parent
+    src_dir = tests_dir.parent / "src"
+    path = [str(tests_dir), str(src_dir), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+    out = subprocess.run([sys.executable, "-c", script], env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "[]"
 
 
 class TestDeltaGap:

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from cmadof.quadrature import TRI_BARY, TRI_W, static_potential_integrals, tri_points
+from oracles import static_potential_integrals as reference_static_integrals
 
 
 TRI = np.array([[0.0, 0.0, 0.0], [2.0, 0.0, 0.0], [0.5, 1.5, 0.0]])
@@ -174,4 +175,17 @@ class TestStaticPotentialIntegrals:
             single = static_potential_integrals(obs[p], tris[p])
             for got, want in zip(batched, single):
                 assert got[p].shape == want.shape
-                np.testing.assert_allclose(got[p], want, rtol=1e-12, atol=0)
+                assert np.array_equal(got[p], want)
+
+    def test_batch_equals_the_allocating_reference(self):
+        # the same batch, including points inside the triangles, on edge
+        # lines and at vertices, by the (P, M, 3) form of the arithmetic
+        rng = np.random.default_rng(22)
+        tris = TRI[None] + rng.normal(scale=0.3, size=(5, 3, 3))
+        obs = rng.normal(scale=1.5, size=(5, 12, 3))
+        obs[:, 0] = tris.mean(axis=1)
+        obs[:, 1] = 2.0 * tris[:, 1] - tris[:, 0]
+        obs[:, 2] = tris[:, 2]
+        for got, want in zip(static_potential_integrals(obs, tris),
+                             reference_static_integrals(obs, tris)):
+            assert np.array_equal(got, want)
