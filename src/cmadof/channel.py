@@ -164,12 +164,12 @@ def effective_rank(singulars: np.ndarray, gamma: float) -> int:
     return int(np.count_nonzero(s ** 2 >= gamma * top))
 
 
-def strict_rank(singulars: np.ndarray, rel_tol: float = RANK_TOL) -> int:
-    """Numerical rank: count of singular values >= rel_tol * sigma_1."""
+def strict_rank(singulars: np.ndarray) -> int:
+    """Numerical rank: count of singular values >= RANK_TOL * sigma_1."""
     s = np.asarray(singulars, dtype=float)
     if s.size == 0 or s[0] == 0.0:
         return 0
-    return int(np.count_nonzero(s >= rel_tol * s[0]))
+    return int(np.count_nonzero(s >= RANK_TOL * s[0]))
 
 
 def dof_g(op: ChannelOperator, gamma: float = 0.5) -> tuple[int, int]:

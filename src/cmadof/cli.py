@@ -104,7 +104,7 @@ def cmd_modes(cfg: RunConfig) -> None:
 
     plot = LinePlot(title="Modal significance",
                     xlabel="mode index (sorted)", ylabel="|m|")
-    plot.add_series("|m|", np.arange(1, sig.size + 1), sig, marker=True)
+    plot.add_series("|m|", np.arange(1, sig.size + 1), sig)
     plot.add_hline(1.0 / np.sqrt(2.0), "3 dB")
     write_plot(os.path.join(cfg.out, "modal_significance"), plot)
     _write_meta(cfg, "modes")
@@ -129,7 +129,7 @@ def cmd_dof(cfg: RunConfig) -> None:
                     xlabel="subchannel index",
                     ylabel="relative power (dB)")
     h_db = _spectrum_db(report.h_singulars)
-    plot.add_series("H", np.arange(1, h_db.size + 1), h_db, marker=True)
+    plot.add_series("H", np.arange(1, h_db.size + 1), h_db)
     plot.add_hline(10.0 * np.log10(cfg.gamma), "gamma cutoff")
     write_plot(os.path.join(cfg.out, "spectrum"), plot)
     _write_meta(cfg, "dof")
@@ -170,8 +170,7 @@ def cmd_optimize(cfg: RunConfig) -> None:
     conv = LinePlot(title="GA convergence",
                     xlabel="generation",
                     ylabel="singular-value spread (-fitness)")
-    conv.add_series("best", np.flatnonzero(finite), -history[finite],
-                    marker=True)
+    conv.add_series("best", np.flatnonzero(finite), -history[finite])
     write_plot(os.path.join(cfg.out, "convergence"), conv)
 
     spect = LinePlot(title="Spectrum before and after optimization",
@@ -184,12 +183,10 @@ def cmd_optimize(cfg: RunConfig) -> None:
         else link_report(problem, phi0)
     if rep0 is not None:
         db0 = _spectrum_db(rep0.h_singulars)
-        spect.add_series("initial best", np.arange(1, db0.size + 1), db0,
-                         marker=True)
+        spect.add_series("initial best", np.arange(1, db0.size + 1), db0)
     if best_report is not None:
         db1 = _spectrum_db(best_report.h_singulars)
-        spect.add_series("optimized", np.arange(1, db1.size + 1), db1,
-                         marker=True)
+        spect.add_series("optimized", np.arange(1, db1.size + 1), db1)
     if spect.series:
         spect.add_hline(10.0 * np.log10(cfg.gamma), "gamma cutoff")
         write_plot(os.path.join(cfg.out, "spectrum_optimized"), spect)

@@ -95,14 +95,14 @@ class ModeBasis:
         self.mode_coeffs = self.mode_coeffs[:, keep]
         self.eigen_residuals = self.eigen_residuals[keep]
 
-    def significant(self, floor: float = SIGNIFICANCE_FLOOR) -> "ModeBasis":
-        """Copy restricted to modes with |m_i| >= floor.
+    def significant(self) -> "ModeBasis":
+        """Copy restricted to modes with |m_i| >= SIGNIFICANCE_FLOOR.
 
         Boolean indexing in `drop_modes` gives the copy its own arrays, so
         in-place edits of either basis leave the other unchanged.
         """
         out = replace(self)
-        out.drop_modes(np.abs(out.significances) >= floor)
+        out.drop_modes(np.abs(out.significances) >= SIGNIFICANCE_FLOOR)
         return out
 
 

@@ -11,10 +11,11 @@ the physics pipeline
 where the impedance, the face sampler and the port columns of a
 configuration are gathered by its face and edge maps from its plate's
 all-metal parent (`PlateModel`, built once per plate spec and frequency),
-and G from the channel between the two parents (assembled once per
-problem). The fitness is the negated standard deviation of the singular
-values of H: flat spectra score 0 (the maximum), lopsided spectra score
-negative, so maximizing the score pushes toward more usable subchannels.
+in the parent's face and edge order, and G from the channel between the
+two parents (assembled once per problem). No configuration is meshed.
+The fitness is the negated standard deviation of the singular values of
+H: flat spectra score 0 (the maximum), lopsided spectra score negative,
+so maximizing the score pushes toward more usable subchannels.
 
 `evaluate` keeps only what the GA needs of a configuration, a `Score` of
 sigma(H), the achievable DoF and the fitness. `link_report` builds the full
@@ -93,21 +94,23 @@ CACHE_SIZE = 10_000
 class PlateModel:
     """The all-metal parent of one plate spec at one frequency.
 
-    Every configuration's mesh is a subset of the parent's: the same grid
+    A configuration's metal is a subset of the parent's: the same grid
     nodes, the same row-major faces (two per pixel), and so the same plus
-    and minus faces and free vertices on every shared edge. A configuration
-    is therefore its face map f, the parent faces of its metal pixels, and
-    its edge map e (`RwgBasis.edge_map`), the parent edge behind each edge
-    `extract_rwg` finds on the mesh `build_plate_mesh` builds for it, in
-    that order. Face-pair moments depend only on the two faces, so each
-    configuration operator is exactly a sub-block of the parent's:
+    and minus faces and free vertices on every edge they share. A
+    configuration is therefore its face map f, the parent faces of its
+    metal pixels, and its edge map e (`RwgBasis.edge_map`), the parent
+    edges whose two faces are both in f, both in parent order. Face-pair
+    moments depend only on the two faces, so each configuration operator
+    is exactly a sub-block of the parent's:
 
-        Z(config) = Z[e][:, e]        impedance
+        Z(config) = Z[e][:, e]        impedance, a principal sub-block
         S(config) = S[rows(f)][:, e]  face sampler, three rows per face
         B(config) = B[e]              delta-gap port columns
 
-    The parent is meshed and assembled once, and every configuration of
-    the spec is then analyzed by gather. The face map f gathers the
+    A mesh built for the configuration would number the same edges in
+    another order; its Z, S and B are these up to that permutation. The
+    parent is meshed and assembled once, and every configuration of the
+    spec is then analyzed by gather. The face map f gathers the
     configuration's channel from the parents' in the same way
     (`PixelProblem.channel`).
     """
@@ -139,7 +142,7 @@ class PlateModel:
         configuration, all taken from the parent by index.
 
         Pixel t owns parent faces 2t and 2t + 1, so the configuration's
-        faces f keep the parent's order.
+        faces f, and with them its edges, keep the parent's order.
         """
         f = (2 * self.spec.metal_pixels(bits)[:, None] + np.arange(2)).ravel()
         e = self.basis.edge_map(f)
@@ -164,13 +167,13 @@ class PlateAnalysis:
 def analyze_plate(model: PlateModel, bits, n_keep: int = 20) -> PlateAnalysis:
     """Run gather -> modes -> (V, patterns) for one plate configuration.
 
-    Modes are truncated to |m| >= SIGNIFICANCE_FLOOR before any map is
-    built. The patterns come first, so a mode `mode_patterns` drops never
-    reaches V. Raises DegenerateStructureError when nothing significant
-    radiates.
+    Modes are truncated to |m| >= SIGNIFICANCE_FLOOR
+    (`ModeBasis.significant`) before any map is built. The patterns come
+    first, so a mode `mode_patterns` drops never reaches V. Raises
+    DegenerateStructureError when nothing significant radiates.
     """
     op, sampler, ports, faces = model.gather(bits)
-    modes = solve_modes(op, n_keep=n_keep).significant(SIGNIFICANCE_FLOOR)
+    modes = solve_modes(op, n_keep=n_keep).significant()
     if modes.n_kept == 0:
         raise DegenerateStructureError(
             "no mode reaches the significance floor "

@@ -12,10 +12,11 @@ exactly two faces. Extraction is deterministic: edges are ordered by their
 sorted vertex-index pair, the lower-numbered face is the plus face.
 
 `build_plate_mesh` and `extract_rwg` build the all-metal parent plate
-(`cmadof.ga.PlateModel`) and the `export-mesh` output. No other
-configuration is meshed: it is a face map f, the parent faces of its
-metal pixels, and an edge map e (`RwgBasis.edge_map`), the parent edge
-behind each edge `extract_rwg` would find on it, in that order.
+(`cmadof.ga.PlateModel`) and the `export-mesh` output, and `extract_rwg`
+is the one place that orders edges. No other configuration is meshed: it
+is a face map f, the parent faces of its metal pixels, and an edge map e
+(`RwgBasis.edge_map`), the parent edges whose two faces are both in f, in
+parent order.
 """
 
 from __future__ import annotations
@@ -193,24 +194,12 @@ class RwgBasis:
         return len(self.edges)
 
     def edge_map(self, faces) -> np.ndarray:
-        """The edge map of the basis on a subset of the mesh's faces.
-
-        `faces` are ascending face indices. The mesh made of exactly those
-        faces numbers its vertices in order of first use along its
-        face-vertex sequence, as `build_plate_mesh` does, and `extract_rwg`
-        finds its edges: the edges whose plus and minus faces are both kept,
-        sorted by their re-keyed vertex pairs. Entry i of the result is the
-        edge of this basis behind that basis's edge i.
-        """
-        mesh = self.mesh
-        used, first = np.unique(mesh.faces[faces], return_index=True)
-        vertex = np.full(len(mesh.vertices), -1)
-        vertex[used[np.argsort(first)]] = np.arange(len(used))
-        kept = np.zeros(mesh.n_faces, dtype=bool)
+        """The edges of the basis on a subset of the mesh's faces: the
+        edges whose plus and minus faces are both in `faces`, in the
+        basis's own order."""
+        kept = np.zeros(self.mesh.n_faces, dtype=bool)
         kept[faces] = True
-        inner = np.flatnonzero(kept[self.plus_face] & kept[self.minus_face])
-        ends = np.sort(vertex[self.edges[inner]], axis=1)
-        return inner[np.lexsort((ends[:, 1], ends[:, 0]))]
+        return np.flatnonzero(kept[self.plus_face] & kept[self.minus_face])
 
     def edge_index(self, va: int, vb: int) -> int:
         """Index of the basis function on edge (va, vb); raises if absent."""

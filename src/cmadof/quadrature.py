@@ -5,8 +5,8 @@ coordinates `TRI_BARY` with weights `TRI_W` that sum to one, so an integral
 over a physical triangle is area * sum(w_i * f(x_i)).
 
 `static_potential_integrals` evaluates four closed-form integrals over a
-flat triangle T with respect to an observation point r, for one triangle
-or a batch of triangles at once, writing R for |r - r'|,
+flat triangle T with respect to an observation point r, for a batch of
+triangles at once, writing R for |r - r'|,
 
     I0  = Int_T 1/R dS'
     Ir  = Int_T r'/R dS'   (3-vector)
@@ -105,36 +105,27 @@ class Scratch:
 
 
 def static_potential_integrals(obs: np.ndarray, tri: np.ndarray,
-                               scratch: Scratch | None = None):
-    """Closed-form potential and distance moments of triangles.
+                               scratch: Scratch):
+    """Closed-form potential and distance moments of a batch of triangles.
 
-    obs is (M, 3) observation points and tri is (3, 3) vertices, or, for a
-    batch of P triangles, obs is (P, M, 3) and tri is (P, 3, 3), row p of
-    obs observing triangle p. Returns (I0 (M,), Ir (M, 3), J0 (M,),
-    Jr (M, 3)), with a leading P axis on each for a batch, where, writing
-    R = |r - r'|,
+    obs is (P, M, 3) observation points and tri is (P, 3, 3) vertices,
+    row p of obs observing triangle p. Returns (I0 (P, M), Ir (P, M, 3),
+    J0 (P, M), Jr (P, M, 3)), where, writing R = |r - r'|,
 
         I0 = Int 1/R dS'    Ir = Int r'/R dS'
         J0 = Int R dS'      Jr = Int r' R dS'
 
     Every entry is computed by the same arithmetic whatever the batch
-    holds, so a batched call equals the per-triangle calls exactly.
+    holds, so a batch of P equals P batches of one exactly.
     Observation points may lie anywhere, including inside the triangle or
     its plane; points exactly on an edge line are handled by the standard
     limiting values.
 
     The temporaries are (P, M) arrays, one per Cartesian component, in
-    `scratch` when given; the returned arrays are new on every call.
+    `scratch`; the returned arrays are new on every call.
     """
+    obs = np.asarray(obs, dtype=float)
     tri = np.asarray(tri, dtype=float)
-    single = tri.ndim == 2
-    if single:
-        obs = np.atleast_2d(np.asarray(obs, dtype=float))[None]
-        tri = tri[None]
-    else:
-        obs = np.asarray(obs, dtype=float)
-    if scratch is None:
-        scratch = Scratch()
     normal = np.cross(tri[:, 1] - tri[:, 0], tri[:, 2] - tri[:, 0])
     two_area = np.sqrt(_dot3(normal, normal))
     nhat = (normal / two_area[:, None])[:, None, :]  # (P, 1, 3)
@@ -274,6 +265,4 @@ def static_potential_integrals(obs: np.ndarray, tri: np.ndarray,
         Jr[..., c] /= 3.0
         np.multiply(rho[c], J0, out=t1)
         Jr[..., c] += t1
-    if single:
-        return I0[0], Ir[0], J0[0], Jr[0]
     return I0, Ir, J0, Jr

@@ -2,7 +2,7 @@
 package's one file writer.
 
 Every figure the command-line tool writes comes from here: a handful of
-series drawn as polylines (optionally with circle markers), straight
+series drawn as polylines with circle markers, labelled straight
 reference lines, linear axes with rounded tick steps. No plotting library,
 no fonts beyond the viewer's sans-serif, no randomness, so the same data
 always produces byte-identical SVG. The companion CSV holds exactly the
@@ -22,6 +22,9 @@ import numpy as np
 __all__ = ["LinePlot", "write_atomic", "write_plot"]
 
 _COLORS = ["#1f6fb2", "#c44e52", "#2e8b57", "#8763a8", "#b08a00", "#444444"]
+
+#: figure size in pixels
+WIDTH, HEIGHT = 640, 420
 
 
 def _nice_step(span: float, target: int = 5) -> float:
@@ -59,7 +62,6 @@ class _Series:
     name: str
     x: np.ndarray
     y: np.ndarray
-    marker: bool
 
 
 @dataclass
@@ -69,21 +71,20 @@ class LinePlot:
     title: str
     xlabel: str
     ylabel: str
-    width: int = 640
-    height: int = 420
     series: list[_Series] = field(default_factory=list)
     hlines: list[tuple[float, str]] = field(default_factory=list)
 
-    def add_series(self, name: str, x, y, marker: bool = False) -> None:
+    def add_series(self, name: str, x, y) -> None:
+        """A polyline with a circle marker on every point."""
         x = np.asarray(x, dtype=float).ravel()
         y = np.asarray(y, dtype=float).ravel()
         if x.size != y.size:
             raise ValueError("series x and y lengths differ")
         if x.size == 0:
             raise ValueError("series needs at least one point")
-        self.series.append(_Series(name, x, y, marker))
+        self.series.append(_Series(name, x, y))
 
-    def add_hline(self, y: float, label: str = "") -> None:
+    def add_hline(self, y: float, label: str) -> None:
         self.hlines.append((float(y), label))
 
     def _limits(self) -> tuple[float, float, float, float]:
@@ -106,8 +107,8 @@ class LinePlot:
             raise ValueError("plot has no series")
         x_lo, x_hi, y_lo, y_hi = self._limits()
         ml, mr, mt, mb = 62, 16, 34, 46
-        pw = self.width - ml - mr
-        ph = self.height - mt - mb
+        pw = WIDTH - ml - mr
+        ph = HEIGHT - mt - mb
 
         def sx(x: float) -> float:
             return ml + (x - x_lo) / (x_hi - x_lo) * pw
@@ -116,10 +117,10 @@ class LinePlot:
             return mt + (y_hi - y) / (y_hi - y_lo) * ph
 
         out = [
-            f'<svg xmlns="http://www.w3.org/2000/svg" width="{self.width}" '
-            f'height="{self.height}" viewBox="0 0 {self.width} {self.height}">',
-            f'<rect width="{self.width}" height="{self.height}" fill="white"/>',
-            f'<text x="{self.width / 2:.1f}" y="20" text-anchor="middle" '
+            f'<svg xmlns="http://www.w3.org/2000/svg" width="{WIDTH}" '
+            f'height="{HEIGHT}" viewBox="0 0 {WIDTH} {HEIGHT}">',
+            f'<rect width="{WIDTH}" height="{HEIGHT}" fill="white"/>',
+            f'<text x="{WIDTH / 2:.1f}" y="20" text-anchor="middle" '
             f'font-family="sans-serif" font-size="14">{self.title}</text>',
         ]
         # axes box
@@ -143,7 +144,7 @@ class LinePlot:
                        f'font-size="11">{_fmt(t)}</text>')
             out.append(f'<line x1="{ml}" y1="{py:.1f}" x2="{ml + pw}" '
                        f'y2="{py:.1f}" stroke="#ddd" stroke-width="0.7"/>')
-        out.append(f'<text x="{ml + pw / 2:.1f}" y="{self.height - 10}" '
+        out.append(f'<text x="{ml + pw / 2:.1f}" y="{HEIGHT - 10}" '
                    f'text-anchor="middle" font-family="sans-serif" '
                    f'font-size="12">{self.xlabel}</text>')
         out.append(f'<text x="16" y="{mt + ph / 2:.1f}" text-anchor="middle" '
@@ -155,10 +156,9 @@ class LinePlot:
             out.append(f'<line x1="{ml}" y1="{py:.1f}" x2="{ml + pw}" '
                        f'y2="{py:.1f}" stroke="#888" stroke-width="1" '
                        f'stroke-dasharray="6 4"/>')
-            if label:
-                out.append(f'<text x="{ml + pw - 4}" y="{py - 4:.1f}" '
-                           f'text-anchor="end" font-family="sans-serif" '
-                           f'font-size="10" fill="#666">{label}</text>')
+            out.append(f'<text x="{ml + pw - 4}" y="{py - 4:.1f}" '
+                       f'text-anchor="end" font-family="sans-serif" '
+                       f'font-size="10" fill="#666">{label}</text>')
         for k, s in enumerate(self.series):
             color = _COLORS[k % len(_COLORS)]
             pts = " ".join(f"{sx(float(x)):.2f},{sy(float(y)):.2f}"
@@ -166,11 +166,10 @@ class LinePlot:
             if s.x.size > 1:
                 out.append(f'<polyline points="{pts}" fill="none" '
                            f'stroke="{color}" stroke-width="1.6"/>')
-            if s.marker or s.x.size == 1:
-                for x, y in zip(s.x, s.y):
-                    out.append(f'<circle cx="{sx(float(x)):.2f}" '
-                               f'cy="{sy(float(y)):.2f}" r="2.6" '
-                               f'fill="{color}"/>')
+            for x, y in zip(s.x, s.y):
+                out.append(f'<circle cx="{sx(float(x)):.2f}" '
+                           f'cy="{sy(float(y)):.2f}" r="2.6" '
+                           f'fill="{color}"/>')
             out.append(f'<line x1="{ml + 10}" y1="{mt + 14 + 16 * k}" '
                        f'x2="{ml + 34}" y2="{mt + 14 + 16 * k}" '
                        f'stroke="{color}" stroke-width="2"/>')

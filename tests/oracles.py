@@ -8,7 +8,9 @@ Nothing in here shares code paths with the package internals it checks:
   rule;
 * the pencil oracle solves the reduced generalized eigenproblem by explicit
   inversion and a dense nonsymmetric solve;
-* the mesh oracle counts interior edges by scanning all face pairs;
+* the mesh oracle counts interior edges by scanning all face pairs, and
+  `parent_edges` names each edge of a configuration's own basis by the
+  parent faces of its plus and minus face;
 * the untiled impedance reference is the exception: it keeps the
   single-threaded whole-plate face-moment loop that the tiled, pooled
   assembly replaced, and its own copy of the allocating (P, M, 3)
@@ -403,3 +405,19 @@ def brute_interior_edge_count(mesh):
                   for a in range(3)}
             count += len(si & sj)
     return count
+
+
+def parent_edges(parent, faces, basis):
+    """The parent edge behind each edge of `basis`, the basis that
+    `extract_rwg` builds on the mesh of the parent faces `faces`.
+
+    Two faces share at most one edge, so the parent faces of an edge's
+    plus and minus face name it. The result p is the permutation that
+    takes the configuration's own edge order to the parent's: edge i of
+    `basis` is parent edge p[i].
+    """
+    index = {pair: i for i, pair in enumerate(
+        zip(parent.plus_face.tolist(), parent.minus_face.tolist()))}
+    pairs = zip(faces[basis.plus_face].tolist(),
+                faces[basis.minus_face].tolist())
+    return np.array([index[pair] for pair in pairs], dtype=int)

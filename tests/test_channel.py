@@ -6,6 +6,7 @@ from scipy.constants import c as c0, mu_0 as MU0
 
 from cmadof.channel import (
     ETA0,
+    RANK_TOL,
     ChannelOperator,
     assemble_channel,
     dof_g,
@@ -227,8 +228,11 @@ class TestStrictRank:
         assert strict_rank(np.array([1.0, 1e-6, 1e-13])) == 2
 
     def test_custom_cutoff(self):
-        assert strict_rank(np.array([1.0, 1e-6, 1e-13]), rel_tol=1e-7) == 2
-        assert strict_rank(np.array([1.0, 1e-6, 1e-13]), rel_tol=1e-5) == 1
+        # the cutoff is RANK_TOL relative to sigma_1, inclusive, at any scale
+        for top in (1.0, 3e5):
+            s = top * np.array([1.0, 1e-6, 2.0 * RANK_TOL, 0.5 * RANK_TOL])
+            assert strict_rank(s) == 3
+        assert strict_rank(np.array([1.0, RANK_TOL])) == 2
 
     def test_zero_and_empty(self):
         assert strict_rank(np.zeros(3)) == 0

@@ -13,6 +13,7 @@ from scipy.constants import c as c0
 from cmadof.cma import (
     ModeBasis,
     REL_RANK_CUT,
+    SIGNIFICANCE_FLOOR,
     excitation_matrix,
     mode_patterns,
     solve_modes,
@@ -239,9 +240,10 @@ class TestModeBasisMasking:
         assert basis.eigen_residuals.shape == (2,)
 
     def test_significant_filters_by_floor(self):
-        basis = self.make_basis([0.0, 1.0, 3.0, 100.0])
-        # |m| = 1, 0.707, 0.316, ~0.01
-        kept = basis.significant(0.05)
+        weak = 2.0 / SIGNIFICANCE_FLOOR
+        basis = self.make_basis([0.0, 1.0, 3.0, weak])
+        # |m| = 1, 0.707, 0.316, about SIGNIFICANCE_FLOOR / 2
+        kept = basis.significant()
         assert kept.n_kept == 3
         np.testing.assert_array_equal(kept.eigenvalues, [0.0, 1.0, 3.0])
         # original untouched, result is an independent copy
@@ -253,11 +255,12 @@ class TestModeBasisMasking:
         np.testing.assert_array_equal(basis.mode_coeffs, np.eye(5)[:, :4])
 
     def test_significant_default_floor_keeps_weak_modes(self):
-        basis = self.make_basis([0.0, 900.0])
+        # |m| = 1/sqrt(1 + lambda^2) reaches SIGNIFICANCE_FLOOR at `edge`;
+        # a mode 10% inside it is kept, one 10% outside is dropped
+        edge = np.sqrt(1.0 / SIGNIFICANCE_FLOOR ** 2 - 1.0)
+        basis = self.make_basis([0.0, 0.9 * edge, 1.1 * edge])
         kept = basis.significant()
-        assert kept.n_kept == 2
-        kept = basis.significant(2e-3)
-        assert kept.n_kept == 1
+        np.testing.assert_array_equal(kept.eigenvalues, [0.0, 0.9 * edge])
 
 
 class TestExcitationMatrix:

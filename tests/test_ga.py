@@ -11,6 +11,7 @@ import pytest
 from scipy.constants import c as c0
 from scipy.stats import chisquare
 
+import cmadof.cma
 import cmadof.efie
 import cmadof.ga
 import cmadof.svgplot
@@ -40,6 +41,7 @@ from cmadof.ga import (
 )
 from cmadof.mesh import (PlateSpec, build_plate_mesh, extract_rwg,
                          face_sampling_operator, locate_port_edges)
+from oracles import parent_edges
 
 FREQ = 27e9
 LAM = c0 / FREQ
@@ -156,6 +158,19 @@ def cli_default_spec():
                      pixel_cols=8, ports=4)
 
 
+def direct_operators(model, bits, faces):
+    """Z, S and B of `bits` assembled on the configuration's own mesh,
+    its edges put in parent order (`parent_edges`), each C-contiguous like
+    the gathered arrays."""
+    mesh = build_plate_mesh(model.spec, bits)
+    basis = extract_rwg(mesh)
+    order = np.argsort(parent_edges(model.basis, faces, basis))
+    ports = delta_gap_excitation(basis, locate_port_edges(model.spec, mesh))
+    return (assemble_impedance(basis, FREQ).z[np.ix_(order, order)],
+            np.ascontiguousarray(face_sampling_operator(basis)[:, order]),
+            ports[order])
+
+
 class TestPlateModel:
     @pytest.mark.parametrize("make_spec", [acceptance7_spec, cli_default_spec])
     def test_gather_equals_direct_assembly(self, make_spec):
@@ -164,13 +179,11 @@ class TestPlateModel:
         rng = np.random.default_rng(spec.pixel_rows)
         for _ in range(20):
             bits = rng.integers(0, 2, spec.n_bits)
-            op, sampler, ports, _ = model.gather(bits)
-            mesh = build_plate_mesh(spec, bits)
-            basis = extract_rwg(mesh)
-            direct = delta_gap_excitation(basis, locate_port_edges(spec, mesh))
-            assert np.array_equal(op.z, assemble_impedance(basis, FREQ).z)
-            assert np.array_equal(sampler, face_sampling_operator(basis))
-            assert np.array_equal(ports, direct)
+            op, sampler, ports, faces = model.gather(bits)
+            z, s, b = direct_operators(model, bits, faces)
+            assert np.array_equal(op.z, z)
+            assert np.array_equal(sampler, s)
+            assert np.array_equal(ports, b)
 
     def test_gathered_topology_equals_direct(self):
         spec = acceptance7_spec()
@@ -187,11 +200,14 @@ class TestPlateModel:
             vertex[mesh.faces] = parent.mesh.faces[faces]
             assert np.array_equal(parent.mesh.vertices[vertex], mesh.vertices)
             assert np.array_equal(vertex[mesh.faces], parent.mesh.faces[faces])
-            e = parent.edge_map(faces)
-            assert np.array_equal(parent.edges[e],
+            # direct edge i is parent edge p[i]; the map holds them in
+            # parent order
+            p = parent_edges(parent, faces, direct)
+            assert np.array_equal(parent.edge_map(faces), np.sort(p))
+            assert np.array_equal(parent.edges[p],
                                   np.sort(vertex[direct.edges], axis=1))
-            assert np.array_equal(parent.plus_face[e],
-                                  faces[direct.plus_face])
+            assert np.array_equal(parent.plus_free[p],
+                                  vertex[direct.plus_free])
             # a pixel's two faces are consecutive in every plate mesh
             assert np.array_equal(
                 faces, 2 * mesh.face_tags + np.arange(mesh.n_faces) % 2)
@@ -200,6 +216,8 @@ class TestPlateModel:
         spec = cli_default_spec()
         model = PlateModel.build(spec, FREQ)
         op, sampler, ports, faces = model.gather(np.ones(spec.n_bits))
+        assert np.array_equal(model.basis.edge_map(faces),
+                              np.arange(model.basis.n_edges))
         assert np.array_equal(op.z, model.impedance.z)
         assert np.array_equal(sampler, model.sampler)
         assert np.array_equal(ports, model.excitation)
@@ -229,6 +247,26 @@ class TestPlateModel:
             assert np.array_equal(gathered.tx_centroids, direct.tx_centroids)
             assert np.array_equal(gathered.rx_centroids, direct.rx_centroids)
             assert np.array_equal(gathered.tx_areas, direct.tx_areas)
+
+    def test_evaluation_meshes_and_assembles_nothing(self, monkeypatch):
+        # once the parents and their channel exist, a new configuration is
+        # analyzed from them by index alone
+        p = PixelProblem(tx_spec=acceptance7_spec(), rx_spec=acceptance7_spec(),
+                         frequency=FREQ, separation=1.0 * LAM)
+        p.models, p.channel
+        for name in ("build_plate_mesh", "extract_rwg",
+                     "face_sampling_operator", "locate_port_edges",
+                     "assemble_impedance", "delta_gap_excitation",
+                     "assemble_channel"):
+            def refuse(*args, _name=name, **kwargs):
+                raise AssertionError(f"{_name} called by evaluate")
+
+            monkeypatch.setattr(cmadof.ga, name, refuse)
+        rng = np.random.default_rng(23)
+        scores = [evaluate(p, rng.integers(0, 2, p.bit_length))
+                  for _ in range(5)]
+        assert p.evaluations == 5
+        assert all(s.h_singulars is not None for s in scores)
 
     def test_models_are_lazy_and_shared(self, monkeypatch):
         calls = []
@@ -264,13 +302,11 @@ class TestAnalyzePlate:
             bits = rng.integers(0, 2, spec.n_bits)
             plate = analyze_plate(model, bits, n_keep=10)
             got = plate.modes
-            mesh = build_plate_mesh(spec, bits)
-            basis = extract_rwg(mesh)
-            want = solve_modes(assemble_impedance(basis, FREQ),
+            z, s, b = direct_operators(model, bits, plate.faces)
+            want = solve_modes(ImpedanceOperator(z=z, frequency=FREQ),
                                n_keep=10).significant()
-            patterns = mode_patterns(want, face_sampling_operator(basis))
-            v = excitation_matrix(want, delta_gap_excitation(
-                basis, locate_port_edges(spec, mesh)))
+            patterns = mode_patterns(want, s)
+            v = excitation_matrix(want, b)
             # bytes, which np.array_equal does not compare: -0.0 == 0.0
             pairs = [(name, getattr(got, name), getattr(want, name))
                      for name in ("eigenvalues", "mode_coeffs",
@@ -423,7 +459,7 @@ class TestEvaluate:
         assert sum(s.h_singulars is not None for s in scores) >= 15
 
     def test_unreachable_floor_is_degenerate(self, caplog, monkeypatch):
-        monkeypatch.setattr(cmadof.ga, "SIGNIFICANCE_FLOOR", 1.01)
+        monkeypatch.setattr(cmadof.cma, "SIGNIFICANCE_FLOOR", 1.01)
         p = tiny_problem()
         with caplog.at_level("WARNING", logger="cmadof.ga"):
             score = evaluate(p, np.ones(8, dtype=np.uint8))

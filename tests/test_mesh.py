@@ -15,7 +15,7 @@ from cmadof.mesh import (
     mesh_to_json,
     mesh_to_text,
 )
-from oracles import brute_interior_edge_count
+from oracles import brute_interior_edge_count, parent_edges
 
 
 def full_spec(rows=3, cols=4, ports=2):
@@ -207,10 +207,12 @@ def parity_configs(spec):
                   np.ones(spec.n_bits, dtype=int)]
 
 
-class TestRestrict:
-    """A configuration restricted from its all-metal parent: the face map
-    of its metal pixels and `RwgBasis.edge_map` name, in order, the parent
-    faces and edges of the mesh and basis built for it directly."""
+class TestEdgeMap:
+    """A configuration taken from its all-metal parent: the face map of
+    its metal pixels names, in order, the faces of the mesh built for it
+    directly, and `RwgBasis.edge_map` names the parent edges whose two
+    faces are both kept, in parent order. The basis built directly holds
+    the same edges in its own order: its edge i is parent edge p[i]."""
 
     @pytest.mark.parametrize("make_spec", [
         bench_small_spec, bench_large_spec, alternate_row_spec])
@@ -223,6 +225,10 @@ class TestRestrict:
             faces = (2 * spec.metal_pixels(bits)[:, None]
                      + np.arange(2)).ravel()
             e = parent.edge_map(faces)
+            p = parent_edges(parent, faces, direct)
+            # the same edges, the map's in parent order
+            assert np.all(np.diff(e) > 0)
+            assert np.array_equal(np.sort(p), e)
             # the parent vertex of each direct vertex, through the faces
             vertex = np.full(len(mesh.vertices), -1)
             vertex[mesh.faces] = parent.mesh.faces[faces]
@@ -233,16 +239,16 @@ class TestRestrict:
                 want = getattr(mesh, name)
                 assert got.dtype == want.dtype, name
                 assert np.array_equal(got, want), name
-            assert np.array_equal(parent.edges[e],
+            assert np.array_equal(parent.edges[p],
                                   np.sort(vertex[direct.edges], axis=1))
             for name, index in (("plus_face", faces), ("minus_face", faces),
                                 ("plus_free", vertex), ("minus_free", vertex)):
-                got = getattr(parent, name)[e]
+                got = getattr(parent, name)[p]
                 want = index[getattr(direct, name)]
                 assert got.dtype == want.dtype, name
                 assert np.array_equal(got, want), name
-            assert parent.lengths[e].dtype == direct.lengths.dtype
-            assert np.array_equal(parent.lengths[e], direct.lengths)
+            assert parent.lengths[p].dtype == direct.lengths.dtype
+            assert np.array_equal(parent.lengths[p], direct.lengths)
 
     def test_edge_map_names_the_same_edges(self):
         spec = alternate_row_spec()
@@ -253,12 +259,15 @@ class TestRestrict:
             faces = (2 * spec.metal_pixels(bits)[:, None]
                      + np.arange(2)).ravel()
             e = parent.edge_map(faces)
+            # the direct edges in parent order
+            order = np.argsort(parent_edges(parent, faces, direct))
             # the endpoint sum does not depend on the endpoints' order
             assert np.array_equal(
-                mesh.vertices[direct.edges].sum(axis=1),
+                mesh.vertices[direct.edges[order]].sum(axis=1),
                 parent.mesh.vertices[parent.edges[e]].sum(axis=1))
-            assert np.array_equal(faces[direct.plus_face], parent.plus_face[e])
-            assert np.array_equal(faces[direct.minus_face],
+            assert np.array_equal(faces[direct.plus_face[order]],
+                                  parent.plus_face[e])
+            assert np.array_equal(faces[direct.minus_face[order]],
                                   parent.minus_face[e])
 
 

@@ -4,11 +4,20 @@ import math
 import numpy as np
 import pytest
 
-from cmadof.quadrature import TRI_BARY, TRI_W, static_potential_integrals, tri_points
+from cmadof.quadrature import (TRI_BARY, TRI_W, Scratch,
+                               static_potential_integrals, tri_points)
 from oracles import static_potential_integrals as reference_static_integrals
 
 
 TRI = np.array([[0.0, 0.0, 0.0], [2.0, 0.0, 0.0], [0.5, 1.5, 0.0]])
+
+
+def one_triangle(obs, tri):
+    """(I0, Ir, J0, Jr) of triangle `tri` at the points `obs` (M, 3) or
+    at one point (3,), from a batch of one triangle."""
+    batch = static_potential_integrals(np.atleast_2d(obs)[None],
+                                       np.asarray(tri)[None], Scratch())
+    return tuple(a[0] for a in batch)
 
 
 def tri_area(tri):
@@ -105,7 +114,7 @@ class TestStaticPotentialIntegrals:
         ],
     )
     def test_against_subdivision_oracle(self, obs):
-        i0, ir, j0, jr = static_potential_integrals(obs, TRI)
+        i0, ir, j0, jr = one_triangle(obs, TRI)
         bi0, bir, bj0, bjr = brute_integrals(obs, TRI)
         assert i0[0] == pytest.approx(bi0, rel=2e-4)
         np.testing.assert_allclose(ir[0], bir, rtol=3e-4, atol=1e-7)
@@ -114,17 +123,17 @@ class TestStaticPotentialIntegrals:
 
     def test_multiple_observation_points(self):
         obs = np.array([[0.8, 0.5, 0.3], [3.5, 2.0, 0.0]])
-        i0, ir, j0, jr = static_potential_integrals(obs, TRI)
+        i0, ir, j0, jr = one_triangle(obs, TRI)
         assert i0.shape == (2,) and ir.shape == (2, 3)
         assert j0.shape == (2,) and jr.shape == (2, 3)
-        single = static_potential_integrals(obs[1], TRI)
+        single = one_triangle(obs[1], TRI)
         assert i0[1] == pytest.approx(single[0][0], rel=1e-14)
 
     def test_translation_covariance(self):
         obs = np.array([0.4, 0.9, 0.7])
         shift = np.array([2.0, -3.0, 1.5])
-        i0, ir, j0, jr = static_potential_integrals(obs, TRI)
-        i0s, irs, j0s, jrs = static_potential_integrals(obs + shift, TRI + shift)
+        i0, ir, j0, jr = one_triangle(obs, TRI)
+        i0s, irs, j0s, jrs = one_triangle(obs + shift, TRI + shift)
         assert i0s[0] == pytest.approx(i0[0], rel=1e-12)
         assert j0s[0] == pytest.approx(j0[0], rel=1e-12)
         np.testing.assert_allclose(irs[0], ir[0] + shift * i0[0], rtol=1e-11)
@@ -136,7 +145,7 @@ class TestStaticPotentialIntegrals:
         area = tri_area(TRI)
         centroid = TRI.mean(axis=0)
         dist = np.linalg.norm(obs - centroid)
-        i0, ir, j0, jr = static_potential_integrals(obs, TRI)
+        i0, ir, j0, jr = one_triangle(obs, TRI)
         assert i0[0] == pytest.approx(area / dist, rel=1e-3)
         assert j0[0] == pytest.approx(area * dist, rel=1e-3)
         np.testing.assert_allclose(ir[0], centroid * area / dist, rtol=2e-2)
@@ -144,7 +153,7 @@ class TestStaticPotentialIntegrals:
     def test_observation_on_edge_extension(self):
         # point on the x axis beyond vertex 1: lies on an edge line
         obs = np.array([4.0, 0.0, 0.0])
-        i0, ir, j0, jr = static_potential_integrals(obs, TRI)
+        i0, ir, j0, jr = one_triangle(obs, TRI)
         bi0, bir, bj0, bjr = brute_integrals(obs, TRI)
         assert np.isfinite(i0[0]) and np.isfinite(j0[0])
         assert i0[0] == pytest.approx(bi0, rel=2e-4)
@@ -152,13 +161,13 @@ class TestStaticPotentialIntegrals:
 
     def test_observation_above_vertex(self):
         obs = np.array([0.0, 0.0, 1e-3])
-        i0, *_ = static_potential_integrals(obs, TRI)
+        i0, *_ = one_triangle(obs, TRI)
         assert np.isfinite(i0[0]) and i0[0] > 0
 
     def test_self_point_inside_triangle_finite(self):
         # observation in the triangle plane, inside: integrable singularity
         obs = TRI.mean(axis=0)
-        i0, ir, j0, jr = static_potential_integrals(obs, TRI)
+        i0, ir, j0, jr = one_triangle(obs, TRI)
         assert np.isfinite(i0[0]) and i0[0] > 0
         assert np.isfinite(j0[0]) and j0[0] > 0
 
@@ -170,12 +179,13 @@ class TestStaticPotentialIntegrals:
         obs = rng.normal(scale=1.5, size=(6, 9, 3))
         obs[:, 0] = tris.mean(axis=1)
         obs[:, 1] = 2.0 * tris[:, 1] - tris[:, 0]
-        batched = static_potential_integrals(obs, tris)
+        batched = static_potential_integrals(obs, tris, Scratch())
         for p in range(len(tris)):
-            single = static_potential_integrals(obs[p], tris[p])
+            single = static_potential_integrals(obs[p:p + 1], tris[p:p + 1],
+                                                Scratch())
             for got, want in zip(batched, single):
-                assert got[p].shape == want.shape
-                assert np.array_equal(got[p], want)
+                assert got[p:p + 1].shape == want.shape
+                assert np.array_equal(got[p:p + 1], want)
 
     def test_batch_equals_the_allocating_reference(self):
         # the same batch, including points inside the triangles, on edge
@@ -186,6 +196,6 @@ class TestStaticPotentialIntegrals:
         obs[:, 0] = tris.mean(axis=1)
         obs[:, 1] = 2.0 * tris[:, 1] - tris[:, 0]
         obs[:, 2] = tris[:, 2]
-        for got, want in zip(static_potential_integrals(obs, tris),
+        for got, want in zip(static_potential_integrals(obs, tris, Scratch()),
                              reference_static_integrals(obs, tris)):
             assert np.array_equal(got, want)

@@ -18,7 +18,7 @@ SVG_NS = "{http://www.w3.org/2000/svg}"
 def sample_plot():
     plot = LinePlot(title="spectrum", xlabel="index", ylabel="value")
     plot.add_series("alpha", [0, 1, 2, 3], [0.1, 0.4, 0.2, 0.9])
-    plot.add_series("beta", [0, 1, 2], [1.5, -0.3, 0.7], marker=True)
+    plot.add_series("beta", [0, 1, 2], [1.5, -0.3, 0.7])
     plot.add_hline(0.5, "threshold")
     return plot
 
@@ -47,7 +47,7 @@ class TestSvg:
         pts = polylines[0].get("points").split()
         assert len(pts) == 4
         circles = root.findall(f"{SVG_NS}circle")
-        assert len(circles) == 3  # only the marker series draws points
+        assert len(circles) == 4 + 3  # every series marks every point
 
     def test_single_point_series_gets_marker_no_line(self):
         plot = LinePlot(title="t", xlabel="x", ylabel="y")
