@@ -25,13 +25,21 @@ blocks of the edge-space combination run on a thread pool of at most one
 thread per core, but no entry's arithmetic depends on the tile shape, the
 batch or the thread that computes it, and the calling thread places every
 result in a fixed order, so Z is bit-identical for any number of cores.
+The touching-pair batches hold the interpreter lock most of the time and
+the tiles' einsums release it, so the batches run as one chain beside the
+tiles, joined only by threads that find no tile left to start.
 
-A pool thread computes all of its tiles and batches in one
-`quadrature.Scratch`: the tile's distances and kernel and the temporaries
-of the closed-form integrals are written with `out=` into the same
-buffers, one array per Cartesian component, so the arithmetic allocates
-little beyond its results. The buffers are unmapped when the face moments
-are done.
+Within a tile the arithmetic is spelled for speed but computes the same
+products in the same order as the plain spelling (the untiled reference
+of the tests): the kernel is scaled on its float view, and the einsums of
+the vector moments run their inner loop over faces, not over the 3
+components.
+
+A pool thread computes its tiles and batches in one `quadrature.Scratch`
+at a time: the tile's distances and kernel and the temporaries of the
+closed-form integrals are written with `out=` into the same buffers, one
+array per Cartesian component, so the arithmetic allocates little beyond
+its results. The buffers are unmapped when the face moments are done.
 """
 
 from __future__ import annotations
@@ -278,11 +286,20 @@ def _cores() -> int:
 def _tile_moments(kern, xp, xq):
     """(m00, m_in, m_out, mdot) of one tile from its weighted kernel
     kern[p, i, q, j] (outer face p, point i; inner face q, point j) and
-    the points xp (P, 7, 3), xq (Q, 7, 3)."""
+    the points xp (P, 7, 3), xq (Q, 7, 3).
+
+    m_in and m_out are the sums kern . xq over j and kern . xp over i.
+    Spelled with d innermost ("piqj,qjd->pqd"), einsum's inner loop runs
+    over the 3 components; with xq as a contiguous (Q, 3, 7) copy and the
+    output axes reordered, it runs over p instead, and each entry's
+    products are still added in the same order, so the transposed results
+    are bit-equal to the plain spellings (tests/test_efie.py pins this).
+    """
+    xq_t = np.ascontiguousarray(xq.transpose(0, 2, 1))
     return (
         np.einsum("piqj->pq", kern),
-        np.einsum("piqj,qjd->pqd", kern, xq),
-        np.einsum("piqj,pid->pqd", kern, xp),
+        np.einsum("piqj,qdj->qdp", kern, xq_t).transpose(2, 0, 1),
+        np.einsum("piqj,pid->dqp", kern, xp).transpose(2, 1, 0),
         np.einsum("piqj,pid,qjd->pq", kern, xp, xq),
     )
 
@@ -314,10 +331,15 @@ def _regular_tile(x7, wa, k0, a: slice, b: slice, scratch: Scratch):
     np.maximum(dist, 1e-300, out=dist)  # self-points are overwritten later
     np.multiply(-1j * k0, dist, out=kern)
     np.exp(kern, out=kern)
+    # dividing a complex number by a real c, numpy multiplies both parts
+    # by 1/c, and multiplying it by a real w multiplies both parts by w:
+    # the same products on the float view of the kernel
+    parts = kern.view(float).reshape(shape + (2,))
     np.multiply(4.0 * np.pi, dist, out=tmp)
-    kern /= tmp
+    np.reciprocal(tmp, out=tmp)
+    parts *= tmp[..., None]
     np.multiply(wa[a, :, None, None], wa[None, None, b, :], out=tmp)
-    kern *= tmp
+    parts *= tmp[..., None]
     ab = _tile_moments(kern, x7[a], x7[b])
     if a == b:
         return ab, None
@@ -329,11 +351,15 @@ def _regular_tile(x7, wa, k0, a: slice, b: slice, scratch: Scratch):
 def assemble_impedance(basis: RwgBasis, frequency: float) -> ImpedanceOperator:
     """Assemble the Galerkin EFIE impedance matrix for one frequency.
 
-    The regular-pair tiles, the touching-pair batches and then the row
-    blocks of the edge-space combination run on a thread pool of at most
-    one thread per core (NumPy releases the interpreter lock inside these
-    loops); the calling thread scatters every result in a fixed order, so
-    Z is bit-identical for any number of cores.
+    The face moments and then the row blocks of the edge-space combination
+    run on a thread pool of at most one thread per core. The touching-pair
+    batches are the pool's first task, one chain beside the regular-pair
+    tiles, whose einsums release the interpreter lock that the batches'
+    short ufunc calls mostly hold; a thread that finds no tile left to
+    start takes the batches not yet taken. Every tile and batch computes
+    each entry by the same arithmetic wherever it runs, and the calling
+    thread scatters every result in a fixed order, so Z is bit-identical
+    for any number of cores.
     """
     if not frequency > 0:
         raise ValueError("frequency must be positive")
@@ -408,7 +434,7 @@ def assemble_impedance(basis: RwgBasis, frequency: float) -> ImpedanceOperator:
 
     # each task computes in a Scratch that no running task holds, so there
     # are at most as many as pool threads, and a thread reuses one from
-    # tile to tile and batch to batch
+    # task to task
     spares = queue.SimpleQueue()
 
     @contextlib.contextmanager
@@ -426,18 +452,35 @@ def assemble_impedance(basis: RwgBasis, frequency: float) -> ImpedanceOperator:
         with scratch() as s:
             return _regular_tile(x7, wa, k0, *ab, s)
 
-    def touching_batch(pq):
-        p, q = pq
-        with scratch() as s:
-            return _singular_moments(tv[p], tv[q], areas[p], areas[q], k0, s)
+    # the batches not yet taken, by the chain that is the pool's first task
+    # and by every thread that finds no tile left to start
+    todo = queue.SimpleQueue()
+    for i in range(len(batches)):
+        todo.put(i)
+    touching = [None] * len(batches)
 
-    with ThreadPoolExecutor(min(_cores(), len(tiles) + len(batches))) as pool:
+    def touching_chain():
+        with scratch() as s:
+            while True:
+                try:
+                    i = todo.get_nowait()
+                except queue.Empty:
+                    return
+                p, q = batches[i]
+                touching[i] = _singular_moments(tv[p], tv[q], areas[p],
+                                                areas[q], k0, s)
+
+    threads = min(_cores(), len(tiles) + len(batches))
+    with ThreadPoolExecutor(threads) as pool:
+        chains = [pool.submit(touching_chain)]
         regular = pool.map(tile, tiles)
-        touching = pool.map(touching_batch, batches)
+        chains += [pool.submit(touching_chain) for _ in range(threads - 1)]
         for (a, b), (ab, ba) in zip(tiles, regular):
             m00[a, b], m_in[a, b], m_out[a, b], mdot[a, b] = ab
             if ba is not None:
                 m00[b, a], m_in[b, a], m_out[b, a], mdot[b, a] = ba
+        for chain in chains:
+            chain.result()
         for (p, q), (s00, s_in, s_out, sdot) in zip(batches, touching):
             m00[p, q] = m00[q, p] = s00
             mdot[p, q] = mdot[q, p] = sdot

@@ -324,7 +324,9 @@ def _analyze_link(problem: PixelProblem,
     tx_model, rx_model = problem.models
     try:
         tx = analyze_plate(tx_model, phi_t, problem.n_keep)
-        rx = analyze_plate(rx_model, phi_r, problem.n_keep)
+        # one shared parent and the same bits: the same analysis
+        same = rx_model is tx_model and np.array_equal(phi_r, phi_t)
+        rx = tx if same else analyze_plate(rx_model, phi_r, problem.n_keep)
         u_t = transmitter_map(tx.patterns, tx.modes.significances, tx.v)
         u_r = receiver_map(rx.v, rx.modes.significances, rx.patterns)
         g = problem.channel.gather(rx.faces, tx.faces)

@@ -300,6 +300,23 @@ def touching_moments(p_verts, q_verts, area_p, area_q, k0):
     return m00, m_in, m_out, mdot
 
 
+def plain_face_moments(x7, wa, k0, rows, cols):
+    """(m00, m_in, m_out, mdot) of the regular face pairs rows x cols
+    (slices of the faces), with the kernel and the einsums spelled
+    plainly: x7 (F, 7, 3) are the faces' rule points and wa (F, 7) their
+    weights times the face areas."""
+    diff = x7[rows, :, None, None, :] - x7[None, None, cols, :, :]
+    dist = np.linalg.norm(diff, axis=-1)
+    np.maximum(dist, 1e-300, out=dist)
+    kern = np.exp(-1j * k0 * dist) / (4.0 * np.pi * dist)
+    kern *= wa[rows, :, None, None] * wa[None, None, cols, :]
+    xp, xq = x7[rows], x7[cols]
+    return (np.einsum("piqj->pq", kern),
+            np.einsum("piqj,qjd->pqd", kern, xq),
+            np.einsum("piqj,pid->pqd", kern, xp),
+            np.einsum("piqj,pid,qjd->pq", kern, xp, xq))
+
+
 def untiled_impedance(basis, frequency):
     """Z by the whole-plate, single-threaded face-moment loop.
 
@@ -328,15 +345,8 @@ def untiled_impedance(basis, frequency):
     chunk = max(1, min(nf, 4_000_000 // (nf * nq * nq) + 1))
     for start in range(0, nf, chunk):
         sl = slice(start, min(start + chunk, nf))
-        diff = x7[sl, :, None, None, :] - x7[None, None, :, :, :]
-        dist = np.linalg.norm(diff, axis=-1)
-        np.maximum(dist, 1e-300, out=dist)
-        kern = np.exp(-1j * k0 * dist) / (4.0 * np.pi * dist)
-        kern *= wa[sl, :, None, None] * wa[None, None, :, :]
-        m00[sl] = np.einsum("piqj->pq", kern)
-        m_in[sl] = np.einsum("piqj,qjd->pqd", kern, x7)
-        m_out[sl] = np.einsum("piqj,pid->pqd", kern, x7[sl])
-        mdot[sl] = np.einsum("piqj,pid,qjd->pq", kern, x7[sl], x7)
+        m00[sl], m_in[sl], m_out[sl], mdot[sl] = plain_face_moments(
+            x7, wa, k0, sl, slice(None))
 
     pairs = np.array(_face_adjacency_pairs(mesh.faces)).reshape(-1, 2)
     for start in range(0, len(pairs), TOUCH_CHUNK):

@@ -3,6 +3,8 @@ import gc
 import os
 import subprocess
 import sys
+import threading
+import time
 import types
 from pathlib import Path
 
@@ -26,7 +28,8 @@ from cmadof.efie import (
 from cmadof.errors import GeometryError
 from cmadof.mesh import PlateSpec, build_plate_mesh, extract_rwg
 from cmadof.quadrature import Scratch, TRI_W, static_potential_integrals, tri_points
-from oracles import oracle_impedance_entry, untiled_impedance
+from oracles import (oracle_impedance_entry, plain_face_moments,
+                     untiled_impedance)
 
 FREQ = 27e9
 PIX = 0.24 * c0 / FREQ
@@ -198,6 +201,111 @@ class TestAssemblyIsExact:
             monkeypatch.setattr(cmadof.efie, "_cores", lambda: cores)
         basis = make_basis()
         z = assemble_impedance(basis, FREQ).z
+        assert np.array_equal(z, untiled_impedance(basis, FREQ))
+
+
+MOMENTS = ("m00", "m_in", "m_out", "mdot")
+
+
+class TestTileMoments:
+    """A tile scales its kernel on the float view and runs its einsums in
+    loop orders chosen for speed; every entry must still be the plain
+    spelling's of the untiled reference, bit for bit. A numpy release
+    that changes einsum's reduction order or complex division fails here
+    first, not only as a moved Z."""
+
+    @pytest.mark.parametrize("cols", [1, 2, 7, 24, 32])
+    @pytest.mark.parametrize("rows", [1, 2, 7, 24, 32])
+    def test_equals_plain_spelling(self, rows, cols):
+        mesh = ga_link_parent().mesh
+        x7 = tri_points(mesh.vertices[mesh.faces])
+        wa = TRI_W[None, :] * mesh.face_areas[:, None]
+        k0 = 2 * np.pi * FREQ / c0
+        tiles = [(slice(0, rows), slice(64 - cols, 64))]  # and its mirror
+        if rows == cols:
+            tiles.append((slice(0, rows),) * 2)  # on the diagonal
+        for a, b in tiles:
+            ab, ba = _regular_tile(x7, wa, k0, a, b, Scratch())
+            got = [(a, b, ab)] if ba is None else [(a, b, ab), (b, a, ba)]
+            for rows_of, cols_of, moments in got:
+                plain = plain_face_moments(x7, wa, k0, rows_of, cols_of)
+                for name, have, want in zip(MOMENTS, moments, plain):
+                    assert np.array_equal(have, want), (
+                        f"{name} of faces {rows_of.start}:{rows_of.stop} x "
+                        f"{cols_of.start}:{cols_of.stop} is not "
+                        "the plain einsum's: this numpy orders the sums "
+                        "or rounds the complex division differently")
+
+
+def record_spans(monkeypatch, name, spans, pause):
+    """Rebind cmadof.efie.name to a wrapper that sleeps `pause` seconds
+    after each call and appends its (start, end, thread) to `spans`."""
+    original = getattr(cmadof.efie, name)
+
+    def wrapper(*args):
+        start = time.perf_counter()
+        result = original(*args)
+        time.sleep(pause)
+        spans.append((start, time.perf_counter(), threading.get_ident()))
+        return result
+
+    monkeypatch.setattr(cmadof.efie, name, wrapper)
+
+
+class TestSchedule:
+    """The touching batches run as one chain beside the tiles; a thread
+    joins the chain only when no tile is left to start."""
+
+    @pytest.mark.parametrize("cores", [2, 3])
+    def test_batches_run_one_at_a_time_beside_the_tiles(self, monkeypatch,
+                                                        cores):
+        # tiles slowed far beyond the whole chain, so no thread runs out
+        # of tiles while a batch is left
+        monkeypatch.setattr(cmadof.efie, "_cores", lambda: cores)
+        tiles, batches = [], []
+        record_spans(monkeypatch, "_regular_tile", tiles, 0.3)
+        record_spans(monkeypatch, "_singular_moments", batches, 0.0)
+        basis = acceptance7_plate()
+        z = assemble_impedance(basis, FREQ).z
+        batches.sort()
+        assert len({thread for *_, thread in batches}) == 1
+        assert all(end <= start for (_, end, _), (start, _, _)
+                   in zip(batches, batches[1:]))
+        assert batches[0][0] < min(end for _, end, _ in tiles)
+        assert np.array_equal(z, untiled_impedance(basis, FREQ))
+
+    def test_a_thread_out_of_tiles_joins_the_chain(self, monkeypatch):
+        monkeypatch.setattr(cmadof.efie, "_cores", lambda: 2)
+        tiles, batches = [], []
+        record_spans(monkeypatch, "_regular_tile", tiles, 0.0)
+        record_spans(monkeypatch, "_singular_moments", batches, 0.05)
+        basis = acceptance7_plate()
+        z = assemble_impedance(basis, FREQ).z
+        assert len({thread for *_, thread in batches}) == 2
+        last_tile = max(end for _, end, _ in tiles)
+        for i, (start, end, _) in enumerate(batches):
+            for other_start, other_end, _ in batches[i + 1:]:
+                if other_start < end and start < other_end:
+                    assert max(start, other_start) >= last_tile
+        assert np.array_equal(z, untiled_impedance(basis, FREQ))
+
+    def test_each_batch_runs_once_under_contention(self, monkeypatch):
+        # more threads than cores, switching as often as the interpreter
+        # allows: a batch taken twice or lost shows in the count or in Z
+        monkeypatch.setattr(cmadof.efie, "_cores", lambda: 8)
+        tiles, batches = [], []
+        record_spans(monkeypatch, "_regular_tile", tiles, 0.0)
+        record_spans(monkeypatch, "_singular_moments", batches, 0.0)
+        basis = acceptance7_plate()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            z = assemble_impedance(basis, FREQ).z
+        finally:
+            sys.setswitchinterval(interval)
+        pairs = len(_face_adjacency_pairs(basis.mesh.faces))
+        assert len(tiles) == 3
+        assert len(batches) == -(-pairs // cmadof.efie.TOUCH_CHUNK)
         assert np.array_equal(z, untiled_impedance(basis, FREQ))
 
 

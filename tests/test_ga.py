@@ -436,6 +436,33 @@ class TestEvaluate:
         assert score.fitness == fitness(ch)
         assert np.isfinite(score.fitness)
 
+    def test_identical_plates_are_analyzed_once(self, monkeypatch):
+        calls = []
+
+        def counting(model, bits, n_keep):
+            calls.append(model)
+            return analyze_plate(model, bits, n_keep)
+
+        monkeypatch.setattr(cmadof.ga, "analyze_plate", counting)
+        half = np.array([1, 0, 1, 1], dtype=np.uint8)
+        same = np.concatenate([half, half])
+        p = tiny_problem()
+        shared = evaluate(p, same)
+        assert len(calls) == 1
+        link = p.last_link[1]
+        assert link.rx is link.tx
+        evaluate(p, np.concatenate([half, [1, 1, 0, 1]]))
+        assert len(calls) == 3
+        # an equal receiver parent of its own is analyzed again, to the
+        # same bytes
+        twin = tiny_problem()
+        tx, _ = twin.models
+        twin.models = (tx, dataclasses.replace(tx))
+        apart = evaluate(twin, same)
+        assert len(calls) == 5
+        assert apart.h_singulars.tobytes() == shared.h_singulars.tobytes()
+        assert (apart.dof_h, apart.fitness) == (shared.dof_h, shared.fitness)
+
     @pytest.mark.parametrize("make_spec", [acceptance7_spec, cli_default_spec])
     def test_lean_score_matches_link_report(self, make_spec):
         spec = make_spec()
