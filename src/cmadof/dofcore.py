@@ -61,6 +61,10 @@ __all__ = [
     "block_leakage",
 ]
 
+#: rows of G per block of the Gamma residual sum
+RESIDUAL_ROWS = 64
+
+
 def matrix_rank(a: np.ndarray) -> int:
     """Numerical rank at the relative singular-value cutoff RANK_TOL."""
     return strict_rank(np.linalg.svd(a, compute_uv=False))
@@ -215,12 +219,20 @@ def gamma_decomposition(g, patterns_r: np.ndarray, patterns_t: np.ndarray) -> Ga
     left = e_pinv @ g_mat
     gamma = left @ jt_pinv
 
-    g_norm = np.linalg.norm(g_mat)
-    if g_norm == 0.0:
+    # P_E G P_J = E_r (Gamma J_t^T) from the thin (k_r, n) factor, and
+    # ||G - P_E G P_J||^2 summed over row blocks, so no n x n array is made
+    right = gamma @ j_t.T
+    g_sq = res_sq = 0.0
+    for s in range(0, g_mat.shape[0], RESIDUAL_ROWS):
+        rows = slice(s, s + RESIDUAL_ROWS)
+        g_rows = g_mat[rows]
+        diff = e_r[rows] @ right
+        np.subtract(g_rows, diff, out=diff)
+        g_sq += np.vdot(g_rows, g_rows).real
+        res_sq += np.vdot(diff, diff).real
+    if g_sq == 0.0:
         return GammaMatrix(gamma, 0.0, kept_r, kept_t)
-    # P_E G P_J from thin factors: O(n^2 k), never an n x n projector
-    projected = e_r @ (left @ (jt_pinv @ j_t.T))
-    unmodeled = float(np.linalg.norm(g_mat - projected) / g_norm)
+    unmodeled = float(np.sqrt(res_sq / g_sq))
     return GammaMatrix(gamma, unmodeled, kept_r, kept_t)
 
 

@@ -268,12 +268,18 @@ def _singular_moments(p_verts, q_verts, area_p, area_q, k0, scratch: Scratch):
 #: parent 102.6, 92.6 and 98.3 ms
 TOUCH_CHUNK = 32
 
-#: faces per side of a regular-pair tile, and edges per row block of the
-#: edge-space combination. A 32 x 32 face tile holds 50,176 point pairs:
-#: 0.8 MB of kernel values and 0.8 MB for the distances, one temporary and
-#: then the mirror kernel, against 103 MB for the whole 256-face plate
-#: at once
+#: faces per side of a regular-pair tile. A 32 x 32 face tile holds
+#: 50,176 point pairs: 0.8 MB of kernel values and 0.8 MB for the
+#: distances, one temporary and then the mirror kernel, against 103 MB for
+#: the whole 256-face plate at once
 TILE = 32
+
+#: edges per row block of the edge-space combination. A block gathers
+#: (EDGE_ROWS, 2, E, 2) face moments, 3 complex values for each of m_in
+#: and m_out and one for m00 and mdot: 1.1 MB for each vector moment and
+#: 0.4 MB for each scalar one at 16 rows and the 360 edges of the
+#: 8 x 16-pixel plate
+EDGE_ROWS = 16
 
 
 def _cores() -> int:
@@ -494,6 +500,7 @@ def assemble_impedance(basis: RwgBasis, frequency: float) -> ImpedanceOperator:
             m_out[p[own], p[own]] = s_avg
         del spares  # every task is done: unmap the buffers
 
-        rows = [slice(s, min(s + TILE, ne)) for s in range(0, ne, TILE)]
+        rows = [slice(s, min(s + EDGE_ROWS, ne))
+                for s in range(0, ne, EDGE_ROWS)]
         z = np.concatenate(list(pool.map(edge_rows, rows)))
     return ImpedanceOperator(z=z, frequency=frequency, basis=basis)

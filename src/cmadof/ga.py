@@ -142,9 +142,14 @@ class PlateModel:
         configuration, all taken from the parent by index.
 
         Pixel t owns parent faces 2t and 2t + 1, so the configuration's
-        faces f, and with them its edges, keep the parent's order.
+        faces f, and with them its edges, keep the parent's order. The
+        all-metal configuration keeps every face and edge: it gets the
+        parent's own impedance operator, sampler and port columns, not
+        copies.
         """
         f = (2 * self.spec.metal_pixels(bits)[:, None] + np.arange(2)).ravel()
+        if f.size == self.basis.mesh.n_faces:
+            return self.impedance, self.sampler, self.excitation, f
         e = self.basis.edge_map(f)
         rows = face_rows(f)
         op = ImpedanceOperator(z=self.impedance.z[np.ix_(e, e)],

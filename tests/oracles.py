@@ -16,7 +16,12 @@ Nothing in here shares code paths with the package internals it checks:
   assembly replaced, and its own copy of the allocating (P, M, 3)
   touching-pair arithmetic that the package's component-first kernel in
   reused buffers replaced, so that the two can be required to agree bit
-  for bit.
+  for bit;
+* the dense channel reference is another: it calls the package's own
+  `green_dyadic` once on every centroid pair and transposes the whole
+  (N_R, N_T, 3, 3) result into place, the one-shot layout that the
+  blocked, in-place `assemble_channel` replaced, so that the blocking can
+  be required to keep every bit.
 """
 
 from __future__ import annotations
@@ -387,6 +392,18 @@ def untiled_impedance(basis, frequency):
     a_mat = 0.25 * np.einsum("manb->mn", coef * vec_term)
     phi_mat = np.einsum("manb->mn", coef * g00)
     return 1j * omega * MU0 * a_mat - 1j / (omega * EPS0) * phi_mat
+
+
+def dense_channel(tx, rx, k0):
+    """The (3 N_R, 3 N_T) channel matrix between meshes tx and rx from one
+    `green_dyadic` call over all centroid pairs."""
+    from cmadof.channel import green_dyadic
+
+    omega = k0 * C0
+    blocks = green_dyadic(rx.face_centroids[:, None], tx.face_centroids[None], k0)
+    blocks *= (-1j * omega * MU0) * tx.face_areas[None, :, None, None]
+    n_r, n_t = rx.n_faces, tx.n_faces
+    return blocks.transpose(0, 2, 1, 3).reshape(3 * n_r, 3 * n_t)
 
 
 def dense_reduced_pencil_eigs(x_mat, r_psd, rel_cut=1e-10):

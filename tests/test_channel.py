@@ -1,9 +1,12 @@
 """Tests for the dyadic Green kernel and the discretized aperture channel."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.constants import c as c0, mu_0 as MU0
 
+import cmadof.channel
 from cmadof.channel import (
     ETA0,
     RANK_TOL,
@@ -14,8 +17,11 @@ from cmadof.channel import (
     green_dyadic,
     strict_rank,
 )
+from cmadof.cli import _plate_spec
+from cmadof.config import RunConfig
 from cmadof.errors import SingularityError
-from cmadof.mesh import PlateSpec, build_plate_mesh
+from cmadof.mesh import PlateSpec, build_plate_mesh, face_rows
+from oracles import dense_channel
 
 FREQ = 27e9
 LAM = c0 / FREQ
@@ -29,6 +35,28 @@ def desk_plate():
         width=8 * PIX, height=4 * PIX, pixel_rows=4, pixel_cols=8, ports=4
     )
     return build_plate_mesh(spec, np.ones(spec.n_bits, dtype=np.int8))
+
+
+#: run configurations whose all-metal parents the channel is pinned on:
+#: the benchmark's two links, the CLI default, and a receive plate of
+#: another spec whose 30 faces are not a whole number of RX_BLOCK blocks
+LINKS = {
+    "ga_link": RunConfig(pixel_size=0.35 * LAM, separation=1.0 * LAM),
+    "dof_large": RunConfig(tx_ports=8, rx_ports=8, tx_pixels_per_port=16,
+                           rx_pixels_per_port=16),
+    "cli_default": RunConfig(),
+    "odd_receive": RunConfig(rx_ports=3, rx_pixels_per_port=5),
+}
+
+
+def parent_link(cfg):
+    """(transmit mesh, receive mesh, k0) of the all-metal parents of a run,
+    placed as `PixelProblem.channel` places them."""
+    tx_spec, rx_spec = _plate_spec(cfg, "tx"), _plate_spec(cfg, "rx")
+    tx = build_plate_mesh(tx_spec, np.ones(tx_spec.n_bits))
+    rx = build_plate_mesh(rx_spec, np.ones(rx_spec.n_bits)).translated(
+        (0.0, 0.0, cfg.separation))
+    return tx, rx, 2.0 * np.pi * cfg.frequency / c0
 
 
 class TestGreenDyadic:
@@ -170,6 +198,29 @@ class TestAssembleChannel:
         with pytest.raises(ValueError):
             assemble_channel(tx, rx, 0.0)
 
+    @pytest.mark.parametrize("name", LINKS)
+    def test_equals_the_one_shot_channel(self, name):
+        tx, rx, k0 = parent_link(LINKS[name])
+        if name == "odd_receive":
+            assert rx.n_faces % cmadof.channel.RX_BLOCK != 0
+        op = assemble_channel(tx, rx, k0)
+        assert np.array_equal(op.matrix, dense_channel(tx, rx, k0))
+        assert op.matrix.flags.c_contiguous
+
+    def test_peak_memory_is_the_channel_and_one_block(self):
+        tx, rx, k0 = parent_link(LINKS["dof_large"])
+        tracemalloc.start()
+        try:
+            op = assemble_channel(tx, rx, k0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # the kernel temporaries of one block of 16 receive faces: six
+        # complex (16, N_T, 3, 3) arrays; building G in one shot took
+        # about 35 of them on these 256-face plates
+        block = 6 * 16 * tx.n_faces * 9 * 16
+        assert peak <= op.matrix.nbytes + block
+
     def test_singulars_descending_and_cached(self):
         spec = PlateSpec(
             width=PIX, height=PIX, pixel_rows=1, pixel_cols=1, ports=1
@@ -197,6 +248,43 @@ class TestAssembleChannel:
         xx = op.matrix[0::3, 0::3]
         s = np.linalg.svd(xx, compute_uv=False)
         assert s[1] / s[0] < 1e-2
+
+
+class TestGather:
+    @pytest.fixture(scope="class")
+    def op(self):
+        tx, rx, k0 = parent_link(LINKS["odd_receive"])
+        return assemble_channel(tx, rx, k0)
+
+    def test_every_face_in_order_is_the_operator(self, op):
+        n_r, n_t = len(op.rx_centroids), len(op.tx_centroids)
+        assert op.gather(np.arange(n_r), np.arange(n_t)) is op
+
+    @pytest.mark.parametrize("permute", ["rx", "tx", "both"])
+    def test_full_length_permutation_is_a_fresh_copy(self, op, permute):
+        rng = np.random.default_rng(3)
+        rx_faces = np.arange(len(op.rx_centroids))
+        tx_faces = np.arange(len(op.tx_centroids))
+        if permute in ("rx", "both"):
+            rx_faces = rng.permutation(rx_faces)
+        if permute in ("tx", "both"):
+            tx_faces = rng.permutation(tx_faces)
+        g = op.gather(rx_faces, tx_faces)
+        assert g is not op
+        assert not np.shares_memory(g.matrix, op.matrix)
+        assert np.array_equal(
+            g.matrix, op.matrix[np.ix_(face_rows(rx_faces), face_rows(tx_faces))])
+        assert np.array_equal(g.rx_centroids, op.rx_centroids[rx_faces])
+        assert np.array_equal(g.tx_centroids, op.tx_centroids[tx_faces])
+        assert np.array_equal(g.tx_areas, op.tx_areas[tx_faces])
+
+    def test_a_subset_is_a_fresh_sub_block(self, op):
+        rx_faces = np.arange(len(op.rx_centroids))
+        tx_faces = np.arange(1, len(op.tx_centroids))
+        g = op.gather(rx_faces, tx_faces)
+        assert g is not op
+        assert g.matrix.shape == (op.matrix.shape[0], op.matrix.shape[1] - 3)
+        assert np.array_equal(g.matrix, op.matrix[:, 3:])
 
 
 class TestEffectiveRank:

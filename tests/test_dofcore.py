@@ -7,6 +7,7 @@ instances with known construction ranks.
 
 import dataclasses
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -262,6 +263,23 @@ class TestGammaDecomposition:
         unmodeled = np.linalg.norm(g - projected) / g_norm
         assert unmodeled > 0.05
         assert gm.unmodeled_fraction == pytest.approx(unmodeled, rel=1e-9)
+
+    def test_allocates_no_n_by_n_array(self):
+        rng = np.random.default_rng(26)
+        n = 768
+        g = rand_c(rng, n, n)
+        ebar, jbar = rand_c(rng, n, 20), rand_c(rng, n, 20)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            gm = gamma_decomposition(g, ebar, jbar)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # fewer bytes than one float64 n x n array: no n^2 entries of any
+        # of the decomposition's dtypes were ever held at once
+        assert peak - base < n * n * 8
+        assert 0.99 < gm.unmodeled_fraction < 1.0
 
     def test_zero_channel(self):
         rng = np.random.default_rng(23)

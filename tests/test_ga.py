@@ -218,10 +218,18 @@ class TestPlateModel:
         op, sampler, ports, faces = model.gather(np.ones(spec.n_bits))
         assert np.array_equal(model.basis.edge_map(faces),
                               np.arange(model.basis.n_edges))
-        assert np.array_equal(op.z, model.impedance.z)
-        assert np.array_equal(sampler, model.sampler)
-        assert np.array_equal(ports, model.excitation)
+        assert op is model.impedance
+        assert sampler is model.sampler
+        assert ports is model.excitation
         assert np.array_equal(faces, np.arange(2 * spec.n_bits))
+
+    def test_all_metal_link_analyzes_the_parent_channel(self):
+        p = PixelProblem(tx_spec=cli_default_spec(), rx_spec=acceptance7_spec(),
+                         frequency=FREQ, separation=1.0 * LAM)
+        evaluate(p, np.ones(p.bit_length, dtype=np.uint8))
+        link = p.last_link[1]
+        assert link.g is p.channel
+        assert link_report(p, np.ones(p.bit_length)) is not None
 
     @pytest.mark.parametrize("make_specs", [
         lambda: (acceptance7_spec(), acceptance7_spec()),
