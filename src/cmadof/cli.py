@@ -8,9 +8,11 @@ Five commands share one configuration schema (see config.py):
   sweep        repeat the dof/optimize analysis over ports/separation/gamma
   export-mesh  write the transmit plate mesh as text or JSON
 
-Every artifact is reproducible byte-for-byte from (config, seed); the only
-timestamp lives in run_meta.json. Exit codes: 0 success, 2 configuration
-error, 3 geometry error, 4 numerical error.
+Every artifact is reproducible byte-for-byte from (config, seed) on one
+machine, NumPy/BLAS build and BLAS thread count (BLAS sums in an order
+that depends on its thread count); the only timestamp lives in
+run_meta.json. Exit codes: 0 success, 2 configuration error, 3 geometry
+error, 4 numerical error.
 """
 
 from __future__ import annotations

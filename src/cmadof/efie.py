@@ -26,8 +26,8 @@ thread per core, but no entry's arithmetic depends on the tile shape, the
 batch or the thread that computes it, and the calling thread places every
 result in a fixed order, so Z is bit-identical for any number of cores.
 The touching-pair batches hold the interpreter lock most of the time and
-the tiles' einsums release it, so the batches run as one chain beside the
-tiles, joined only by threads that find no tile left to start.
+the tiles' einsums release it, so the batches run in order as one task
+beside the tiles.
 
 Within a tile the arithmetic is spelled for speed but computes the same
 products in the same order as the plain spelling (the untiled reference
@@ -35,18 +35,17 @@ of the tests): the kernel is scaled on its float view, and the einsums of
 the vector moments run their inner loop over faces, not over the 3
 components.
 
-A pool thread computes its tiles and batches in one `quadrature.Scratch`
-at a time: the tile's distances and kernel and the temporaries of the
-closed-form integrals are written with `out=` into the same buffers, one
-array per Cartesian component, so the arithmetic allocates little beyond
-its results. The buffers are unmapped when the face moments are done.
+The batch task computes every batch in one `quadrature.Scratch`: the
+temporaries of the closed-form integrals are written with `out=` into the
+same buffers, one array per Cartesian component, so the batches allocate
+little beyond their results. The buffers are unmapped when the task ends.
+A tile writes its distances and kernel with `out=` into two arrays of its
+own.
 """
 
 from __future__ import annotations
 
-import contextlib
 import os
-import queue
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import cached_property
@@ -260,8 +259,8 @@ def _singular_moments(p_verts, q_verts, area_p, area_q, k0, scratch: Scratch):
 
 
 #: touching face pairs per batched moment call. The closed-form integrals
-#: of a batch take 23 arrays of P pairs x 448 outer points from the
-#: thread's Scratch (2.6 MB at P = 32). Smaller P pays more per-call Python
+#: of a batch take 23 arrays of P pairs x 448 outer points from the batch
+#: task's Scratch (2.6 MB at P = 32). Smaller P pays more per-call Python
 #: overhead and larger P only grows the buffers: on one thread of a 2-vCPU
 #: machine, the 357 pairs of a 4x8-pixel parent took 25.3, 24.0 and
 #: 23.7 ms at P = 16, 32 and 64, and the 1,605 pairs of an 8x16-pixel
@@ -310,7 +309,7 @@ def _tile_moments(kern, xp, xq):
     )
 
 
-def _regular_tile(x7, wa, k0, a: slice, b: slice, scratch: Scratch):
+def _regular_tile(x7, wa, k0, a: slice, b: slice):
     """Full-kernel 7x7-rule moments of the face blocks a x b, and of b x a
     unless a is b.
 
@@ -318,12 +317,12 @@ def _regular_tile(x7, wa, k0, a: slice, b: slice, scratch: Scratch):
     changes only its sign when the faces swap, so the kernel of b x a is
     the transpose of a x b's bit for bit, and the mirror tile runs the same
     einsums on a contiguous transposed copy instead of computing it again.
-    Each entry's arithmetic does not depend on the tile's shape. The
-    kernel, the distances and the mirror live in `scratch`.
+    Each entry's arithmetic does not depend on the tile's shape.
     """
     shape = (a.stop - a.start, 7, b.stop - b.start, 7)
-    kern, spare = scratch.take(shape, 2, complex)
-    # the spare slot holds the distances and one real temporary, and then
+    kern = np.empty(shape, dtype=complex)
+    spare = np.empty(shape, dtype=complex)
+    # the spare array holds the distances and one real temporary, and then
     # the mirror kernel
     dist, tmp = spare.view(float).reshape((2,) + shape)
     for c in range(3):
@@ -359,13 +358,12 @@ def assemble_impedance(basis: RwgBasis, frequency: float) -> ImpedanceOperator:
 
     The face moments and then the row blocks of the edge-space combination
     run on a thread pool of at most one thread per core. The touching-pair
-    batches are the pool's first task, one chain beside the regular-pair
-    tiles, whose einsums release the interpreter lock that the batches'
-    short ufunc calls mostly hold; a thread that finds no tile left to
-    start takes the batches not yet taken. Every tile and batch computes
-    each entry by the same arithmetic wherever it runs, and the calling
-    thread scatters every result in a fixed order, so Z is bit-identical
-    for any number of cores.
+    batches are the pool's first task, which runs them in order beside the
+    regular-pair tiles, whose einsums release the interpreter lock that
+    the batches' short ufunc calls mostly hold. Every tile and batch
+    computes each entry by the same arithmetic wherever it runs, and the
+    calling thread scatters every result in a fixed order, so Z is
+    bit-identical for any number of cores.
     """
     if not frequency > 0:
         raise ValueError("frequency must be positive")
@@ -438,56 +436,20 @@ def assemble_impedance(basis: RwgBasis, frequency: float) -> ImpedanceOperator:
         phi_mat = np.einsum("manb->mn", coef * g00)
         return 1j * omega * MU0 * a_mat - 1j / (omega * EPS0) * phi_mat
 
-    # each task computes in a Scratch that no running task holds, so there
-    # are at most as many as pool threads, and a thread reuses one from
-    # task to task
-    spares = queue.SimpleQueue()
+    def touching_batches():
+        """Every touching batch in order, in one Scratch."""
+        scratch = Scratch()
+        return [_singular_moments(tv[p], tv[q], areas[p], areas[q], k0, scratch)
+                for p, q in batches]
 
-    @contextlib.contextmanager
-    def scratch():
-        try:
-            held = spares.get_nowait()
-        except queue.Empty:
-            held = Scratch()
-        try:
-            yield held
-        finally:
-            spares.put(held)
-
-    def tile(ab):
-        with scratch() as s:
-            return _regular_tile(x7, wa, k0, *ab, s)
-
-    # the batches not yet taken, by the chain that is the pool's first task
-    # and by every thread that finds no tile left to start
-    todo = queue.SimpleQueue()
-    for i in range(len(batches)):
-        todo.put(i)
-    touching = [None] * len(batches)
-
-    def touching_chain():
-        with scratch() as s:
-            while True:
-                try:
-                    i = todo.get_nowait()
-                except queue.Empty:
-                    return
-                p, q = batches[i]
-                touching[i] = _singular_moments(tv[p], tv[q], areas[p],
-                                                areas[q], k0, s)
-
-    threads = min(_cores(), len(tiles) + len(batches))
-    with ThreadPoolExecutor(threads) as pool:
-        chains = [pool.submit(touching_chain)]
-        regular = pool.map(tile, tiles)
-        chains += [pool.submit(touching_chain) for _ in range(threads - 1)]
+    with ThreadPoolExecutor(min(_cores(), len(tiles) + 1)) as pool:
+        touching = pool.submit(touching_batches)
+        regular = pool.map(lambda ab: _regular_tile(x7, wa, k0, *ab), tiles)
         for (a, b), (ab, ba) in zip(tiles, regular):
             m00[a, b], m_in[a, b], m_out[a, b], mdot[a, b] = ab
             if ba is not None:
                 m00[b, a], m_in[b, a], m_out[b, a], mdot[b, a] = ba
-        for chain in chains:
-            chain.result()
-        for (p, q), (s00, s_in, s_out, sdot) in zip(batches, touching):
+        for (p, q), (s00, s_in, s_out, sdot) in zip(batches, touching.result()):
             m00[p, q] = m00[q, p] = s00
             mdot[p, q] = mdot[q, p] = sdot
             m_in[p, q] = m_out[q, p] = s_in
@@ -498,7 +460,6 @@ def assemble_impedance(basis: RwgBasis, frequency: float) -> ImpedanceOperator:
             s_avg = 0.5 * (s_in[own] + s_out[own])
             m_in[p[own], p[own]] = s_avg
             m_out[p[own], p[own]] = s_avg
-        del spares  # every task is done: unmap the buffers
 
         rows = [slice(s, min(s + EDGE_ROWS, ne))
                 for s in range(0, ne, EDGE_ROWS)]

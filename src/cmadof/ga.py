@@ -200,9 +200,8 @@ class PixelProblem:
     the channel between them are built on the first evaluation, one shared
     model when both plates have the same spec. `cache` holds the `Score`
     of at most CACHE_SIZE configurations, least recently used dropped
-    first. For `link_report`, `last_link` holds (key, LinkAnalysis) of the
-    latest evaluated configuration and `best_link` (key, LinkAnalysis,
-    fitness) of the fittest one so far.
+    first. For `link_report`, `best_link` holds (key, LinkAnalysis,
+    fitness) of the fittest configuration evaluated so far.
     """
 
     tx_spec: PlateSpec
@@ -215,7 +214,6 @@ class PixelProblem:
                                compare=False)
     cache_hits: int = field(default=0, repr=False, compare=False)
     evaluations: int = field(default=0, repr=False, compare=False)
-    last_link: tuple | None = field(default=None, repr=False, compare=False)
     best_link: tuple | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
@@ -351,10 +349,9 @@ def evaluate(problem: PixelProblem, phi) -> Score:
     Scores are cached on the problem by configuration bytes; a repeat
     request counts as a cache hit. A configuration the pipeline cannot
     analyze (nothing radiates, the receive ports cannot be separated, or
-    the numerics fail) scores DEGENERATE and is logged. The analyzed links
-    of the latest configuration not found in the cache and of the fittest
-    configuration so far stay in `problem.last_link` and
-    `problem.best_link` for `link_report`.
+    the numerics fail) scores DEGENERATE and is logged. The analyzed link
+    of the fittest configuration so far stays in `problem.best_link` for
+    `link_report`.
     """
     phi = np.asarray(phi, dtype=np.uint8).ravel()
     if phi.size != problem.bit_length:
@@ -371,10 +368,8 @@ def evaluate(problem: PixelProblem, phi) -> Score:
         problem.cache_hits += 1
         return hit
     problem.evaluations += 1
-    problem.last_link = None
     try:
         link, score = _analyze_link(problem, phi)
-        problem.last_link = (key, link)
         if problem.best_link is None or score.fitness > problem.best_link[2]:
             problem.best_link = (key, link, score.fitness)
     except (DegenerateStructureError, RankDeficiencyError, NumericalError) as exc:
@@ -390,18 +385,17 @@ def link_report(problem: PixelProblem, phi) -> DofReport | None:
     """The full DofReport of one configuration, None when it is degenerate.
 
     Adds G's spectrum, the Gamma decomposition and the rank bounds to what
-    `evaluate` computes. The link analysis of `evaluate`'s latest and of
-    its fittest configuration is reused; any other configuration is
-    analyzed again.
+    `evaluate` computes. The link analysis of `evaluate`'s fittest
+    configuration is reused, which is every command's first report; any
+    other configuration is analyzed again.
     """
     if evaluate(problem, phi).h_singulars is None:
         return None
     phi = np.asarray(phi, dtype=np.uint8).ravel()
     key = _key(phi)
-    for kept in (problem.last_link, problem.best_link):
-        if kept is not None and kept[0] == key:
-            link = kept[1]
-            break
+    kept = problem.best_link
+    if kept is not None and kept[0] == key:
+        link = kept[1]
     else:
         link, _ = _analyze_link(problem, phi)
     try:

@@ -72,11 +72,11 @@ def _dot3(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 class Scratch:
-    """Buffers that one thread reuses from call to call.
+    """Buffers that one caller reuses from call to call.
 
     `take` hands out arrays laid end to end in one flat float64 array,
     which grows to the largest request seen and is otherwise reused, so a
-    thread that computes batch after batch allocates its temporaries once.
+    task that computes batch after batch allocates its temporaries once.
     Every `take` returns views of the same memory, starting at its front:
     a caller takes everything it needs in one request, and returns nothing
     that lives in it.
@@ -90,17 +90,15 @@ class Scratch:
     def __init__(self):
         self._flat = np.empty(0)
 
-    def take(self, shape: tuple, count: int, dtype=float) -> list[np.ndarray]:
-        """`count` C-contiguous arrays of `shape` and `dtype` (float64 or
-        complex128), each starting on a 16-byte boundary."""
-        size = int(np.prod(shape)) * np.dtype(dtype).itemsize // 8
-        step = size + size % 2
-        if self._flat.size < step * count:
-            nbytes = 8 * step * count
+    def take(self, shape: tuple, count: int) -> list[np.ndarray]:
+        """`count` C-contiguous float64 arrays of `shape`."""
+        size = int(np.prod(shape))
+        if self._flat.size < size * count:
             private = ({"flags": mmap.MAP_PRIVATE}
                        if hasattr(mmap, "MAP_PRIVATE") else {})
-            self._flat = np.frombuffer(mmap.mmap(-1, nbytes, **private))
-        return [self._flat[i * step:i * step + size].view(dtype).reshape(shape)
+            self._flat = np.frombuffer(mmap.mmap(-1, 8 * size * count,
+                                                 **private))
+        return [self._flat[i * size:(i + 1) * size].reshape(shape)
                 for i in range(count)]
 
 

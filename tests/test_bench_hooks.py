@@ -170,3 +170,30 @@ def test_dof_large_dof_job_passes_the_gate(tmp_path, monkeypatch):
     # more than the gate's tolerance), so this pins the claim that the
     # parent assembly's Z does not change by one bit
     passes_the_gate(tmp_path, monkeypatch, "dof_large", "dof")
+
+
+def test_traced_assembly_spans_are_consistent(monkeypatch):
+    # the tracer keeps one span stack for every thread, so its static
+    # integral spans add up inside the assembly only while one thread at
+    # a time runs them
+    import cmadof.efie
+    from cmadof.cli import _plate_spec
+    from cmadof.config import RunConfig
+    from cmadof.mesh import build_plate_mesh, extract_rwg
+
+    tracing = load_bench_module(monkeypatch, "tracing.py", "tracing")
+    freq = RunConfig().frequency
+    spec = _plate_spec(RunConfig(pixel_size=0.35 * cmadof.efie.C0 / freq),
+                       "tx")
+    basis = extract_rwg(build_plate_mesh(spec, np.ones(spec.n_bits)))
+    tracer = tracing.Tracer()
+    with tracer.installed():
+        cmadof.efie.assemble_impedance(basis, freq)
+    spans = {}
+    for name, start, end, _ in tracer.spans:
+        spans.setdefault(name, []).append((start, end))
+    (first, last), = spans["efie.assemble_impedance"]
+    static = sorted(spans["quadrature.static_potential_integrals"])
+    assert all(end <= start for (_, end), (start, _) in zip(static, static[1:]))
+    assert all(first <= start and end <= last for start, end in static)
+    assert sum(end - start for start, end in static) <= last - first

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 from scipy.constants import c as c0
 
+import cmadof.cli
 import cmadof.ga
 from cmadof.channel import effective_rank
 from cmadof.cli import main
@@ -346,6 +347,133 @@ class TestOptimizeCommand:
         for name in ("ga_log.jsonl", "best_config.json", "ga_checkpoint.json"):
             assert (outs[0] / name).read_bytes() == \
                 (outs[1] / name).read_bytes(), name
+
+
+#: the benchmark's small link (acceptance test 7's plates) for two
+#: generations of its GA
+GA_LINK = f"""
+frequency = {FREQ!r}
+pixel_size = {0.35 * c0 / FREQ!r}
+separation = {c0 / FREQ!r}
+n_keep = 10
+tx_ports = 4
+rx_ports = 4
+tx_pixels_per_port = 8
+rx_pixels_per_port = 8
+population = 20
+parents = 10
+generations = 2
+seed = 5
+"""
+
+#: where an optimize job writes, in order: one log record and one
+#: checkpoint per generation, then the artifacts
+WRITES = ("log-0", "checkpoint-0", "log-1", "checkpoint-1", "log-2",
+          "checkpoint-2", "best_config.json", "convergence",
+          "spectrum_optimized", "run_meta.json")
+CRASHES = [(when, write) for write in WRITES for when in ("before", "after")]
+
+
+class Crashed(Exception):
+    """Stands for the process dying at one write boundary."""
+
+
+def watch_writes(monkeypatch, crash=None):
+    """Wrap each write of an optimize job: the GA log's `write` and
+    `_write_checkpoint` in cmadof.ga, and the CLI's `write_atomic` and
+    `write_plot`. Returns the list of the writes done, named as in WRITES;
+    a job raises Crashed at `crash`, one of CRASHES."""
+    done = []
+
+    def around(fn, name):
+        def wrapper(*args, **kwargs):
+            write = name(*args)
+            if crash == ("before", write):
+                raise Crashed(crash)
+            result = fn(*args, **kwargs)
+            done.append(write)
+            if crash == ("after", write):
+                raise Crashed(crash)
+            return result
+        return wrapper
+
+    def open_log(*args, **kwargs):
+        fh = open(*args, **kwargs)
+        # the run closes the file as the exception leaves, flushing it
+        fh.write = around(fh.write,
+                          lambda line: f"log-{json.loads(line)['generation']}")
+        return fh
+
+    monkeypatch.setattr(cmadof.ga, "open", open_log, raising=False)
+    monkeypatch.setattr(cmadof.ga, "_write_checkpoint", around(
+        cmadof.ga._write_checkpoint,
+        lambda path, run, *_: f"checkpoint-{run.generation}"))
+    for name in ("write_atomic", "write_plot"):
+        monkeypatch.setattr(cmadof.cli, name, around(
+            getattr(cmadof.cli, name), lambda path, _: os.path.basename(path)))
+    return done
+
+
+def torn_log_line(out, straight):
+    """A log record cut off halfway by the crash."""
+    line = (straight / "ga_log.jsonl").read_bytes().splitlines()[2]
+    with open(out / "ga_log.jsonl", "ab") as fh:
+        fh.write(line[:len(line) // 2])
+
+
+def torn_checkpoint_tmp(out, straight):
+    """A checkpoint cut off halfway in its temporary, beside a good one."""
+    text = (straight / "ga_checkpoint.json").read_bytes()
+    (out / "ga_checkpoint.json.tmp").write_bytes(text[:len(text) // 2])
+
+
+def ga_link_config(tmp_path, extra="", name="run.ini"):
+    path = tmp_path / name
+    path.write_text(GA_LINK + extra)
+    return str(path)
+
+
+class TestCrashAtEveryWrite:
+    """A crash at any write boundary of `optimize` after its first
+    checkpoint resumes to a straight run's artifacts, byte for byte; one
+    before it leaves nothing to resume from."""
+
+    @pytest.fixture(scope="class")
+    def straight(self, tmp_path_factory):
+        root = tmp_path_factory.mktemp("straight")
+        out = root / "out"
+        with pytest.MonkeyPatch.context() as patch:
+            done = watch_writes(patch)
+            assert run_cli("optimize", ga_link_config(root), out) == 0
+        assert done == list(WRITES)
+        return out
+
+    @pytest.mark.parametrize("boundary, damage", [
+        *((crash, None) for crash in CRASHES),
+        (("before", "log-2"), torn_log_line),
+        (("before", "checkpoint-2"), torn_checkpoint_tmp),
+    ], ids=[*(f"{when}-{write}" for when, write in CRASHES),
+            "torn-log-line", "torn-checkpoint-tmp"])
+    def test_resume_matches_straight_run(self, tmp_path, monkeypatch,
+                                         straight, boundary, damage):
+        out = tmp_path / "out"
+        with monkeypatch.context() as patch:
+            watch_writes(patch, boundary)
+            with pytest.raises(Crashed):
+                run_cli("optimize", ga_link_config(tmp_path), out)
+        if damage is not None:
+            damage(out, straight)
+        resume = ga_link_config(tmp_path, "resume = true\n", "resume.ini")
+        if CRASHES.index(boundary) < CRASHES.index(("after", "checkpoint-0")):
+            assert run_cli("optimize", resume, out) == 2
+            return
+        assert run_cli("optimize", resume, out) == 0
+        names = sorted(p.name for p in straight.iterdir())
+        assert sorted(p.name for p in out.iterdir()) == names
+        for name in names:
+            if name != "run_meta.json":
+                assert (out / name).read_bytes() == \
+                    (straight / name).read_bytes(), name
 
 
 class TestSweepCommand:

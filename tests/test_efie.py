@@ -225,7 +225,7 @@ class TestTileMoments:
         if rows == cols:
             tiles.append((slice(0, rows),) * 2)  # on the diagonal
         for a, b in tiles:
-            ab, ba = _regular_tile(x7, wa, k0, a, b, Scratch())
+            ab, ba = _regular_tile(x7, wa, k0, a, b)
             got = [(a, b, ab)] if ba is None else [(a, b, ab), (b, a, ba)]
             for rows_of, cols_of, moments in got:
                 plain = plain_face_moments(x7, wa, k0, rows_of, cols_of)
@@ -253,8 +253,7 @@ def record_spans(monkeypatch, name, spans, pause):
 
 
 class TestSchedule:
-    """The touching batches run as one chain beside the tiles; a thread
-    joins the chain only when no tile is left to start."""
+    """The touching batches run in order as one task beside the tiles."""
 
     @pytest.mark.parametrize("cores", [2, 3])
     def test_batches_run_one_at_a_time_beside_the_tiles(self, monkeypatch,
@@ -272,21 +271,6 @@ class TestSchedule:
         assert all(end <= start for (_, end, _), (start, _, _)
                    in zip(batches, batches[1:]))
         assert batches[0][0] < min(end for _, end, _ in tiles)
-        assert np.array_equal(z, untiled_impedance(basis, FREQ))
-
-    def test_a_thread_out_of_tiles_joins_the_chain(self, monkeypatch):
-        monkeypatch.setattr(cmadof.efie, "_cores", lambda: 2)
-        tiles, batches = [], []
-        record_spans(monkeypatch, "_regular_tile", tiles, 0.0)
-        record_spans(monkeypatch, "_singular_moments", batches, 0.05)
-        basis = acceptance7_plate()
-        z = assemble_impedance(basis, FREQ).z
-        assert len({thread for *_, thread in batches}) == 2
-        last_tile = max(end for _, end, _ in tiles)
-        for i, (start, end, _) in enumerate(batches):
-            for other_start, other_end, _ in batches[i + 1:]:
-                if other_start < end and start < other_end:
-                    assert max(start, other_start) >= last_tile
         assert np.array_equal(z, untiled_impedance(basis, FREQ))
 
     def test_each_batch_runs_once_under_contention(self, monkeypatch):
@@ -318,34 +302,48 @@ def touching_batch(basis, pairs):
 
 
 class TestScratchReuse:
-    """Each pool thread reuses one Scratch across its tiles and batches."""
+    """The batch task reuses one Scratch across its batches; a tile
+    computes in arrays of its own."""
 
-    def test_results_survive_later_work_in_the_same_buffers(self):
+    def test_results_survive_later_work_in_the_same_buffers(self, monkeypatch):
+        scratches = []
+
+        def counted():
+            scratches.append(Scratch())
+            return scratches[-1]
+
+        tiles = []
+
+        def kept_tile(*args):
+            tiles.append(_regular_tile(*args))
+            return tiles[-1]
+
+        monkeypatch.setattr(cmadof.efie, "Scratch", counted)
+        monkeypatch.setattr(cmadof.efie, "_regular_tile", kept_tile)
         basis = ga_link_parent()
-        mesh = basis.mesh
-        pairs = np.array(_face_adjacency_pairs(mesh.faces))
-        x7 = tri_points(mesh.vertices[mesh.faces])
-        wa = TRI_W[None, :] * mesh.face_areas[:, None]
-        k0 = 2 * np.pi * FREQ / c0
+        pairs = np.array(_face_adjacency_pairs(basis.mesh.faces))
         scratch = Scratch()
 
-        def work(tile, batch):
-            """A tile with its mirror, a touching batch and its static
-            integrals, all in `scratch`."""
+        def work(batch):
+            """A touching batch and its static integrals, in `scratch`."""
             args = touching_batch(basis, batch)
-            ab, ba = _regular_tile(x7, wa, k0, *tile, scratch)
-            return [*ab, *ba, *_singular_moments(*args, scratch),
+            return [*_singular_moments(*args, scratch),
                     *static_potential_integrals(_BARY_STATIC @ args[0],
                                                 args[1], scratch=scratch)]
 
-        later = (slice(32, 64), slice(0, 32)), pairs[32:64]
-        work(*later)  # the buffers reach their largest size first
-        first = work((slice(0, 32), slice(32, 64)), pairs[:32])
+        work(pairs[32:64])  # the buffers reach their largest size first
+        first = work(pairs[:32])
         kept = [a.copy() for a in first]
-        work(*later)
+        work(pairs[32:64])
         for got, want in zip(first, kept):
             assert not np.shares_memory(got, scratch._flat)
             assert np.array_equal(got, want)
+        assemble_impedance(basis, FREQ)
+        assert len(scratches) == 1  # the batch task's, not a tile's
+        assert len(tiles) == 3
+        for ab, ba in tiles:
+            for got in (*ab, *(ba or ())):
+                assert not np.shares_memory(got, scratches[0]._flat)
 
     def test_partial_last_batch_equals_a_full_batch(self):
         basis = ga_link_parent()
