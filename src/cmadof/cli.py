@@ -180,11 +180,11 @@ def cmd_optimize(cfg: RunConfig) -> None:
                      ylabel="relative power (dB)")
     with open(log_path, encoding="utf-8") as fh:
         first = json.loads(fh.readline())
-    phi0 = phi_from_hex(first["best_phi_hex"], problem.bit_length)
-    rep0 = best_report if np.array_equal(phi0, best.phi) \
-        else link_report(problem, phi0)
-    if rep0 is not None:
-        db0 = _spectrum_db(rep0.h_singulars)
+    # the initial best's spectrum is its cached score's: no second report
+    h0 = evaluate(problem, phi_from_hex(first["best_phi_hex"],
+                                        problem.bit_length)).h_singulars
+    if h0 is not None:
+        db0 = _spectrum_db(h0)
         spect.add_series("initial best", np.arange(1, db0.size + 1), db0)
     if best_report is not None:
         db1 = _spectrum_db(best_report.h_singulars)

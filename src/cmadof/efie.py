@@ -19,6 +19,12 @@ whose inner integrals are evaluated in closed form under a subdivided
 TOUCH_CHUNK pairs. Moments for an unordered face pair are computed once
 and mirrored, which keeps Z symmetric to roundoff.
 
+A plate is flat: its vertices must share one z, and it is assembled at
+z = 0, so its Z does not depend on its height. Every z component there is
+an exact zero, so the distances, the vector moments and the closed-form
+integrals take x and y only; each entry's other operations keep their
+order, and Z is bit for bit the general 3-D arithmetic's.
+
 Everything here is deterministic: fixed quadrature rules and fixed
 arithmetic per entry. The tiles, the touching-pair batches and the row
 blocks of the edge-space combination run on a thread pool of at most one
@@ -32,7 +38,7 @@ beside the tiles.
 Within a tile the arithmetic is spelled for speed but computes the same
 products in the same order as the plain spelling (the untiled reference
 of the tests): the kernel is scaled on its float view, and the einsums of
-the vector moments run their inner loop over faces, not over the 3
+the vector moments run their inner loop over faces, not over the 2
 components.
 
 The batch task computes every batch in one `quadrature.Scratch`: the
@@ -216,8 +222,9 @@ _BARY_STATIC, _W_STATIC = _refined_rule(3)
 def _singular_moments(p_verts, q_verts, area_p, area_q, k0, scratch: Scratch):
     """Double-surface kernel moments for a batch of P touching face pairs.
 
-    p_verts and q_verts are (P, 3, 3), area_p and area_q (P,). Returns
-    (m00 (P,), m_in (P, 3), m_out (P, 3), mdot (P,)) where
+    p_verts and q_verts are (P, 3, 3) in the plane z = 0, area_p and
+    area_q (P,). Returns (m00 (P,), m_in (P, 2), m_out (P, 2), mdot (P,)),
+    the vector moments' x and y parts (their z parts are zero), where
         m00   = II G
         m_in  = II r' G
         m_out = II r  G
@@ -228,8 +235,8 @@ def _singular_moments(p_verts, q_verts, area_p, area_q, k0, scratch: Scratch):
     else the batch holds. The static integrals keep their temporaries in
     `scratch`.
     """
-    xp = TRI_BARY @ p_verts  # (P, 7, 3)
-    xq = TRI_BARY @ q_verts
+    xp = (TRI_BARY @ p_verts)[..., :2]  # (P, 7, 2)
+    xq = (TRI_BARY @ q_verts)[..., :2]
 
     # smooth remainder
     dist = np.linalg.norm(xp[:, :, None, :] - xq[:, None, :, :], axis=-1)
@@ -252,19 +259,21 @@ def _singular_moments(p_verts, q_verts, area_p, area_q, k0, scratch: Scratch):
     gr -= jr
     scale = area_p / (4.0 * np.pi)
     m00 += scale * np.einsum("i,pi->p", ws, g0)
-    m_in += scale[:, None] * np.einsum("i,pid->pd", ws, gr)
-    m_out += scale[:, None] * np.einsum("i,pi,pid->pd", ws, g0, xs)
+    m_in += scale[:, None] * np.einsum("i,pid->pd", ws, gr[..., :2])
+    m_out += scale[:, None] * np.einsum("i,pi,pid->pd", ws, g0, xs[..., :2])
+    # the z parts of xs and gr are zero; summed with them, einsum's inner
+    # loop runs over whole contiguous rows instead of pairs
     mdot += scale * np.einsum("i,pid,pid->p", ws, xs, gr)
     return m00, m_in, m_out, mdot
 
 
 #: touching face pairs per batched moment call. The closed-form integrals
-#: of a batch take 23 arrays of P pairs x 448 outer points from the batch
-#: task's Scratch (2.6 MB at P = 32). Smaller P pays more per-call Python
-#: overhead and larger P only grows the buffers: on one thread of a 2-vCPU
-#: machine, the 357 pairs of a 4x8-pixel parent took 25.3, 24.0 and
-#: 23.7 ms at P = 16, 32 and 64, and the 1,605 pairs of an 8x16-pixel
-#: parent 102.6, 92.6 and 98.3 ms
+#: of a batch take 21 arrays of P pairs x 448 outer points from the batch
+#: task's Scratch (2.4 MB at P = 32). On one thread of a 2-vCPU machine
+#: (medians of two runs of 7), the 357 pairs of a 4x8-pixel parent took
+#: 13.6-14.6, 14.2-14.9 and 14.6-15.3 ms at P = 16, 32 and 64, and the
+#: 1,605 pairs of an 8x16-pixel parent 61.6-66.3, 57.1-58.7 and
+#: 64.2-76.4 ms
 TOUCH_CHUNK = 32
 
 #: faces per side of a regular-pair tile. A 32 x 32 face tile holds
@@ -291,11 +300,11 @@ def _cores() -> int:
 def _tile_moments(kern, xp, xq):
     """(m00, m_in, m_out, mdot) of one tile from its weighted kernel
     kern[p, i, q, j] (outer face p, point i; inner face q, point j) and
-    the points xp (P, 7, 3), xq (Q, 7, 3).
+    the points' x and y, xp (P, 7, 2), xq (Q, 7, 2).
 
     m_in and m_out are the sums kern . xq over j and kern . xp over i.
     Spelled with d innermost ("piqj,qjd->pqd"), einsum's inner loop runs
-    over the 3 components; with xq as a contiguous (Q, 3, 7) copy and the
+    over the 2 components; with xq as a contiguous (Q, 2, 7) copy and the
     output axes reordered, it runs over p instead, and each entry's
     products are still added in the same order, so the transposed results
     are bit-equal to the plain spellings (tests/test_efie.py pins this).
@@ -325,7 +334,7 @@ def _regular_tile(x7, wa, k0, a: slice, b: slice):
     # the spare array holds the distances and one real temporary, and then
     # the mirror kernel
     dist, tmp = spare.view(float).reshape((2,) + shape)
-    for c in range(3):
+    for c in range(2):
         np.subtract(x7[a, :, None, None, c], x7[None, None, b, :, c], out=tmp)
         if c == 0:
             np.multiply(tmp, tmp, out=dist)
@@ -376,13 +385,18 @@ def assemble_impedance(basis: RwgBasis, frequency: float) -> ImpedanceOperator:
             f"face {bad} has degenerate area {mesh.face_areas[bad]:.3e} m^2"
         )
 
+    if np.any(mesh.vertices[:, 2] != mesh.vertices[0, 2]):
+        raise GeometryError("mesh is not a horizontal plate: its vertices "
+                            "do not all share one z")
+
     omega = 2.0 * np.pi * frequency
     k0 = omega / C0
     nf = mesh.n_faces
-    tv = mesh.vertices[mesh.faces]  # (F, 3, 3)
+    vertices = mesh.vertices * (1.0, 1.0, 0.0)  # the plate moved to z = 0
+    tv = vertices[mesh.faces]  # (F, 3, 3)
     areas = mesh.face_areas
 
-    x7 = tri_points(tv)  # (F, 7, 3)
+    x7 = tri_points(tv)[..., :2]  # (F, 7, 2), the rule points' x and y
     wa = TRI_W[None, :] * areas[:, None]  # (F, 7) combined weights
 
     # regular face pairs: full kernel under the 7x7 point rule, which holds
@@ -397,13 +411,13 @@ def assemble_impedance(basis: RwgBasis, frequency: float) -> ImpedanceOperator:
                for s in range(0, len(pairs), TOUCH_CHUNK)]
 
     m00 = np.empty((nf, nf), dtype=complex)
-    m_in = np.empty((nf, nf, 3), dtype=complex)
-    m_out = np.empty((nf, nf, 3), dtype=complex)
+    m_in = np.empty((nf, nf, 2), dtype=complex)
+    m_out = np.empty((nf, nf, 2), dtype=complex)
     mdot = np.empty((nf, nf), dtype=complex)
 
     # gather face moments into edge space
     ef = np.stack([basis.plus_face, basis.minus_face], axis=1)  # (E, 2)
-    fv = mesh.vertices[np.stack([basis.plus_free, basis.minus_free], axis=1)]
+    fv = vertices[np.stack([basis.plus_free, basis.minus_free], axis=1), :2]
     sg = np.array([1.0, -1.0])
     lengths = basis.lengths
     ne = basis.n_edges
@@ -414,7 +428,7 @@ def assemble_impedance(basis: RwgBasis, frequency: float) -> ImpedanceOperator:
         qb = ef[None, None, :, :]
         g00 = m00[pa, qb]  # (e, 2, E, 2)
         gdot = mdot[pa, qb]
-        g_in = m_in[pa, qb]  # (e, 2, E, 2, 3)
+        g_in = m_in[pa, qb]  # (e, 2, E, 2, 2)
         g_out = m_out[pa, qb]
         fm = fv[rows]
 

@@ -5,18 +5,22 @@ coordinates `TRI_BARY` with weights `TRI_W` that sum to one, so an integral
 over a physical triangle is area * sum(w_i * f(x_i)).
 
 `static_potential_integrals` evaluates four closed-form integrals over a
-flat triangle T with respect to an observation point r, for a batch of
-triangles at once, writing R for |r - r'|,
+triangle T in the plane z = 0 with respect to an observation point r in
+that plane, for a batch of triangles at once, writing R for |r - r'|,
 
     I0  = Int_T 1/R dS'
-    Ir  = Int_T r'/R dS'   (3-vector)
+    Ir  = Int_T r'/R dS'   (3-vector, z part 0)
     J0  = Int_T R dS'
-    Jr  = Int_T r' R dS'   (3-vector)
+    Jr  = Int_T r' R dS'   (3-vector, z part 0)
 
-via the classic edge-by-edge decomposition (per-edge log and arctangent
-terms). The impedance assembly extracts both the 1/R pole and the |R| slope
-kink of the Helmholtz kernel on self and touching face pairs, which is why
-the linear moments J0 and Jr are needed alongside the potentials.
+via the classic edge-by-edge decomposition (Wilton et al., "Potential
+integrals for uniform and linear source distributions on polygonal and
+polyhedral domains", IEEE TAP 32(3), 1984) at zero height: each edge
+contributes a log term, and the arctangent terms of the general form,
+which the height scales, vanish. The impedance assembly extracts both the
+1/R pole and the |R| slope kink of the Helmholtz kernel on self and
+touching face pairs of a flat plate, which is why the linear moments J0
+and Jr are needed alongside the potentials.
 """
 
 from __future__ import annotations
@@ -65,12 +69,6 @@ def tri_points(tri_vertices: np.ndarray) -> np.ndarray:
     return np.einsum("qi,...id->...qd", TRI_BARY, tri_vertices)
 
 
-def _dot3(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Dot product over the last axis of length 3, summed in a fixed order,
-    so each entry is independent of how many others share the batch."""
-    return a[..., 0] * b[..., 0] + a[..., 1] * b[..., 1] + a[..., 2] * b[..., 2]
-
-
 class Scratch:
     """Buffers that one caller reuses from call to call.
 
@@ -104,7 +102,8 @@ class Scratch:
 
 def static_potential_integrals(obs: np.ndarray, tri: np.ndarray,
                                scratch: Scratch):
-    """Closed-form potential and distance moments of a batch of triangles.
+    """Closed-form potential and distance moments of a batch of triangles
+    in the plane z = 0, at observation points in that plane.
 
     obs is (P, M, 3) observation points and tri is (P, 3, 3) vertices,
     row p of obs observing triangle p. Returns (I0 (P, M), Ir (P, M, 3),
@@ -114,72 +113,67 @@ def static_potential_integrals(obs: np.ndarray, tri: np.ndarray,
         J0 = Int R dS'      Jr = Int r' R dS'
 
     Every entry is computed by the same arithmetic whatever the batch
-    holds, so a batch of P equals P batches of one exactly.
-    Observation points may lie anywhere, including inside the triangle or
-    its plane; points exactly on an edge line are handled by the standard
-    limiting values.
+    holds, so a batch of P equals P batches of one exactly. Observation
+    points may lie anywhere in the plane, including inside the triangle;
+    points exactly on an edge line are handled by the standard limiting
+    values. The z parts of Ir and Jr are 0. Raises ValueError when a
+    vertex or an observation point has a nonzero z.
 
-    The temporaries are (P, M) arrays, one per Cartesian component, in
+    In the plane the height above the triangle is zero, so the general
+    edge-by-edge form loses its arctangent terms and every z component,
+    and each observation point is its own projection. The remaining
+    operations are the general form's, in its order, so each entry equals
+    the general form's bit for bit. The temporaries and the x and y sums
+    of Ir and Jr are (P, M) arrays, one per Cartesian component, in
     `scratch`; the returned arrays are new on every call.
     """
     obs = np.asarray(obs, dtype=float)
     tri = np.asarray(tri, dtype=float)
-    normal = np.cross(tri[:, 1] - tri[:, 0], tri[:, 2] - tri[:, 0])
-    two_area = np.sqrt(_dot3(normal, normal))
-    nhat = (normal / two_area[:, None])[:, None, :]  # (P, 1, 3)
+    if np.any(obs[..., 2]) or np.any(tri[..., 2]):
+        raise ValueError("triangles and observation points must lie in "
+                         "the plane z = 0")
+    x, y = tri[:, :, 0], tri[:, :, 1]  # (P, 3) vertex coordinates
+    normal = ((x[:, 1] - x[:, 0]) * (y[:, 2] - y[:, 0])
+              - (y[:, 1] - y[:, 0]) * (x[:, 2] - x[:, 0]))  # its z part
+    two_area = np.sqrt(normal * normal)
+    side = (normal / two_area)[:, None]  # +1 for counterclockwise vertices
     edge_line_sq = (1e-12 * np.sqrt(two_area)[:, None]) ** 2
-    verts = tri[:, None]  # (P, 1, 3, 3)
+    # edge e runs from vertex e to vertex e + 1: its unit tangent and
+    # outward normal, as (x, y) pairs of (P, 1) columns
     lhat, uhat = [], []
     for e in range(3):
-        ell = verts[:, :, (e + 1) % 3] - verts[:, :, e]
-        lhat.append(ell / np.sqrt(_dot3(ell, ell))[..., None])
-        uhat.append(np.cross(lhat[e], nhat))  # outward edge normal for ccw vertices
+        ex = x[:, (e + 1) % 3, None] - x[:, e, None]
+        ey = y[:, (e + 1) % 3, None] - y[:, e, None]
+        length = np.sqrt(ex * ex + ey * ey)
+        lx, ly = ex / length, ey / length
+        lhat.append((lx, ly))
+        uhat.append((ly * side, -(lx * side)))
 
     shape = obs.shape[:2]
-    (dsq, absd, beta_sum, r0sq, rp, rm, f, t1, t2, t3, t4,
-     *rest) = scratch.take(shape, 23)
-    rho, sm, sp, t0 = rest[:3], rest[3:6], rest[6:9], rest[9:]
+    (r0sq, rp, rm, f, t1, t2, t3, t4, *rest) = scratch.take(shape, 21)
+    sm, sp, t0, ir, jr = rest[:3], rest[3:6], rest[6:9], rest[9:11], rest[11:]
     on_edge_line = np.empty(shape, dtype=bool)
     positive_side = np.empty(shape, dtype=bool)
     I0 = np.zeros(shape)
     J0 = np.zeros(shape)
-    Ir = np.zeros(obs.shape)  # Int (r' - rho)/R until rho I0 is added
-    Jr = np.zeros(obs.shape)  # 3 Int (r' - rho) R until the end
+    for c in range(2):
+        ir[c].fill(0.0)  # Int (r' - obs)/R until obs I0 is added
+        jr[c].fill(0.0)  # 3 Int (r' - obs) R until the end
 
-    def dot_into(out, parts, c, vec):
-        """Add component c of the dot product `parts . vec` to out, in the
-        order x, y, z."""
-        if c == 0:
-            np.multiply(parts, vec[..., 0], out=out)
-        else:
-            np.multiply(parts, vec[..., c], out=t4)
+    # each vertex's offset from obs enters sm and t0 of the edge it starts
+    # and sp of the edge it ends, as dot products summed x first
+    for v in range(3):
+        np.subtract(x[:, v, None], obs[..., 0], out=t1)
+        np.subtract(y[:, v, None], obs[..., 1], out=t2)
+        for out, (vx, vy) in ((sm[v], lhat[v]), (t0[v], uhat[v]),
+                              (sp[v - 1], lhat[v - 1])):
+            np.multiply(t1, vx, out=out)
+            np.multiply(t2, vy, out=t4)
             out += t4
 
-    d = dsq  # signed height above the plane until it is squared
-    for c in range(3):
-        np.subtract(obs[..., c], verts[:, :, 0, c], out=t1)
-        dot_into(d, t1, c, nhat)
-    for c in range(3):
-        np.multiply(d, nhat[..., c], out=t1)
-        np.subtract(obs[..., c], t1, out=rho[c])  # in-plane projection
-    np.abs(d, out=absd)
-    np.multiply(d, d, out=dsq)
-
-    # each vertex's offset from rho enters sm and t0 of the edge it starts
-    # and sp of the edge it ends
-    for v in range(3):
-        e_end = (v - 1) % 3
-        for c in range(3):
-            np.subtract(verts[:, :, v, c], rho[c], out=t1)
-            dot_into(sm[v], t1, c, lhat[v])
-            dot_into(t0[v], t1, c, uhat[v])
-            dot_into(sp[e_end], t1, c, lhat[e_end])
-
-    beta_sum.fill(0.0)
     with np.errstate(divide="ignore", invalid="ignore"):
         for e in range(3):
             np.multiply(t0[e], t0[e], out=r0sq)
-            r0sq += dsq
             np.multiply(sp[e], sp[e], out=rp)
             rp += r0sq
             np.sqrt(rp, out=rp)
@@ -194,28 +188,13 @@ def static_potential_integrals(obs: np.ndarray, tri: np.ndarray,
             np.greater_equal(t1, 0, out=positive_side)
             np.add(rp, sp[e], out=t1)
             np.subtract(rm, sm[e], out=t2)
-            np.copyto(t2, t1, where=positive_side)
+            np.putmask(t2, positive_side, t1)
             np.add(rm, sm[e], out=t1)
             np.subtract(rp, sp[e], out=f)
-            np.copyto(f, t1, where=positive_side)
+            np.putmask(f, positive_side, t1)
             np.divide(t2, f, out=f)
             np.log(f, out=f)
-            np.copyto(f, 0.0, where=on_edge_line)
-
-            # arctangent terms
-            np.multiply(t0[e], sp[e], out=t1)
-            np.multiply(absd, rp, out=t2)
-            np.add(r0sq, t2, out=t2)
-            np.divide(t1, t2, out=t1)
-            np.arctan(t1, out=t1)
-            np.multiply(t0[e], sm[e], out=t3)
-            np.multiply(absd, rm, out=t2)
-            np.add(r0sq, t2, out=t2)
-            np.divide(t3, t2, out=t3)
-            np.arctan(t3, out=t3)
-            t1 -= t3
-            np.copyto(t1, 0.0, where=on_edge_line)
-            beta_sum += t1
+            np.putmask(f, on_edge_line, 0.0)
 
             np.multiply(t0[e], f, out=t1)
             I0 += t1
@@ -226,9 +205,9 @@ def static_potential_integrals(obs: np.ndarray, tri: np.ndarray,
             np.multiply(sm[e], rm, out=t3)
             np.add(f, t2, out=t1)
             t1 -= t3
-            for c in range(3):
-                np.multiply(0.5 * uhat[e][..., c], t1, out=t4)
-                Ir[..., c] += t4
+            for c in range(2):
+                np.multiply(0.5 * uhat[e][c], t1, out=t4)
+                ir[c] += t4
 
             # ... and the edge line integrals of R, (sp rp - sm rm + r0sq f)/2,
             # and of R^3, which feed the distance moments
@@ -248,19 +227,19 @@ def static_potential_integrals(obs: np.ndarray, tri: np.ndarray,
             np.multiply(0.75, r0sq, out=t3)
             t3 *= line1
             line3 += t3
-            for c in range(3):
-                np.multiply(uhat[e][..., c], line3, out=t4)
-                Jr[..., c] += t4
+            for c in range(2):
+                np.multiply(uhat[e][c], line3, out=t4)
+                jr[c] += t4
 
-    np.multiply(absd, beta_sum, out=t1)
-    I0 -= t1
-    np.multiply(dsq, I0, out=t1)
-    J0 += t1
     J0 /= 3.0
-    for c in range(3):
-        np.multiply(rho[c], I0, out=t1)
-        Ir[..., c] += t1
-        Jr[..., c] /= 3.0
-        np.multiply(rho[c], J0, out=t1)
-        Jr[..., c] += t1
+    Ir = np.empty(obs.shape)
+    Jr = np.empty(obs.shape)
+    for c in range(2):
+        np.multiply(obs[..., c], I0, out=t1)
+        np.add(ir[c], t1, out=Ir[..., c])
+        jr[c] /= 3.0
+        np.multiply(obs[..., c], J0, out=t1)
+        np.add(jr[c], t1, out=Jr[..., c])
+    Ir[..., 2] = 0.0
+    Jr[..., 2] = 0.0
     return I0, Ir, J0, Jr

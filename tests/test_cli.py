@@ -214,6 +214,25 @@ class TestOptimizeCommand:
         # one transmit and one receive plate per configuration, none twice
         assert len(solve_modes_calls) == 2 * 2
 
+    def test_an_improved_best_gets_one_report(self, tmp_path, monkeypatch):
+        # the initial best's spectrum comes from its cached score, so only
+        # the final best is reported (one Gamma decomposition, one G SVD)
+        gammas = []
+        decompose = cmadof.ga.gamma_decomposition
+
+        def counting(*args):
+            gammas.append(args)
+            return decompose(*args)
+
+        monkeypatch.setattr(cmadof.ga, "gamma_decomposition", counting)
+        cfg = write_config(tmp_path, self.GA)
+        out = tmp_path / "out"
+        assert run_cli("optimize", cfg, out) == 0
+        records = [json.loads(line)
+                   for line in (out / "ga_log.jsonl").read_text().splitlines()]
+        assert records[0]["best_phi_hex"] != records[-1]["best_phi_hex"]
+        assert len(gammas) == 1
+
     def test_resume_without_checkpoint_is_config_error(self, tmp_path):
         cfg = write_config(tmp_path, self.GA + "resume = true\n")
         out = tmp_path / "fresh"

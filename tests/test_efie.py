@@ -1,4 +1,5 @@
 """Tests for the dense EFIE impedance assembly and delta-gap excitation."""
+import functools
 import gc
 import os
 import subprocess
@@ -26,7 +27,7 @@ from cmadof.efie import (
     psd_project,
 )
 from cmadof.errors import GeometryError
-from cmadof.mesh import PlateSpec, build_plate_mesh, extract_rwg
+from cmadof.mesh import PlateSpec, TriMesh, build_plate_mesh, extract_rwg
 from cmadof.quadrature import Scratch, TRI_W, static_potential_integrals, tri_points
 from oracles import (oracle_impedance_entry, plain_face_moments,
                      untiled_impedance)
@@ -163,12 +164,12 @@ def holey_3x3_plate():
 
 
 def translated_holey_8x4_plate():
-    """A holey acceptance-7 configuration moved off the origin: 40 faces,
-    so a full and a partial tile and their mirror."""
+    """A holey acceptance-7 configuration moved off the origin in its
+    plane: 40 faces, so a full and a partial tile and their mirror."""
     bits = np.ones(32)
     bits[[5, 6, 9, 11, 13, 14, 19, 22, 25, 26, 30, 31]] = 0
     mesh = build_plate_mesh(acceptance7_spec(), bits)
-    return extract_rwg(mesh.translated((0.3 * PIX, -1.7 * PIX, 4.1 * PIX)))
+    return extract_rwg(mesh.translated((0.3 * PIX, -1.7 * PIX, 0.0)))
 
 
 def cli_parent(cfg=None):
@@ -184,14 +185,28 @@ def ga_link_parent():
     return cli_parent(RunConfig(pixel_size=0.35 * c0 / FREQ))
 
 
+def dof_large_parent():
+    """All-metal parent of the benchmark's large link: 8x16 pixels at the
+    default 0.24 wavelength, 256 faces in 36 tile pairs, 1,605 touching
+    pairs. Its link report is the one that roundoff in Z moves most."""
+    return cli_parent(RunConfig(tx_ports=8, rx_ports=8, tx_pixels_per_port=16,
+                                rx_pixels_per_port=16))
+
+
 PLATES = [acceptance7_plate, holey_3x3_plate, translated_holey_8x4_plate,
-          cli_parent]
+          cli_parent, dof_large_parent]
+
+
+@functools.cache
+def untiled_z(make_basis):
+    """`untiled_impedance` of a PLATES plate, computed once per session."""
+    return untiled_impedance(make_basis(), FREQ)
 
 
 class TestAssemblyIsExact:
-    """The tiled, pooled assembly computes every entry of Z by the same
-    arithmetic as the single-threaded whole-plate loop with the allocating
-    touching-pair kernel it replaced."""
+    """The tiled, pooled assembly in the plate's plane computes every entry
+    of Z by the same arithmetic as the single-threaded whole-plate loop
+    with the general 3-D touching-pair kernel it replaced."""
 
     @pytest.mark.parametrize("cores", [None, 1, 2, 3],
                              ids=["machine", "1", "2", "3"])
@@ -199,9 +214,24 @@ class TestAssemblyIsExact:
     def test_equals_untiled_reference(self, monkeypatch, make_basis, cores):
         if cores is not None:
             monkeypatch.setattr(cmadof.efie, "_cores", lambda: cores)
-        basis = make_basis()
-        z = assemble_impedance(basis, FREQ).z
-        assert np.array_equal(z, untiled_impedance(basis, FREQ))
+        z = assemble_impedance(make_basis(), FREQ).z
+        assert z.tobytes() == untiled_z(make_basis).tobytes()
+
+    @pytest.mark.parametrize("height", [4.1 * PIX, -0.3 * PIX, 1e-300],
+                             ids=["above", "below", "tiny"])
+    def test_a_plate_at_any_height_has_the_z_of_its_copy_at_zero(self, height):
+        basis = translated_holey_8x4_plate()
+        lifted = extract_rwg(basis.mesh.translated((0.0, 0.0, height)))
+        assert (assemble_impedance(lifted, FREQ).z.tobytes()
+                == assemble_impedance(basis, FREQ).z.tobytes())
+
+    def test_a_tilted_plate_is_refused(self):
+        mesh = acceptance7_plate().mesh
+        vertices = mesh.vertices.copy()
+        vertices[:, 2] = 0.1 * vertices[:, 0]
+        tilted = TriMesh(vertices=vertices, faces=mesh.faces)
+        with pytest.raises(GeometryError, match="one z"):
+            assemble_impedance(extract_rwg(tilted), FREQ)
 
 
 MOMENTS = ("m00", "m_in", "m_out", "mdot")
@@ -218,17 +248,22 @@ class TestTileMoments:
     @pytest.mark.parametrize("rows", [1, 2, 7, 24, 32])
     def test_equals_plain_spelling(self, rows, cols):
         mesh = ga_link_parent().mesh
-        x7 = tri_points(mesh.vertices[mesh.faces])
+        x7 = tri_points(mesh.vertices[mesh.faces])  # the plate is at z = 0
         wa = TRI_W[None, :] * mesh.face_areas[:, None]
         k0 = 2 * np.pi * FREQ / c0
         tiles = [(slice(0, rows), slice(64 - cols, 64))]  # and its mirror
         if rows == cols:
             tiles.append((slice(0, rows),) * 2)  # on the diagonal
         for a, b in tiles:
-            ab, ba = _regular_tile(x7, wa, k0, a, b)
+            ab, ba = _regular_tile(x7[..., :2], wa, k0, a, b)
             got = [(a, b, ab)] if ba is None else [(a, b, ab), (b, a, ba)]
             for rows_of, cols_of, moments in got:
-                plain = plain_face_moments(x7, wa, k0, rows_of, cols_of)
+                plain = list(plain_face_moments(x7, wa, k0, rows_of, cols_of))
+                # the tile's vector moments have x and y only, and the
+                # plain spelling's z parts are zero
+                for m in (1, 2):
+                    assert not np.any(plain[m][..., 2])
+                    plain[m] = plain[m][..., :2]
                 for name, have, want in zip(MOMENTS, moments, plain):
                     assert np.array_equal(have, want), (
                         f"{name} of faces {rows_of.start}:{rows_of.stop} x "

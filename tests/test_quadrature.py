@@ -6,6 +6,7 @@ import pytest
 
 from cmadof.quadrature import (TRI_BARY, TRI_W, Scratch,
                                static_potential_integrals, tri_points)
+from oracles import duffy_green_moments
 from oracles import static_potential_integrals as reference_static_integrals
 
 
@@ -107,10 +108,10 @@ class TestStaticPotentialIntegrals:
     @pytest.mark.parametrize(
         "obs",
         [
-            np.array([0.8, 0.5, 0.3]),
-            np.array([0.8, 0.5, -0.9]),
+            np.array([1.7, -0.6, 0.0]),
+            np.array([2.6, 0.4, 0.0]),
             np.array([3.5, 2.0, 0.0]),
-            np.array([-1.0, 4.0, 2.0]),
+            np.array([-1.0, 4.0, 0.0]),
         ],
     )
     def test_against_subdivision_oracle(self, obs):
@@ -121,8 +122,24 @@ class TestStaticPotentialIntegrals:
         assert j0[0] == pytest.approx(bj0, rel=2e-4)
         np.testing.assert_allclose(jr[0], bjr, rtol=3e-4, atol=1e-7)
 
+    @pytest.mark.parametrize("obs", [np.array([0.8, 0.5, 0.0]),
+                                     np.array([1.25, 0.75, 0.0]),
+                                     TRI.mean(axis=0)])
+    def test_inside_point_against_fan_oracle(self, obs):
+        # the midpoint oracle cannot resolve the 1/R pole inside the
+        # triangle; the fan oracle's collapsed coordinates cancel it, and
+        # at k = 0 its kernel is 1/(4 pi R)
+        i0, ir, j0, jr = one_triangle(obs, TRI)
+        g0, gr = duffy_green_moments(obs, TRI, 0.0)
+        assert i0[0] == pytest.approx(4.0 * np.pi * g0.real, rel=1e-12)
+        np.testing.assert_allclose(ir[0], 4.0 * np.pi * gr.real, rtol=1e-12,
+                                   atol=1e-14)
+        _, _, bj0, bjr = brute_integrals(obs, TRI)
+        assert j0[0] == pytest.approx(bj0, rel=2e-4)
+        np.testing.assert_allclose(jr[0], bjr, rtol=3e-4, atol=1e-7)
+
     def test_multiple_observation_points(self):
-        obs = np.array([[0.8, 0.5, 0.3], [3.5, 2.0, 0.0]])
+        obs = np.array([[0.8, 0.5, 0.0], [3.5, 2.0, 0.0]])
         i0, ir, j0, jr = one_triangle(obs, TRI)
         assert i0.shape == (2,) and ir.shape == (2, 3)
         assert j0.shape == (2,) and jr.shape == (2, 3)
@@ -130,8 +147,8 @@ class TestStaticPotentialIntegrals:
         assert i0[1] == pytest.approx(single[0][0], rel=1e-14)
 
     def test_translation_covariance(self):
-        obs = np.array([0.4, 0.9, 0.7])
-        shift = np.array([2.0, -3.0, 1.5])
+        obs = np.array([0.4, 0.9, 0.0])
+        shift = np.array([2.0, -3.0, 0.0])
         i0, ir, j0, jr = one_triangle(obs, TRI)
         i0s, irs, j0s, jrs = one_triangle(obs + shift, TRI + shift)
         assert i0s[0] == pytest.approx(i0[0], rel=1e-12)
@@ -141,7 +158,7 @@ class TestStaticPotentialIntegrals:
 
     def test_far_field_limits(self):
         # at large distance I0 -> A/R and J0 -> A R
-        obs = np.array([120.0, -80.0, 55.0])
+        obs = np.array([120.0, -80.0, 0.0])
         area = tri_area(TRI)
         centroid = TRI.mean(axis=0)
         dist = np.linalg.norm(obs - centroid)
@@ -159,10 +176,13 @@ class TestStaticPotentialIntegrals:
         assert i0[0] == pytest.approx(bi0, rel=2e-4)
         assert j0[0] == pytest.approx(bj0, rel=2e-4)
 
-    def test_observation_above_vertex(self):
-        obs = np.array([0.0, 0.0, 1e-3])
-        i0, *_ = one_triangle(obs, TRI)
-        assert np.isfinite(i0[0]) and i0[0] > 0
+    def test_observation_at_vertex(self):
+        i0, ir, *_ = one_triangle(TRI, TRI)
+        for v in range(3):
+            g0, gr = duffy_green_moments(TRI[v], TRI, 0.0)
+            assert i0[v] == pytest.approx(4.0 * np.pi * g0.real, rel=1e-12)
+            np.testing.assert_allclose(ir[v], 4.0 * np.pi * gr.real,
+                                       rtol=1e-12, atol=1e-14)
 
     def test_self_point_inside_triangle_finite(self):
         # observation in the triangle plane, inside: integrable singularity
@@ -177,6 +197,7 @@ class TestStaticPotentialIntegrals:
         rng = np.random.default_rng(21)
         tris = TRI[None] + rng.normal(scale=0.3, size=(6, 3, 3))
         obs = rng.normal(scale=1.5, size=(6, 9, 3))
+        tris[..., 2] = obs[..., 2] = 0.0
         obs[:, 0] = tris.mean(axis=1)
         obs[:, 1] = 2.0 * tris[:, 1] - tris[:, 0]
         batched = static_potential_integrals(obs, tris, Scratch())
@@ -188,14 +209,31 @@ class TestStaticPotentialIntegrals:
                 assert np.array_equal(got[p:p + 1], want)
 
     def test_batch_equals_the_allocating_reference(self):
-        # the same batch, including points inside the triangles, on edge
-        # lines and at vertices, by the (P, M, 3) form of the arithmetic
-        rng = np.random.default_rng(22)
-        tris = TRI[None] + rng.normal(scale=0.3, size=(5, 3, 3))
-        obs = rng.normal(scale=1.5, size=(5, 12, 3))
-        obs[:, 0] = tris.mean(axis=1)
-        obs[:, 1] = 2.0 * tris[:, 1] - tris[:, 0]
-        obs[:, 2] = tris[:, 2]
-        for got, want in zip(static_potential_integrals(obs, tris, Scratch()),
-                             reference_static_integrals(obs, tris)):
-            assert np.array_equal(got, want)
+        # the in-plane kernel against the general 3-D form of the same
+        # arithmetic, byte for byte: both orientations, points inside, on
+        # edge lines (on the edge and beyond it), at vertices and far away
+        rng = np.random.default_rng(23)
+        tris = TRI[None] + rng.normal(scale=0.3, size=(8, 3, 3))
+        tris[4:] = tris[4:, ::-1]  # clockwise vertices
+        obs = rng.normal(scale=1.5, size=(8, 16, 3))
+        tris[..., 2] = obs[..., 2] = 0.0
+        bary = rng.dirichlet(np.ones(3), size=(8, 4))
+        obs[:, :4] = np.einsum("pmi,pid->pmd", bary, tris)
+        for v in range(3):
+            start, end = tris[:, v], tris[:, (v + 1) % 3]
+            obs[:, 4 + v] = start
+            obs[:, 7 + v] = 0.5 * (start + end)
+            obs[:, 10 + v] = 2.0 * end - start
+        obs[:, 13:] *= 1e3
+        got = static_potential_integrals(obs, tris, Scratch())
+        for have, want in zip(got, reference_static_integrals(obs, tris)):
+            assert have.tobytes() == want.tobytes()
+        assert not np.any(got[1][..., 2]) and not np.any(got[3][..., 2])
+
+    @pytest.mark.parametrize("where", ["vertex", "observation point"])
+    def test_points_off_the_plane_are_refused(self, where):
+        obs = np.array([[[0.8, 0.5, 0.0], [3.5, 2.0, 0.0]]])
+        tri = TRI[None].copy()
+        (tri[0, 2] if where == "vertex" else obs[0, 1])[2] = 1e-9
+        with pytest.raises(ValueError, match="z = 0"):
+            static_potential_integrals(obs, tri, Scratch())
