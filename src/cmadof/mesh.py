@@ -38,9 +38,7 @@ __all__ = [
     "face_rows",
     "locate_port_edges",
     "mesh_to_text",
-    "mesh_from_text",
     "mesh_to_json",
-    "mesh_from_json",
 ]
 
 
@@ -347,12 +345,12 @@ def locate_port_edges(spec: PlateSpec, mesh: TriMesh) -> list[tuple[int, int]]:
     return out
 
 
-# --- plain text / JSON mesh containers ------------------------------------
+# --- plain text / JSON mesh writers ---------------------------------------
 #
 # Text format, one item per line:
 #   v <x> <y> <z>
 #   f <i> <j> <k>      (0-based vertex indices)
-# Blank lines and lines starting with '#' are ignored.
+# A line starting with '#' is a comment.
 
 
 def mesh_to_text(mesh: TriMesh) -> str:
@@ -364,27 +362,6 @@ def mesh_to_text(mesh: TriMesh) -> str:
     return "\n".join(lines) + "\n"
 
 
-def mesh_from_text(text: str) -> TriMesh:
-    verts, faces = [], []
-    for ln, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        parts = line.split()
-        try:
-            if parts[0] == "v" and len(parts) == 4:
-                verts.append([float(x) for x in parts[1:]])
-            elif parts[0] == "f" and len(parts) == 4:
-                faces.append([int(x) for x in parts[1:]])
-            else:
-                raise ValueError
-        except ValueError:
-            raise GeometryError(f"bad mesh line {ln}: {raw!r}") from None
-    if not verts or not faces:
-        raise GeometryError("mesh text holds no vertices or no faces")
-    return TriMesh(vertices=np.array(verts), faces=np.array(faces))
-
-
 def mesh_to_json(mesh: TriMesh) -> str:
     return json.dumps(
         {
@@ -394,14 +371,3 @@ def mesh_to_json(mesh: TriMesh) -> str:
         indent=2,
         sort_keys=True,
     )
-
-
-def mesh_from_json(text: str) -> TriMesh:
-    try:
-        doc = json.loads(text)
-        return TriMesh(
-            vertices=np.array(doc["vertices"], dtype=float),
-            faces=np.array(doc["faces"], dtype=int),
-        )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise GeometryError(f"bad mesh JSON: {exc}") from exc

@@ -114,10 +114,13 @@ def static_potential_integrals(obs: np.ndarray, tri: np.ndarray,
 
     Every entry is computed by the same arithmetic whatever the batch
     holds, so a batch of P equals P batches of one exactly. Observation
-    points may lie anywhere in the plane, including inside the triangle;
-    points exactly on an edge line are handled by the standard limiting
-    values. The z parts of Ir and Jr are 0. Raises ValueError when a
-    vertex or an observation point has a nonzero z.
+    points may lie anywhere in the plane, including inside the triangle
+    and on or near an edge. A point within 1e-12 sqrt(2 area) of an edge
+    line takes the standard limiting value of that edge's log term. Just
+    outside that band, where the stable log's denominator R- + s- (or
+    R+ - s+) cancels to exactly 0, it is taken as r0^2 / (R- - s-) (or
+    r0^2 / (R+ + s+)) instead. The z parts of Ir and Jr are 0. Raises
+    ValueError when a vertex or an observation point has a nonzero z.
 
     In the plane the height above the triangle is zero, so the general
     edge-by-edge form loses its arctangent terms and every z component,
@@ -192,6 +195,15 @@ def static_potential_integrals(obs: np.ndarray, tri: np.ndarray,
             np.add(rm, sm[e], out=t1)
             np.subtract(rp, sp[e], out=f)
             np.putmask(f, positive_side, t1)
+            if not f.all():
+                # the denominator cancels to 0 just off the edge; there
+                # (R- + s-)(R- - s-) = (R+ + s+)(R+ - s+) = r0sq gives it
+                # from the conjugate sum, which does not cancel
+                np.add(rp, sp[e], out=t1)
+                np.subtract(rm, sm[e], out=t3)
+                np.putmask(t1, positive_side, t3)
+                np.divide(r0sq, t1, out=t1)
+                np.putmask(f, f == 0, t1)
             np.divide(t2, f, out=f)
             np.log(f, out=f)
             np.putmask(f, on_edge_line, 0.0)

@@ -8,6 +8,8 @@ Nothing in here shares code paths with the package internals it checks:
   rule;
 * the pencil oracle solves the reduced generalized eigenproblem by explicit
   inversion and a dense nonsymmetric solve;
+* the method-of-moments (MoM) reference solves Z I = B for the port
+  currents directly, with no modes involved;
 * the mesh oracle counts interior edges by scanning all face pairs, and
   `parent_edges` names each edge of a configuration's own basis by the
   parent faces of its plus and minus face;
@@ -418,6 +420,19 @@ def dense_reduced_pencil_eigs(x_mat, r_psd, rel_cut=1e-10):
     pencil = np.diag(1.0 / wk) @ x_red
     vals = scipy.linalg.eig(pencil, right=False)
     return np.sort(vals.real)
+
+
+def mom_port_currents(z, b):
+    """Full-wave port currents: the solution I of Z I = B, one column per
+    port."""
+    return np.linalg.solve(z, b)
+
+
+def radiated_power(z, currents):
+    """Radiated power 1/2 Re(I^H R I) of each current column, with R the
+    symmetric part (Re Z + Re Z^T)/2 of the resistance."""
+    r = 0.5 * (z.real + z.real.T)
+    return 0.5 * np.einsum("ep,ef,fp->p", currents.conj(), r, currents).real
 
 
 def brute_interior_edge_count(mesh):

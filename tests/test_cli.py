@@ -15,7 +15,7 @@ import cmadof.ga
 from cmadof.channel import effective_rank
 from cmadof.cli import main
 from cmadof.ga import PixelProblem, evaluate, link_report, phi_from_hex
-from cmadof.mesh import PlateSpec, build_plate_mesh, mesh_from_json, mesh_from_text
+from cmadof.mesh import PlateSpec, build_plate_mesh, mesh_to_text
 
 FREQ = 27e9
 PIX = 0.24 * c0 / FREQ
@@ -530,29 +530,28 @@ class TestSweepCommand:
 
 
 class TestExportMesh:
+    @staticmethod
+    def transmit_mesh():
+        spec = PlateSpec(
+            width=2 * PIX, height=2 * PIX, pixel_rows=2, pixel_cols=2, ports=2
+        )
+        return build_plate_mesh(spec, np.ones(4, dtype=np.uint8))
+
     def test_text_roundtrip(self, tmp_path):
         cfg = write_config(tmp_path)
         out = tmp_path / "out"
         assert run_cli("export-mesh", cfg, out) == 0
-        mesh = mesh_from_text((out / "mesh.txt").read_text())
-        spec = PlateSpec(
-            width=2 * PIX, height=2 * PIX, pixel_rows=2, pixel_cols=2, ports=2
-        )
-        ref = build_plate_mesh(spec, np.ones(4, dtype=np.uint8))
-        np.testing.assert_allclose(mesh.vertices, ref.vertices, rtol=1e-15)
-        np.testing.assert_array_equal(mesh.faces, ref.faces)
+        assert ((out / "mesh.txt").read_bytes()
+                == mesh_to_text(self.transmit_mesh()).encode())
 
     def test_json_roundtrip(self, tmp_path):
         cfg = write_config(tmp_path, "mesh_format = json\n")
         out = tmp_path / "out"
         assert run_cli("export-mesh", cfg, out) == 0
-        mesh = mesh_from_json((out / "mesh.json").read_text())
-        spec = PlateSpec(
-            width=2 * PIX, height=2 * PIX, pixel_rows=2, pixel_cols=2, ports=2
-        )
-        ref = build_plate_mesh(spec, np.ones(4, dtype=np.uint8))
-        np.testing.assert_allclose(mesh.vertices, ref.vertices, rtol=1e-15)
-        np.testing.assert_array_equal(mesh.faces, ref.faces)
+        doc = json.loads((out / "mesh.json").read_text())
+        mesh = self.transmit_mesh()
+        np.testing.assert_array_equal(np.array(doc["vertices"]), mesh.vertices)
+        np.testing.assert_array_equal(np.array(doc["faces"]), mesh.faces)
 
 
 @pytest.mark.parametrize("command, extra", [
@@ -619,5 +618,18 @@ class TestStartUp:
             [sys.executable, "-c",
              "import sys, cmadof.cli; "
              "print(sorted(m for m in sys.modules if m.startswith('scipy')))"],
+            env=env, capture_output=True, text=True, timeout=60, check=True)
+        assert out.stdout.strip() == "[]"
+
+    def test_package_root_loads_nothing(self):
+        # each public name is imported from its module; a package root
+        # that re-exported them would load every module and numpy
+        src = os.path.dirname(os.path.dirname(cmadof.ga.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        out = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, cmadof; "
+             "print(sorted(m for m in sys.modules "
+             "if m.startswith('cmadof.') or m == 'numpy'))"],
             env=env, capture_output=True, text=True, timeout=60, check=True)
         assert out.stdout.strip() == "[]"

@@ -27,7 +27,7 @@ from cmadof.mesh import (
     face_sampling_operator,
     locate_port_edges,
 )
-from oracles import dense_reduced_pencil_eigs
+from oracles import dense_reduced_pencil_eigs, mom_port_currents, radiated_power
 
 FREQ = 27e9
 PIX = 0.24 * c0 / FREQ
@@ -215,6 +215,29 @@ class TestSolveModesOnPlate:
         np.testing.assert_allclose(
             short.eigenvalues, long.eigenvalues[:8], rtol=1e-10
         )
+
+
+class TestModalSolution:
+    def test_all_radiating_modes_give_the_mom_port_power(self):
+        # the all-metal transmit plate of the benchmark's small link;
+        # Harrington & Mautz (IEEE TAP 19(5), 1971) expand the current of
+        # port column b as sum_i m_i (j_i^T b) / (j_i^T R j_i) j_i, with
+        # m_i = 1 / (1 + j lambda_i)
+        pix = 0.35 * c0 / FREQ
+        spec = PlateSpec(width=8 * pix, height=4 * pix, pixel_rows=4,
+                         pixel_cols=8, ports=4)
+        mesh = build_plate_mesh(spec, np.ones(spec.n_bits, dtype=int))
+        basis = extract_rwg(mesh)
+        op = assemble_impedance(basis, FREQ)
+        b = delta_gap_excitation(basis, locate_port_edges(spec, mesh))
+        modes = solve_modes(op, n_keep=basis.n_edges)
+        assert modes.n_kept == modes.subspace_dim
+        j = modes.mode_coeffs
+        weight = (modes.significances
+                  / np.einsum("ei,ef,fi->i", j, op.r_psd, j))
+        modal = j @ (weight[:, None] * (j.T @ b))
+        want = radiated_power(op.z, mom_port_currents(op.z, b))
+        np.testing.assert_allclose(radiated_power(op.z, modal), want, rtol=0.02)
 
 
 class TestModeBasisMasking:

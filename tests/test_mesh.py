@@ -1,4 +1,6 @@
 """Tests for plate meshing, RWG extraction, sampling, and serialization."""
+import json
+
 import numpy as np
 import pytest
 
@@ -10,8 +12,6 @@ from cmadof.mesh import (
     extract_rwg,
     face_sampling_operator,
     locate_port_edges,
-    mesh_from_json,
-    mesh_from_text,
     mesh_to_json,
     mesh_to_text,
 )
@@ -342,26 +342,24 @@ class TestPortEdges:
 
 class TestSerialization:
     def test_text_roundtrip(self):
-        spec = full_spec(2, 3, ports=1)
-        mesh = build_plate_mesh(spec, np.ones(6, dtype=int))
-        text = mesh_to_text(mesh)
-        back = mesh_from_text(text)
-        np.testing.assert_array_equal(back.faces, mesh.faces)
-        np.testing.assert_allclose(back.vertices, mesh.vertices, atol=0)
+        # a comment line, then one "v x y z" line per vertex and one
+        # "f i j k" line per face, each value exact at 17 digits
+        mesh = build_plate_mesh(full_spec(2, 3, ports=1), np.ones(6, dtype=int))
+        lines = mesh_to_text(mesh).splitlines()
+        assert lines[0].startswith("#")
+        rows = [line.split() for line in lines[1:]]
+        assert [row[0] for row in rows] == (["v"] * len(mesh.vertices)
+                                            + ["f"] * mesh.n_faces)
+        np.testing.assert_array_equal(
+            np.array([row[1:] for row in rows if row[0] == "v"], dtype=float),
+            mesh.vertices)
+        np.testing.assert_array_equal(
+            np.array([row[1:] for row in rows if row[0] == "f"], dtype=int),
+            mesh.faces)
 
     def test_json_roundtrip(self):
-        spec = full_spec(2, 3, ports=1)
-        mesh = build_plate_mesh(spec, np.ones(6, dtype=int))
-        back = mesh_from_json(mesh_to_json(mesh))
-        np.testing.assert_array_equal(back.faces, mesh.faces)
-        np.testing.assert_allclose(back.vertices, mesh.vertices, atol=0)
-
-    def test_text_ignores_comments_and_blanks(self):
-        text = "# comment\n\nv 0 0 0\nv 1 0 0\nv 0 1 0\nf 0 1 2\n"
-        mesh = mesh_from_text(text)
-        assert mesh.n_faces == 1
-        assert len(mesh.vertices) == 3
-
-    def test_text_bad_line_rejected(self):
-        with pytest.raises(GeometryError):
-            mesh_from_text("v 0 0 0\nq 1 2 3\n")
+        mesh = build_plate_mesh(full_spec(2, 3, ports=1), np.ones(6, dtype=int))
+        doc = json.loads(mesh_to_json(mesh))
+        assert sorted(doc) == ["faces", "vertices"]
+        np.testing.assert_array_equal(np.array(doc["vertices"]), mesh.vertices)
+        np.testing.assert_array_equal(np.array(doc["faces"]), mesh.faces)

@@ -176,6 +176,16 @@ class TestStaticPotentialIntegrals:
         assert i0[0] == pytest.approx(bi0, rel=2e-4)
         assert j0[0] == pytest.approx(bj0, rel=2e-4)
 
+    @pytest.mark.parametrize("h", [1e-8, 1e-9, 1e-10, 1e-11, -1e-9])
+    def test_points_just_off_an_edge_are_finite(self, h):
+        # outside the edge-line band, R- + s- of the edge y = 0 cancels to
+        # exactly 0; the values must approach the on-edge limit, not inf
+        got = one_triangle(np.array([1.0, h, 0.0]), TRI)
+        on_edge = one_triangle(np.array([1.0, 0.0, 0.0]), TRI)
+        for have, limit in zip(got, on_edge):
+            assert np.all(np.isfinite(have))
+            np.testing.assert_allclose(have, limit, rtol=1e-6)
+
     def test_observation_at_vertex(self):
         i0, ir, *_ = one_triangle(TRI, TRI)
         for v in range(3):
