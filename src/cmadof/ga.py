@@ -244,10 +244,13 @@ class PixelProblem:
 
     @cached_property
     def channel(self) -> ChannelOperator:
-        """Channel between the all-metal parents, built on first use."""
+        """Channel between the all-metal parents, built on first use, marked
+        half-turn symmetric (`cmadof.channel`) when they are one parent."""
         tx, rx = self.models
         rx_mesh = rx.basis.mesh.translated((0.0, 0.0, self.separation))
-        return assemble_channel(tx.basis.mesh, rx_mesh, self.wavenumber)
+        op = assemble_channel(tx.basis.mesh, rx_mesh, self.wavenumber)
+        op._half_turn = rx is tx
+        return op
 
     def fingerprint(self) -> dict:
         """The problem's defining values, as a checkpoint stores them."""

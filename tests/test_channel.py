@@ -17,9 +17,10 @@ from cmadof.channel import (
     green_dyadic,
     strict_rank,
 )
-from cmadof.cli import _plate_spec
+from cmadof.cli import _make_problem, _plate_spec
 from cmadof.config import RunConfig
 from cmadof.errors import SingularityError
+from cmadof.ga import PixelProblem
 from cmadof.mesh import PlateSpec, build_plate_mesh, face_rows
 from oracles import dense_channel
 
@@ -47,6 +48,31 @@ LINKS = {
     "cli_default": RunConfig(),
     "odd_receive": RunConfig(rx_ports=3, rx_pixels_per_port=5),
 }
+
+
+@pytest.fixture(scope="module")
+def shared():
+    """Problems whose two plates are one shared all-metal parent: the
+    benchmark's two links, the CLI default, and a 3 x 5 plate of
+    0.3 x 0.2 wavelength pixels (an odd pixel count, so the centre pixel
+    is its own half turn)."""
+    spec = PlateSpec(width=5 * 0.3 * LAM, height=3 * 0.2 * LAM,
+                     pixel_rows=3, pixel_cols=5, ports=3)
+    problems = {name: _make_problem(LINKS[name])
+                for name in ("ga_link", "dof_large", "cli_default")}
+    problems["non_square"] = PixelProblem(tx_spec=spec, rx_spec=spec,
+                                          frequency=FREQ, separation=0.5 * LAM)
+    return problems
+
+
+def half_turned(matrix):
+    """The channel of the half-turned link: face f -> F-1-f, and x and y
+    components change sign at both ends."""
+    n = matrix.shape[0] // 3
+    turn = np.array([-1.0, -1.0, 1.0])
+    faces = matrix.reshape(n, 3, n, 3)[::-1, :, ::-1]
+    return (faces * np.multiply.outer(turn, turn)[None, :, None, :]
+            ).reshape(matrix.shape)
 
 
 def parent_link(cfg):
@@ -221,6 +247,20 @@ class TestAssembleChannel:
         block = 6 * 16 * tx.n_faces * 9 * 16
         assert peak <= op.matrix.nbytes + block
 
+    def test_split_spectrum_makes_no_face_by_face_temporary(self, shared):
+        op = shared["dof_large"].channel
+        assert op._half_turn
+        op._singulars = None  # computed afresh, inside the trace
+        tracemalloc.start()
+        try:
+            op.singulars
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # the two (3F/2)-square block buffers are half of G; LAPACK's own
+        # copy is allocated inside numpy's linalg module, untraced
+        assert peak <= 0.6 * op.matrix.nbytes
+
     def test_singulars_descending_and_cached(self):
         spec = PlateSpec(
             width=PIX, height=PIX, pixel_rows=1, pixel_cols=1, ports=1
@@ -285,6 +325,66 @@ class TestGather:
         assert g is not op
         assert g.matrix.shape == (op.matrix.shape[0], op.matrix.shape[1] - 3)
         assert np.array_equal(g.matrix, op.matrix[:, 3:])
+
+
+class TestHalfTurn:
+    """The shared-parent link is symmetric under a half turn about the
+    plates' common normal axis, and its spectrum is computed by blocks."""
+
+    @pytest.mark.parametrize("name", ["ga_link", "dof_large", "non_square"])
+    def test_the_half_turn_maps_the_parent_onto_itself(self, shared, name):
+        problem = shared[name]
+        spec = problem.tx_spec
+        mesh = build_plate_mesh(spec, np.ones(spec.n_bits))
+        centre = np.array([spec.width, spec.height]) / 2.0
+        xy = mesh.face_centroids[:, :2]
+        size = max(spec.width, spec.height)
+        assert np.max(np.abs(xy[::-1] - (2.0 * centre - xy))) <= 1e-12 * size
+        areas = mesh.face_areas
+        assert np.max(np.abs(areas - areas[0])) <= 1e-12 * areas[0]
+        g = problem.channel.matrix
+        assert np.max(np.abs(g - half_turned(g))) <= 1e-12 * np.max(np.abs(g))
+
+    @pytest.mark.parametrize("name", ["ga_link", "dof_large", "cli_default",
+                                      "non_square"])
+    def test_split_spectrum_is_the_full_svd(self, shared, name, monkeypatch):
+        op = shared[name].channel
+        op._singulars = None  # computed afresh, with the SVDs recorded
+        shapes = []
+        svd = np.linalg.svd
+
+        def recorded(a, *args, **kwargs):
+            shapes.append(a.shape)
+            return svd(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", recorded)
+        split = op.singulars
+        monkeypatch.undo()
+        n = op.matrix.shape[0]
+        assert shapes == [(n // 2, n // 2)] * 2
+        full = np.linalg.svd(op.matrix, compute_uv=False)
+        assert split.shape == full.shape
+        assert np.all(np.diff(split) <= 0.0)
+        kept = full >= RANK_TOL * full[0]
+        assert np.max(np.abs(split[kept] - full[kept])) <= 1e-12 * full[0]
+        assert strict_rank(split) == strict_rank(full)
+        assert effective_rank(split, 0.5) == effective_rank(full, 0.5)
+        # the benchmark's gate keeps the 16 leading values
+        np.testing.assert_allclose(split[:16], full[:16], rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("case", ["gathered", "two_specs", "direct"])
+    def test_any_other_operator_takes_the_full_svd(self, shared, case):
+        if case == "gathered":
+            parent = shared["ga_link"].channel
+            n_r, n_t = len(parent.rx_centroids), len(parent.tx_centroids)
+            op = parent.gather(np.arange(n_r), np.arange(2, n_t))
+        elif case == "two_specs":
+            op = _make_problem(LINKS["odd_receive"]).channel
+        else:
+            op = assemble_channel(*parent_link(LINKS["ga_link"]))
+        assert not op._half_turn
+        assert np.array_equal(op.singulars,
+                              np.linalg.svd(op.matrix, compute_uv=False))
 
 
 class TestEffectiveRank:
