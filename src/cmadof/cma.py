@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -63,21 +64,58 @@ def _sign_fix(columns: np.ndarray) -> np.ndarray:
     return columns * signs
 
 
+class _Pencil:
+    """The reduced pencil of one `solve_modes` call, kept so that its
+    diagnostics are computed only when they are read.
+
+    `residuals` is the backward error of each mode the solve kept and
+    `r_cross_max` the largest off-diagonal |J^T R_psd J| over those modes.
+    """
+
+    def __init__(self, x_red, y, lam, lam_all, modes, r_psd):
+        self._x_red, self._y, self._lam, self._lam_all = x_red, y, lam, lam_all
+        self._modes, self._r_psd = modes, r_psd
+
+    @cached_property
+    def residuals(self) -> np.ndarray:
+        # The truncated pencil is well posed only in the radiated-power
+        # metric, where it becomes the reduced symmetric problem
+        # X_red y = lambda y. The normwise backward error is taken there;
+        # the full-space residual is dominated by X's action outside the
+        # radiating subspace, which the reduction discards by construction.
+        lam, lam_all, y = self._lam, self._lam_all, self._y
+        x_norm = float(np.abs(lam_all).max()) if lam_all.size else 0.0
+        num = np.linalg.norm(self._x_red @ y - lam[None, :] * y, axis=0)
+        return num / (x_norm + np.abs(lam) + np.finfo(float).tiny)
+
+    @cached_property
+    def r_cross_max(self) -> float:
+        modes = self._modes
+        cross = modes.T @ (self._r_psd @ modes)
+        np.fill_diagonal(cross, 0.0)
+        return float(np.abs(cross).max()) if cross.size else 0.0
+
+
 @dataclass
 class ModeBasis:
     """Characteristic modes of one antenna at one frequency.
 
     mode_coeffs columns are RWG coefficient vectors, Euclidean-normalized,
     sign-fixed by `solve_modes`, and sorted by descending modal
-    significance. pattern_gram_dev is filled in by `mode_patterns`.
+    significance. The health diagnostics `eigen_residuals`, `r_cross_max`
+    and `pattern_gram_dev` are computed when first read. A basis built by
+    hand has none of them (they read None), and `pattern_gram_dev` needs
+    `mode_patterns` to have run.
     """
 
     eigenvalues: np.ndarray
     mode_coeffs: np.ndarray
     subspace_dim: int
-    eigen_residuals: np.ndarray
-    r_cross_max: float
-    pattern_gram_dev: float | None = field(default=None)
+    #: the solve's pencil, and the index there of each mode kept here
+    _pencil: _Pencil | None = field(default=None, repr=False)
+    _solved: np.ndarray | None = field(default=None, repr=False)
+    #: the patterns `mode_patterns` returned for this basis
+    _patterns: np.ndarray | None = field(default=None, repr=False)
 
     @property
     def n_kept(self) -> int:
@@ -88,12 +126,36 @@ class ModeBasis:
         """m_i = 1/(1 + j lambda_i), complex."""
         return 1.0 / (1.0 + 1j * self.eigenvalues)
 
+    @property
+    def eigen_residuals(self) -> np.ndarray | None:
+        """Backward error of each mode in the reduced pencil."""
+        if self._pencil is None:
+            return None
+        return self._pencil.residuals[self._solved]
+
+    @property
+    def r_cross_max(self) -> float | None:
+        """Largest off-diagonal |J^T R_psd J| over the modes the solve
+        kept, before any was dropped."""
+        return None if self._pencil is None else self._pencil.r_cross_max
+
+    @property
+    def pattern_gram_dev(self) -> float | None:
+        """max|P^T P - I| of the patterns `mode_patterns` returned."""
+        patterns = self._patterns
+        if patterns is None:
+            return None
+        gram = patterns.T @ patterns
+        dev = np.abs(gram - np.eye(gram.shape[0])).max() if gram.size else 0.0
+        return float(dev)
+
     def drop_modes(self, keep: np.ndarray) -> None:
         """Restrict every per-mode array to the boolean mask, in place."""
         keep = np.asarray(keep, dtype=bool)
         self.eigenvalues = self.eigenvalues[keep]
         self.mode_coeffs = self.mode_coeffs[:, keep]
-        self.eigen_residuals = self.eigen_residuals[keep]
+        if self._solved is not None:
+            self._solved = self._solved[keep]
 
     def significant(self) -> "ModeBasis":
         """Copy restricted to modes with |m_i| >= SIGNIFICANCE_FLOOR.
@@ -102,8 +164,12 @@ class ModeBasis:
         in-place edits of either basis leave the other unchanged.
         """
         out = replace(self)
-        out.drop_modes(np.abs(out.significances) >= SIGNIFICANCE_FLOOR)
+        out.drop_insignificant()
         return out
+
+    def drop_insignificant(self) -> None:
+        """Drop the modes with |m_i| < SIGNIFICANCE_FLOOR, in place."""
+        self.drop_modes(np.abs(self.significances) >= SIGNIFICANCE_FLOOR)
 
 
 def solve_modes(op: ImpedanceOperator, n_keep: int = 20) -> ModeBasis:
@@ -140,26 +206,13 @@ def solve_modes(op: ImpedanceOperator, n_keep: int = 20) -> ModeBasis:
     y = y_all[:, sel]
     modes = white @ y
 
-    # The truncated pencil is well posed only in the radiated-power metric,
-    # where it becomes the reduced symmetric problem X_red y = lambda y.
-    # Report each kept pair's normwise backward error there; the full-space
-    # residual is dominated by X's action outside the radiating subspace,
-    # which the reduction discards by construction.
-    x_norm = float(np.abs(lam_all).max()) if lam_all.size else 0.0
-    num = np.linalg.norm(x_red @ y - lam[None, :] * y, axis=0)
-    residuals = num / (x_norm + np.abs(lam) + np.finfo(float).tiny)
-
     modes = _sign_fix(modes / np.linalg.norm(modes, axis=0)[None, :])
-    cross = modes.T @ (r_psd @ modes)
-    np.fill_diagonal(cross, 0.0)
-    r_cross_max = float(np.abs(cross).max()) if cross.size else 0.0
-
     return ModeBasis(
         eigenvalues=lam,
         mode_coeffs=modes,
         subspace_dim=int(keep.sum()),
-        eigen_residuals=residuals,
-        r_cross_max=r_cross_max,
+        _pencil=_Pencil(x_red, y, lam, lam_all, modes, r_psd),
+        _solved=np.arange(n),
     )
 
 
@@ -181,8 +234,8 @@ def mode_patterns(modes: ModeBasis, sampler: np.ndarray) -> np.ndarray:
     the sign `solve_modes` gave mode i.
     Modes whose sampled pattern is identically zero cannot couple to the
     channel; they are dropped from `modes` in place with a warning. The
-    Gram deviation max|P^T P - I| is recorded on `modes.pattern_gram_dev`
-    as the orthonormality diagnostic.
+    patterns are kept on `modes`, whose `pattern_gram_dev`, the Gram
+    deviation max|P^T P - I|, is the orthonormality diagnostic.
     """
     if sampler.shape[1] != modes.mode_coeffs.shape[0]:
         raise ValueError(
@@ -204,8 +257,5 @@ def mode_patterns(modes: ModeBasis, sampler: np.ndarray) -> np.ndarray:
         raw = raw[:, alive]
         norms = norms[alive]
     patterns = raw / norms[None, :]
-    gram = patterns.T @ patterns
-    dev = np.abs(gram - np.eye(gram.shape[0])).max() if gram.size else 0.0
-    modes.pattern_gram_dev = float(dev)
+    modes._patterns = patterns
     return patterns
-

@@ -70,19 +70,24 @@ def matrix_rank(a: np.ndarray) -> int:
     return strict_rank(np.linalg.svd(a, compute_uv=False))
 
 
-def _pivoted_columns(a: np.ndarray) -> tuple[int, np.ndarray]:
-    """(rank r of a, its column indices in pivoted-QR order).
+def _pivot_order(a: np.ndarray) -> np.ndarray:
+    """a's column indices in pivoted-QR order: for a of rank r, the first
+    r name a maximal independent column set and the rest the dependent
+    columns."""
+    import scipy.linalg  # only the rank-deficient branches need scipy
 
-    The first r indices name a maximal independent column set and the rest
-    the dependent columns; a full-rank a keeps its own column order.
-    """
-    r = matrix_rank(a)
-    if r == a.shape[1]:
-        return r, np.arange(r)
-    import scipy.linalg  # only the rank-deficient branch needs scipy
+    return scipy.linalg.qr(a, pivoting=True)[2]
 
-    _, _, piv = scipy.linalg.qr(a, pivoting=True)
-    return r, piv
+
+def _pinv(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(a^+ at the relative cutoff RANK_TOL, a's singular values), from
+    one SVD, by the arithmetic of `np.linalg.pinv(a, rcond=RANK_TOL)`."""
+    u, s, vt = np.linalg.svd(a.conjugate(), full_matrices=False)
+    inv = s.copy()
+    large = inv > RANK_TOL * s.max(initial=0.0)
+    np.divide(1, inv, where=large, out=inv)
+    inv[~large] = 0
+    return vt.T @ (inv[:, None] * u.T), s
 
 
 def _as_matrix(g) -> np.ndarray:
@@ -127,14 +132,15 @@ def receiver_map(v_r: np.ndarray, m_r: np.ndarray, patterns_r: np.ndarray) -> np
             "receiver map received modes below the significance floor; "
             "truncate before building maps"
         )
-    rank_v, order = _pivoted_columns(v_r)
+    # one SVD of V_R gives both its rank and its pseudo-inverse
+    v_pinv, v_singulars = _pinv(v_r)
+    rank_v = strict_rank(v_singulars)
     if rank_v < l_r:
-        offending = sorted(int(p) for p in order[rank_v:])
+        offending = sorted(int(p) for p in _pivot_order(v_r)[rank_v:])
         raise RankDeficiencyError(
             f"modal excitation matrix has rank {rank_v} < {l_r} receive "
             f"ports; dependent ports: {offending}"
         )
-    v_pinv = np.linalg.pinv(v_r, rcond=RANK_TOL)
     e_pinv = np.linalg.pinv(patterns_r, rcond=RANK_TOL)
     return v_pinv @ ((1.0 / m_r)[:, None] * e_pinv)
 
@@ -188,14 +194,16 @@ class GammaMatrix:
 
 def _independent_columns(a: np.ndarray, label: str) -> np.ndarray:
     """Indices of a maximal independent column set, warning when reduced."""
-    r, order = _pivoted_columns(a)
-    if r < a.shape[1]:
-        warnings.warn(
-            f"{label} pattern matrix is rank-deficient ({r} of {a.shape[1]} "
-            f"columns independent); dropping columns "
-            f"{sorted(int(c) for c in order[r:])}",
-            stacklevel=3,
-        )
+    r = matrix_rank(a)
+    if r == a.shape[1]:
+        return np.arange(r)
+    order = _pivot_order(a)
+    warnings.warn(
+        f"{label} pattern matrix is rank-deficient ({r} of {a.shape[1]} "
+        f"columns independent); dropping columns "
+        f"{sorted(int(c) for c in order[r:])}",
+        stacklevel=3,
+    )
     return np.sort(order[:r])
 
 

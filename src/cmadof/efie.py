@@ -259,8 +259,14 @@ def _singular_moments(p_verts, q_verts, area_p, area_q, k0, scratch: Scratch):
     gr -= jr
     scale = area_p / (4.0 * np.pi)
     m00 += scale * np.einsum("i,pi->p", ws, g0)
-    m_in += scale[:, None] * np.einsum("i,pid->pd", ws, gr[..., :2])
-    m_out += scale[:, None] * np.einsum("i,pi,pid->pd", ws, g0, xs[..., :2])
+    # order "C" iterates in subscript order: the inner loop runs over the
+    # 448 points of one pair and component, not over the 2 components of
+    # the strided (x, y) view, and each entry is summed from zero in point
+    # order, on which Z's bits depend
+    m_in += scale[:, None] * np.einsum("i,pid->pd", ws, gr[..., :2],
+                                       order="C")
+    m_out += scale[:, None] * np.einsum("i,pi,pid->pd", ws, g0, xs[..., :2],
+                                        order="C")
     # the z parts of xs and gr are zero; summed with them, einsum's inner
     # loop runs over whole contiguous rows instead of pairs
     mdot += scale * np.einsum("i,pid,pid->p", ws, xs, gr)

@@ -17,10 +17,12 @@ The fitness is the negated standard deviation of the singular values of
 H: flat spectra score 0 (the maximum), lopsided spectra score negative,
 so maximizing the score pushes toward more usable subchannels.
 
-`evaluate` keeps only what the GA needs of a configuration, a `Score` of
-sigma(H), the achievable DoF and the fitness. `link_report` builds the full
-`DofReport` (G's spectrum, the Gamma decomposition and the rank bounds) for
-the few configurations that reach an artifact.
+`evaluate` computes and keeps only what the GA needs of a configuration,
+a `Score` of sigma(H), the achievable DoF and the fitness: it forms H on
+the plates' live rows (`PlateModel.live_rows`) and reads no mode
+diagnostic. `link_report` builds the full `DofReport` (the full G block,
+its spectrum, the Gamma decomposition and the rank bounds) for the few
+configurations that reach an artifact.
 
 The evolutionary loop is a plain binary GA: tournament-2 selection with
 replacement, uniform crossover over consecutive parent pairs, independent
@@ -136,6 +138,13 @@ class PlateModel:
                 basis, locate_port_edges(spec, mesh)),
         )
 
+    @cached_property
+    def live_rows(self) -> np.ndarray:
+        """Boolean mask of the sampler rows that are not all zero: the x
+        and y rows of every face of a flat plate. Currents and fields
+        have no other component on the plate."""
+        return np.any(self.sampler, axis=1)
+
     def gather(self, bits) -> tuple[ImpedanceOperator, np.ndarray,
                                     np.ndarray, np.ndarray]:
         """(impedance, sampler, port columns, parent faces f) of one
@@ -172,13 +181,14 @@ class PlateAnalysis:
 def analyze_plate(model: PlateModel, bits, n_keep: int = 20) -> PlateAnalysis:
     """Run gather -> modes -> (V, patterns) for one plate configuration.
 
-    Modes are truncated to |m| >= SIGNIFICANCE_FLOOR
-    (`ModeBasis.significant`) before any map is built. The patterns come
-    first, so a mode `mode_patterns` drops never reaches V. Raises
-    DegenerateStructureError when nothing significant radiates.
+    Modes are truncated to |m| >= SIGNIFICANCE_FLOOR before any map is
+    built. The patterns come first, so a mode `mode_patterns` drops never
+    reaches V. Raises DegenerateStructureError when nothing significant
+    radiates.
     """
     op, sampler, ports, faces = model.gather(bits)
-    modes = solve_modes(op, n_keep=n_keep).significant()
+    modes = solve_modes(op, n_keep=n_keep)
+    modes.drop_insignificant()
     if modes.n_kept == 0:
         raise DegenerateStructureError(
             "no mode reaches the significance floor "
@@ -307,24 +317,44 @@ DEGENERATE = Score(None, None, NEG_INF)
 
 @dataclass
 class LinkAnalysis:
-    """One configuration's analyzed link, from both plates to H."""
+    """One configuration's analyzed link, from both plates to H.
+
+    `g`, the channel between the two plates' faces, is gathered from the
+    parents' channel `parent` when first read: H needs only its block on
+    the plates' live rows, and G in full enters only a report.
+    """
 
     tx: PlateAnalysis
     rx: PlateAnalysis
-    g: ChannelOperator
+    parent: ChannelOperator
     channel: EquivalentChannel
+
+    @cached_property
+    def g(self) -> ChannelOperator:
+        return self.parent.gather(self.rx.faces, self.tx.faces)
 
 
 def _key(phi: np.ndarray) -> bytes:
     return np.packbits(phi).tobytes()
 
 
+def _live(model: PlateModel, plate: PlateAnalysis) -> tuple[np.ndarray,
+                                                              np.ndarray]:
+    """(mask of the plate's live sampler rows, their parent rows)."""
+    rows = face_rows(plate.faces)
+    live = model.live_rows[rows]
+    return live, rows[live]
+
+
 def _analyze_link(problem: PixelProblem,
                   phi: np.ndarray) -> tuple[LinkAnalysis, Score]:
     """gather -> modes -> maps -> G -> H -> sigma(H) for one configuration.
 
-    Raises DegenerateStructureError, RankDeficiencyError or NumericalError
-    when the configuration cannot be analyzed.
+    The maps and G are taken on the live rows of both plates only
+    (`PlateModel.live_rows`). The transmit currents are exactly zero on
+    the other rows, and the receive map is zero there but for roundoff.
+    Raises DegenerateStructureError, RankDeficiencyError or
+    NumericalError when the configuration cannot be analyzed.
     """
     phi_t, phi_r = problem.split(phi)
     tx_model, rx_model = problem.models
@@ -333,9 +363,12 @@ def _analyze_link(problem: PixelProblem,
         # one shared parent and the same bits: the same analysis
         same = rx_model is tx_model and np.array_equal(phi_r, phi_t)
         rx = tx if same else analyze_plate(rx_model, phi_r, problem.n_keep)
-        u_t = transmitter_map(tx.patterns, tx.modes.significances, tx.v)
-        u_r = receiver_map(rx.v, rx.modes.significances, rx.patterns)
-        g = problem.channel.gather(rx.faces, tx.faces)
+        live_t, cols = _live(tx_model, tx)
+        live_r, rows = _live(rx_model, rx)
+        u_t = transmitter_map(tx.patterns[live_t], tx.modes.significances,
+                              tx.v)
+        u_r = receiver_map(rx.v, rx.modes.significances, rx.patterns[live_r])
+        g = problem.channel.matrix[np.ix_(rows, cols)]
         ch = equivalent_channel(u_r, g, u_t)
         if not np.all(np.isfinite(ch.matrix)):
             raise NumericalError("equivalent channel is not finite")
@@ -343,7 +376,8 @@ def _analyze_link(problem: PixelProblem,
                       fitness(ch))
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"linear algebra failed: {exc}") from exc
-    return LinkAnalysis(tx=tx, rx=rx, g=g, channel=ch), score
+    return LinkAnalysis(tx=tx, rx=rx, parent=problem.channel,
+                        channel=ch), score
 
 
 def evaluate(problem: PixelProblem, phi) -> Score:

@@ -23,7 +23,12 @@ Nothing in here shares code paths with the package internals it checks:
   `green_dyadic` once on every centroid pair and transposes the whole
   (N_R, N_T, 3, 3) result into place, the one-shot layout that the
   blocked, in-place `assemble_channel` replaced, so that the blocking can
-  be required to keep every bit.
+  be required to keep every bit;
+* the eager mode diagnostics are the last: a frozen copy of the
+  arithmetic that computed the eigen residuals, the R cross-coupling and
+  the pattern Gram deviation inside every plate analysis, before the
+  package computed them only when read, so that the two can be required
+  to agree bit for bit.
 """
 
 from __future__ import annotations
@@ -420,6 +425,51 @@ def dense_reduced_pencil_eigs(x_mat, r_psd, rel_cut=1e-10):
     pencil = np.diag(1.0 / wk) @ x_red
     vals = scipy.linalg.eig(pencil, right=False)
     return np.sort(vals.real)
+
+
+def eager_plate_diagnostics(op, sampler, n_keep, floor):
+    """(eigen residuals, r_cross_max, pattern_gram_dev) of one plate's
+    modes as solving, truncating at the significance `floor` and
+    sampling computed them at once: the residuals and the R
+    cross-coupling of the modes the solve kept, the residuals then
+    restricted to the modes the floor and the zero-pattern check keep."""
+    r_psd, w, q = op.psd
+    x_sym = 0.5 * (op.x + op.x.T)
+    keep = w >= 1e-10 * w[-1]
+    white = q[:, keep] / np.sqrt(w[keep])[None, :]
+    x_red = white.T @ x_sym @ white
+    x_red = 0.5 * (x_red + x_red.T)
+    lam_all, y_all = np.linalg.eigh(x_red)
+    order = np.lexsort((lam_all, np.abs(lam_all)))
+    sel = order[:min(int(n_keep), len(order))]
+    lam = lam_all[sel]
+    y = y_all[:, sel]
+    modes = white @ y
+
+    x_norm = float(np.abs(lam_all).max()) if lam_all.size else 0.0
+    num = np.linalg.norm(x_red @ y - lam[None, :] * y, axis=0)
+    residuals = num / (x_norm + np.abs(lam) + np.finfo(float).tiny)
+
+    modes = modes / np.linalg.norm(modes, axis=0)[None, :]
+    lead = np.abs(modes).argmax(axis=0)
+    signs = np.sign(modes[lead, np.arange(modes.shape[1])])
+    signs[signs == 0] = 1.0
+    modes = modes * signs
+    cross = modes.T @ (r_psd @ modes)
+    np.fill_diagonal(cross, 0.0)
+    r_cross_max = float(np.abs(cross).max()) if cross.size else 0.0
+
+    significant = np.abs(1.0 / (1.0 + 1j * lam)) >= floor
+    residuals, modes = residuals[significant], modes[:, significant]
+    raw = sampler @ modes
+    norms = np.linalg.norm(raw, axis=0)
+    scale = np.abs(raw).max() if raw.size else 0.0
+    alive = norms > 1e-14 * max(scale, 1.0)
+    residuals, raw, norms = residuals[alive], raw[:, alive], norms[alive]
+    patterns = raw / norms[None, :]
+    gram = patterns.T @ patterns
+    dev = np.abs(gram - np.eye(gram.shape[0])).max() if gram.size else 0.0
+    return residuals, r_cross_max, float(dev)
 
 
 def mom_port_currents(z, b):

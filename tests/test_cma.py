@@ -249,8 +249,6 @@ class TestModeBasisMasking:
             eigenvalues=lam,
             mode_coeffs=coeffs,
             subspace_dim=5,
-            eigen_residuals=np.full(n, 1e-12),
-            r_cross_max=0.0,
         )
 
     def test_drop_modes_masks_every_array(self):
@@ -260,7 +258,21 @@ class TestModeBasisMasking:
         assert basis.n_kept == 2
         np.testing.assert_array_equal(basis.eigenvalues, [0.0, 2.0])
         assert basis.mode_coeffs.shape == (5, 2)
-        assert basis.eigen_residuals.shape == (2,)
+        # a basis built by hand has no diagnostics
+        assert basis.eigen_residuals is None and basis.r_cross_max is None
+
+    @pytest.mark.parametrize("read_first", [False, True],
+                             ids=["drop_then_read", "read_then_drop"])
+    def test_drop_modes_masks_the_residuals(self, read_first):
+        op, _ = synthetic_operator([0.0, 1.0, 2.0, 3.0], np.ones(4))
+        full = solve_modes(op, n_keep=4).eigen_residuals
+        basis = solve_modes(op, n_keep=4)
+        if read_first:
+            basis.eigen_residuals
+        keep = np.array([True, False, True, True])
+        basis.drop_modes(keep)
+        basis.drop_modes(np.array([False, True, True]))
+        assert basis.eigen_residuals.tobytes() == full[[2, 3]].tobytes()
 
     def test_significant_filters_by_floor(self):
         weak = 2.0 / SIGNIFICANCE_FLOOR
@@ -334,8 +346,6 @@ class TestModePatterns:
             eigenvalues=np.linspace(0.0, 0.1, n),
             mode_coeffs=coeffs,
             subspace_dim=coeffs.shape[0],
-            eigen_residuals=np.zeros(n),
-            r_cross_max=0.0,
         )
 
     def test_columns_unit_norm_and_stored(self):

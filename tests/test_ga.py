@@ -2,6 +2,7 @@
 
 import dataclasses
 import errno
+import inspect
 import json
 import os
 from pathlib import Path
@@ -11,17 +12,22 @@ import pytest
 from scipy.constants import c as c0
 from scipy.stats import chisquare
 
+import cmadof.channel
 import cmadof.cma
 import cmadof.efie
 import cmadof.ga
 import cmadof.svgplot
 from cmadof.cma import excitation_matrix, mode_patterns, solve_modes
-from cmadof.dofcore import (EquivalentChannel, equivalent_channel,
-                            matrix_rank, receiver_map, transmitter_map)
+from cmadof.dofcore import (EquivalentChannel, achievable_dof,
+                            equivalent_channel, matrix_rank, receiver_map,
+                            transmitter_map)
 from cmadof.channel import assemble_channel, effective_rank
+from cmadof.cli import _make_problem
+from cmadof.config import RunConfig
 from cmadof.efie import (ImpedanceOperator, assemble_impedance,
                          delta_gap_excitation)
-from cmadof.errors import GeometryError
+from cmadof.errors import (DegenerateStructureError, GeometryError,
+                            RankDeficiencyError)
 from cmadof.ga import (
     GaRun,
     Individual,
@@ -41,14 +47,17 @@ from cmadof.ga import (
 )
 from cmadof.mesh import (PlateSpec, build_plate_mesh, extract_rwg,
                          face_sampling_operator, locate_port_edges)
-from oracles import parent_edges
+from oracles import eager_plate_diagnostics, parent_edges
 
 FREQ = 27e9
 LAM = c0 / FREQ
 PIX = 0.24 * LAM
 
 #: written by `run_ga(tiny_problem(), k_max=2, pop_size=6, n_parents=4,
-#: seed=11, checkpoint_path=...)` in the v1 checkpoint format
+#: seed=11, checkpoint_path=...)` in the v1 checkpoint format; its fitness
+#: and best-history values were re-recorded from the v2 checkpoint of the
+#: same call when H came to be formed on the live rows only, which moved
+#: them in the last digit
 V1_CHECKPOINT = Path(__file__).parent / "data" / "ga_checkpoint_v1.json"
 
 
@@ -296,6 +305,14 @@ class TestPlateModel:
         assert calls == [8, 8, 12]
 
 
+def full_channel(problem, tx, rx):
+    """H of two plate analyses by the public maps on the full gathered G."""
+    u_t = transmitter_map(tx.patterns, tx.modes.significances, tx.v)
+    u_r = receiver_map(rx.v, rx.modes.significances, rx.patterns)
+    g = problem.channel.gather(rx.faces, tx.faces)
+    return equivalent_channel(u_r, g, u_t)
+
+
 class TestAnalyzePlate:
     """R is decomposed once unless it has to be clamped, with the modes
     unchanged from decomposing R_psd again; the gathered analysis is the
@@ -393,10 +410,7 @@ class TestAnalyzePlate:
         rng = np.random.default_rng(31)
 
         def sigma_h(tx, rx):
-            u_t = transmitter_map(tx.patterns, tx.modes.significances, tx.v)
-            u_r = receiver_map(rx.v, rx.modes.significances, rx.patterns)
-            g = p.channel.gather(rx.faces, tx.faces)
-            return equivalent_channel(u_r, g, u_t).singulars
+            return full_channel(p, tx, rx).singulars
 
         for _ in range(5):
             tx_bits, rx_bits = rng.integers(0, 2, (2, spec.n_bits))
@@ -409,6 +423,123 @@ class TestAnalyzePlate:
                 for pair in ((tx_k, rx), (tx, rx_k), (tx_k, rx_k)):
                     np.testing.assert_allclose(sigma_h(*pair), want,
                                                rtol=1e-14, atol=0.0)
+
+
+def full_chain(problem, phi):
+    """H of one configuration by `full_channel`, with (model, bits,
+    analysis) of both plates."""
+    plates = [(model, bits, analyze_plate(model, bits, problem.n_keep))
+              for model, bits in zip(problem.models, problem.split(phi))]
+    return full_channel(problem, plates[0][2], plates[1][2]), plates
+
+
+def acceptance7_problem():
+    spec = acceptance7_spec()
+    return PixelProblem(tx_spec=spec, rx_spec=spec, frequency=FREQ,
+                        separation=1.0 * LAM, n_keep=10)
+
+
+def ga_link_problem():
+    """The benchmark's small link: 4 x 8 pixels at 0.35 wavelength."""
+    return _make_problem(RunConfig(pixel_size=0.35 * LAM,
+                                   separation=1.0 * LAM, n_keep=10))
+
+
+def dof_large_problem():
+    """The benchmark's large link: 8 x 16 pixels, 8 ports."""
+    return _make_problem(RunConfig(tx_ports=8, rx_ports=8,
+                                   tx_pixels_per_port=16,
+                                   rx_pixels_per_port=16))
+
+
+class TestLeanFitness:
+    """`evaluate` forms H on the plates' live rows only and reads no
+    diagnostic; its sigma(H) is the full chain's to roundoff, and the
+    diagnostics, computed when read, are the eager arithmetic's bytes."""
+
+    @pytest.mark.parametrize("make_problem, n_random", [
+        (acceptance7_problem, 20),
+        (lambda: _make_problem(RunConfig()), 20),
+        (dof_large_problem, 2),
+    ], ids=["acceptance7", "cli_default", "dof_large"])
+    def test_score_matches_full_chain(self, make_problem, n_random):
+        p = make_problem()
+        rng = np.random.default_rng(29)
+        phis = list(rng.integers(0, 2, size=(n_random, p.bit_length)))
+        if n_random == 2:
+            phis.append(np.ones(p.bit_length, dtype=np.uint8))
+        scored = 0
+        for phi in phis:
+            score = evaluate(p, phi)
+            if score.h_singulars is None:
+                with pytest.raises((DegenerateStructureError,
+                                    RankDeficiencyError)):
+                    full_chain(p, phi)
+                continue
+            scored += 1
+            ch, plates = full_chain(p, phi)
+            want = ch.singulars
+            np.testing.assert_allclose(score.h_singulars, want, rtol=0.0,
+                                       atol=1e-12 * want[0])
+            assert score.dof_h == achievable_dof(ch, p.gamma)
+            for model, bits, plate in plates:
+                op, sampler, _, _ = model.gather(bits)
+                residuals, cross, gram = eager_plate_diagnostics(
+                    op, sampler, p.n_keep, cmadof.cma.SIGNIFICANCE_FLOOR)
+                modes = plate.modes
+                assert modes.eigen_residuals.tobytes() == residuals.tobytes()
+                assert modes.r_cross_max == cross
+                assert modes.pattern_gram_dev == gram
+        assert scored >= 0.75 * len(phis)
+
+    def test_rank_deficient_receive_is_degenerate(self, caplog):
+        # one mode cannot separate two receive ports
+        p = tiny_problem(n_keep=1)
+        phi = np.ones(p.bit_length, dtype=np.uint8)
+        rx = analyze_plate(p.models[1], p.split(phi)[1], p.n_keep)
+        assert rx.v.shape == (1, 2)
+        dependent = int(np.argmin(np.abs(rx.v[0])))
+        with caplog.at_level("WARNING", logger="cmadof.ga"):
+            score = evaluate(p, phi)
+        assert score == (None, None, NEG_INF)
+        assert ("modal excitation matrix has rank 1 < 2 receive ports; "
+                f"dependent ports: [{dependent}]") in caplog.text
+        assert link_report(p, phi) is None
+
+    def test_lapack_calls_per_evaluation(self, monkeypatch):
+        # 2 eigh per unclamped plate; SVDs of V_R, the receive patterns
+        # and H; and no channel operator beyond the parents'
+        p = ga_link_problem()
+        p.models, p.channel
+        phi = np.random.default_rng(3).integers(0, 2, p.bit_length)
+        phi_t, phi_r = p.split(phi)
+        assert not np.array_equal(phi_t, phi_r)
+        for bits in (phi_t, phi_r):
+            z = p.models[0].gather(bits)[0].z
+            r_psd = ImpedanceOperator(z=z, frequency=FREQ).r_psd
+            assert np.array_equal(r_psd, 0.5 * (z.real + z.real.T))
+        calls = {"eigh": 0, "svd": 0}
+
+        def counting(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("evaluate built a ChannelOperator")
+
+        svd = counting("svd", np.linalg.svd)
+        monkeypatch.setattr(np.linalg, "eigh", counting("eigh",
+                                                        np.linalg.eigh))
+        monkeypatch.setattr(np.linalg, "svd", svd)
+        # the module-global binding that np.linalg.pinv calls
+        monkeypatch.setitem(inspect.unwrap(np.linalg.pinv).__globals__,
+                            "svd", svd)
+        monkeypatch.setattr(cmadof.channel.ChannelOperator, "__init__",
+                            refuse)
+        assert evaluate(p, phi).h_singulars is not None
+        assert calls == {"eigh": 4, "svd": 3}
 
 
 class TestEvaluate:
