@@ -67,6 +67,9 @@ ETA0 = float(np.sqrt(MU0 / EPS0))
 #: pseudo-inverse in the package
 RANK_TOL = 1e-10
 
+#: bytes of the matrix rows `ChannelOperator.block` copies out at a time
+TAKE_BYTES = 1 << 20
+
 #: receive faces per block of `assemble_channel`: a block's kernel
 #: temporaries hold a few RX_BLOCK x N_T x 9 arrays, a sixteenth of the
 #: 3 N_R x 3 N_T channel each on the 8 x 16-pixel plate
@@ -142,19 +145,33 @@ class ChannelOperator:
         Each 3x3 block depends only on its two faces, so this equals
         `assemble_channel` on meshes made of exactly those faces. Asked
         for every face of both sides in order, it returns this operator
-        itself, not a copy; any other face list gets a fresh operator.
+        itself, not a copy; any other face list gets a fresh operator
+        whose matrix is `block` of the faces' rows and columns.
         """
         if (np.array_equal(rx_faces, np.arange(len(self.rx_centroids)))
                 and np.array_equal(tx_faces, np.arange(len(self.tx_centroids)))):
             return self
-        rows, cols = face_rows(rx_faces), face_rows(tx_faces)
         return ChannelOperator(
-            matrix=self.matrix[np.ix_(rows, cols)],
+            matrix=self.block(face_rows(rx_faces), face_rows(tx_faces)),
             k0=self.k0,
-            tx_centroids=self.tx_centroids[tx_faces],
-            rx_centroids=self.rx_centroids[rx_faces],
-            tx_areas=self.tx_areas[tx_faces],
+            tx_centroids=self.tx_centroids.take(tx_faces, 0),
+            rx_centroids=self.rx_centroids.take(rx_faces, 0),
+            tx_areas=self.tx_areas.take(tx_faces),
         )
+
+    def block(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+        """matrix[np.ix_(rows, cols)]: the same bytes in the same C order,
+        taken along the rows and then the columns. The rows go TAKE_BYTES
+        of the matrix at a time, so the copy of whole rows between the
+        two takes stays small."""
+        out = np.empty((len(rows), len(cols)), dtype=self.matrix.dtype)
+        step = max(1, TAKE_BYTES // self.matrix[:1].nbytes)
+        for s in range(0, len(rows), step):
+            # the indices are in range; "clip" only skips the buffer that
+            # the default "raise" puts in front of `out`
+            self.matrix.take(rows[s:s + step], 0).take(
+                cols, 1, out=out[s:s + step], mode="clip")
+        return out
 
 
 def _half_turn_singulars(matrix: np.ndarray) -> np.ndarray:

@@ -216,10 +216,17 @@ def cmd_sweep(cfg: RunConfig) -> None:
     header = (f"{cfg.sweep_axis},dof_g_effective,dof_h_all_on,"
               "dof_h_random_mean,dof_h_optimized,port_mode_upper,lower_bound")
     rows = [header]
+    # points with the same plates share their parents, assembled once
+    parents: dict[tuple, tuple[PlateModel, PlateModel]] = {}
     for index, value in enumerate(cfg.sweep_values):
         point = _sweep_point_config(cfg, cfg.sweep_axis, value)
         point.validate()
         problem = _make_problem(point)
+        plates = (problem.tx_spec, problem.rx_spec, problem.frequency)
+        if plates in parents:
+            problem.models = parents[plates]
+        else:
+            parents[plates] = problem.models
         ones = np.ones(problem.bit_length, dtype=np.uint8)
         report = link_report(problem, ones)
         if report is None:

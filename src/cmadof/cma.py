@@ -121,9 +121,10 @@ class ModeBasis:
     def n_kept(self) -> int:
         return len(self.eigenvalues)
 
-    @property
+    @cached_property
     def significances(self) -> np.ndarray:
-        """m_i = 1/(1 + j lambda_i), complex."""
+        """m_i = 1/(1 + j lambda_i), complex; computed on first read and
+        kept in step with the modes by `drop_modes`."""
         return 1.0 / (1.0 + 1j * self.eigenvalues)
 
     @property
@@ -154,6 +155,8 @@ class ModeBasis:
         keep = np.asarray(keep, dtype=bool)
         self.eigenvalues = self.eigenvalues[keep]
         self.mode_coeffs = self.mode_coeffs[:, keep]
+        if "significances" in vars(self):
+            self.significances = self.significances[keep]
         if self._solved is not None:
             self._solved = self._solved[keep]
 
@@ -243,7 +246,8 @@ def mode_patterns(modes: ModeBasis, sampler: np.ndarray) -> np.ndarray:
             f"size {modes.mode_coeffs.shape[0]}"
         )
     raw = sampler @ modes.mode_coeffs
-    norms = np.linalg.norm(raw, axis=0)
+    # np.linalg.norm(raw, axis=0)'s arithmetic, without its argument checks
+    norms = np.sqrt(np.add.reduce((raw.conj() * raw).real, axis=0))
     scale = np.abs(raw).max() if raw.size else 0.0
     alive = norms > 1e-14 * max(scale, 1.0)
     if not alive.all():

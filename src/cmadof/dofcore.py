@@ -83,10 +83,8 @@ def _pinv(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(a^+ at the relative cutoff RANK_TOL, a's singular values), from
     one SVD, by the arithmetic of `np.linalg.pinv(a, rcond=RANK_TOL)`."""
     u, s, vt = np.linalg.svd(a.conjugate(), full_matrices=False)
-    inv = s.copy()
-    large = inv > RANK_TOL * s.max(initial=0.0)
-    np.divide(1, inv, where=large, out=inv)
-    inv[~large] = 0
+    large = s > RANK_TOL * s.max(initial=0.0)
+    inv = np.divide(1, s, where=large, out=np.zeros(s.shape))
     return vt.T @ (inv[:, None] * u.T), s
 
 
@@ -141,7 +139,7 @@ def receiver_map(v_r: np.ndarray, m_r: np.ndarray, patterns_r: np.ndarray) -> np
             f"modal excitation matrix has rank {rank_v} < {l_r} receive "
             f"ports; dependent ports: {offending}"
         )
-    e_pinv = np.linalg.pinv(patterns_r, rcond=RANK_TOL)
+    e_pinv = _pinv(patterns_r)[0]
     return v_pinv @ ((1.0 / m_r)[:, None] * e_pinv)
 
 
@@ -192,11 +190,20 @@ class GammaMatrix:
     kept_t: np.ndarray
 
 
-def _independent_columns(a: np.ndarray, label: str) -> np.ndarray:
-    """Indices of a maximal independent column set, warning when reduced."""
-    r = matrix_rank(a)
+def _independent_pinv(a: np.ndarray, label: str,
+                      transpose: bool) -> tuple[np.ndarray, np.ndarray]:
+    """(a maximal independent column set of a, the pseudo-inverse of a on
+    those columns, or of its transpose with `transpose`), warning when
+    columns are dropped.
+
+    a's rank comes from the SVD inside the pseudo-inverse of a or a^T,
+    which share their singular values; only a rank-deficient a is
+    decomposed again, without its dependent columns.
+    """
+    inv, singulars = _pinv(a.T if transpose else a)
+    r = strict_rank(singulars)
     if r == a.shape[1]:
-        return np.arange(r)
+        return np.arange(r), inv
     order = _pivot_order(a)
     warnings.warn(
         f"{label} pattern matrix is rank-deficient ({r} of {a.shape[1]} "
@@ -204,7 +211,9 @@ def _independent_columns(a: np.ndarray, label: str) -> np.ndarray:
         f"{sorted(int(c) for c in order[r:])}",
         stacklevel=3,
     )
-    return np.sort(order[:r])
+    kept = np.sort(order[:r])
+    reduced = a[:, kept]
+    return kept, _pinv(reduced.T if transpose else reduced)[0]
 
 
 def gamma_decomposition(g, patterns_r: np.ndarray, patterns_t: np.ndarray) -> GammaMatrix:
@@ -217,13 +226,10 @@ def gamma_decomposition(g, patterns_r: np.ndarray, patterns_t: np.ndarray) -> Ga
             f"pattern/channel shapes do not chain: {patterns_r.shape}, "
             f"{g_mat.shape}, {patterns_t.shape}"
         )
-    kept_r = _independent_columns(patterns_r, "receive")
-    kept_t = _independent_columns(patterns_t, "transmit")
+    kept_r, e_pinv = _independent_pinv(patterns_r, "receive", False)
+    kept_t, jt_pinv = _independent_pinv(patterns_t, "transmit", True)
     e_r = patterns_r[:, kept_r]
     j_t = patterns_t[:, kept_t]
-
-    e_pinv = np.linalg.pinv(e_r, rcond=RANK_TOL)
-    jt_pinv = np.linalg.pinv(j_t.T, rcond=RANK_TOL)
     left = e_pinv @ g_mat
     gamma = left @ jt_pinv
 
@@ -262,11 +268,16 @@ def dof_bounds(
     rank(V_T) + rank(Gamma) - n_R - n_T, which may be <= 0. Ranks use the
     shared RANK_TOL cutoff.
     """
+    return _bounds(v_r, v_t, matrix_rank(gamma_matrix), n_r, n_t, l_t, l_r,
+                   g_singulars, gamma)
+
+
+def _bounds(v_r, v_t, gamma_rank, n_r, n_t, l_t, l_r, g_singulars,
+            gamma) -> tuple[int, int, int]:
+    """`dof_bounds` with the rank of Gamma given."""
     upper_port_mode = int(min(l_t, l_r, n_t, n_r))
     upper_channel = effective_rank(np.asarray(g_singulars), gamma)
-    lower = int(
-        matrix_rank(v_r) + matrix_rank(v_t) + matrix_rank(gamma_matrix) - n_r - n_t
-    )
+    lower = int(matrix_rank(v_r) + matrix_rank(v_t) + gamma_rank - n_r - n_t)
     return upper_port_mode, upper_channel, lower
 
 
@@ -312,8 +323,9 @@ def build_report(
     """Assemble the DofReport for one analyzed link."""
     n_r, l_r = v_r.shape
     n_t, l_t = v_t.shape
-    upper_pm, upper_ch, lower = dof_bounds(
-        v_r, v_t, gamma_matrix, n_r, n_t, l_t, l_r, g_singulars, gamma
+    gamma_rank = matrix_rank(gamma_matrix)
+    upper_pm, upper_ch, lower = _bounds(
+        v_r, v_t, gamma_rank, n_r, n_t, l_t, l_r, g_singulars, gamma
     )
     return DofReport(
         dof_h=achievable_dof(ch, gamma),
@@ -323,7 +335,7 @@ def build_report(
         gamma=gamma,
         h_singulars=np.asarray(ch.singulars, dtype=float),
         g_singulars=np.asarray(g_singulars, dtype=float),
-        gamma_matrix_rank=matrix_rank(gamma_matrix),
+        gamma_matrix_rank=gamma_rank,
         h_strict_rank=strict_rank(ch.singulars),
         g_strict_rank=strict_rank(np.asarray(g_singulars)),
     )

@@ -12,17 +12,21 @@ where the impedance, the face sampler and the port columns of a
 configuration are gathered by its face and edge maps from its plate's
 all-metal parent (`PlateModel`, built once per plate spec and frequency),
 in the parent's face and edge order, and G from the channel between the
-two parents (assembled once per problem). No configuration is meshed.
+two parents (assembled once per problem). The maps come from index
+tables each parent builds on its first gather, and every block is
+copied out with `take`, one axis after the other. No configuration is
+meshed.
 The fitness is the negated standard deviation of the singular values of
 H: flat spectra score 0 (the maximum), lopsided spectra score negative,
 so maximizing the score pushes toward more usable subchannels.
 
 `evaluate` computes and keeps only what the GA needs of a configuration,
 a `Score` of sigma(H), the achievable DoF and the fitness: it forms H on
-the plates' live rows (`PlateModel.live_rows`) and reads no mode
-diagnostic. `link_report` builds the full `DofReport` (the full G block,
-its spectrum, the Gamma decomposition and the rank bounds) for the few
-configurations that reach an artifact.
+the plates' live sampler rows, which each gather returns
+(`PlateAnalysis.live`), and reads no mode diagnostic. `link_report`
+builds the full `DofReport` (the full G block, its spectrum, the Gamma
+decomposition and the rank bounds) for the few configurations that
+reach an artifact.
 
 The evolutionary loop is a plain binary GA: tournament-2 selection with
 replacement, uniform crossover over consecutive parent pairs, independent
@@ -92,6 +96,24 @@ _CHECKPOINT_V1 = "cmadof-ga-checkpoint-v1"
 CACHE_SIZE = 10_000
 
 
+class _Index(NamedTuple):
+    """Index tables of one parent plate, per row-major pixel t.
+
+    faces[t] are t's two parent faces 2t and 2t + 1, rows[t] their six
+    sampler rows and live[t] which of those rows are live (not all zero
+    in the sampler: the x and y rows of a flat plate, whose currents and
+    fields have no other component). An edge lies on the pixels of its
+    plus and minus faces, edge_pixels[:, e]; spine pixels are metal
+    whatever their bit.
+    """
+
+    spine: np.ndarray        # (P,) bool
+    faces: np.ndarray        # (P, 2)
+    rows: np.ndarray         # (P, 6)
+    live: np.ndarray         # (P, 6) bool
+    edge_pixels: np.ndarray  # (2, n_edges)
+
+
 @dataclass
 class PlateModel:
     """The all-metal parent of one plate spec at one frequency.
@@ -115,6 +137,12 @@ class PlateModel:
     spec is then analyzed by gather. The face map f gathers the
     configuration's channel from the parents' in the same way
     (`PixelProblem.channel`).
+
+    A gather reads f, e and the sampler rows from per-pixel index tables
+    (`_Index`), built on the first gather and kept with the parent: they
+    hold indices only, no entry of Z. The blocks are then `take` calls
+    along one axis after the other, which copy the same entries into the
+    same C-ordered layout as indexing with `np.ix_`.
     """
 
     spec: PlateSpec
@@ -139,16 +167,21 @@ class PlateModel:
         )
 
     @cached_property
-    def live_rows(self) -> np.ndarray:
-        """Boolean mask of the sampler rows that are not all zero: the x
-        and y rows of every face of a flat plate. Currents and fields
-        have no other component on the plate."""
-        return np.any(self.sampler, axis=1)
+    def _index(self) -> _Index:
+        n_pixels = self.spec.n_bits
+        spine = np.zeros(n_pixels, dtype=bool)
+        spine[self.spec.metal_pixels(np.zeros(n_pixels))] = True
+        faces = np.arange(2 * n_pixels).reshape(n_pixels, 2)
+        rows = face_rows(faces.ravel()).reshape(n_pixels, 6)
+        live = np.any(self.sampler, axis=1)[rows]
+        edge_pixels = np.stack([self.basis.plus_face,
+                                self.basis.minus_face]) // 2
+        return _Index(spine, faces, rows, live, edge_pixels)
 
-    def gather(self, bits) -> tuple[ImpedanceOperator, np.ndarray,
-                                    np.ndarray, np.ndarray]:
-        """(impedance, sampler, port columns, parent faces f) of one
-        configuration, all taken from the parent by index.
+    def _gather(self, bits) -> tuple:
+        """(impedance, sampler, port columns, parent faces f, mask of the
+        sampler's live rows, their parent rows) of one configuration, all
+        taken from the parent by index.
 
         Pixel t owns parent faces 2t and 2t + 1, so the configuration's
         faces f, and with them its edges, keep the parent's order. The
@@ -156,26 +189,47 @@ class PlateModel:
         parent's own impedance operator, sampler and port columns, not
         copies.
         """
-        f = (2 * self.spec.metal_pixels(bits)[:, None] + np.arange(2)).ravel()
-        if f.size == self.basis.mesh.n_faces:
-            return self.impedance, self.sampler, self.excitation, f
-        e = self.basis.edge_map(f)
-        rows = face_rows(f)
-        op = ImpedanceOperator(z=self.impedance.z[np.ix_(e, e)],
+        index = self._index
+        bits = np.asarray(bits).ravel()
+        if bits.size != index.spine.size:
+            raise ValueError(
+                f"config has {bits.size} bits, spec wants {index.spine.size}")
+        on = bits.astype(bool) | index.spine
+        faces = index.faces.compress(on, axis=0).ravel()
+        rows = index.rows.compress(on, axis=0).ravel()
+        live = index.live.compress(on, axis=0).ravel()
+        live_rows = rows.compress(live)
+        if faces.size == self.basis.mesh.n_faces:
+            return (self.impedance, self.sampler, self.excitation, faces,
+                    live, live_rows)
+        plus, minus = on.take(index.edge_pixels)
+        e = (plus & minus).nonzero()[0]
+        op = ImpedanceOperator(z=self.impedance.z.take(e, 0).take(e, 1),
                                frequency=self.frequency)
-        return op, self.sampler[np.ix_(rows, e)], self.excitation[e], f
+        return (op, self.sampler.take(rows, 0).take(e, 1),
+                self.excitation.take(e, 0), faces, live, live_rows)
+
+    def gather(self, bits) -> tuple[ImpedanceOperator, np.ndarray,
+                                    np.ndarray, np.ndarray]:
+        """(impedance, sampler, port columns, parent faces f) of one
+        configuration (`_gather`)."""
+        return self._gather(bits)[:4]
 
 
 @dataclass
 class PlateAnalysis:
     """What one plate contributes to the link model: its modes, the modal
     excitation matrix V, the unit-norm mode patterns, and the parent face
-    of each of its faces."""
+    of each of its faces. `analyze_plate` also keeps the mask of the live
+    rows of the plate's sampler and their parent rows, from its gather;
+    an analysis built by hand has None there."""
 
     modes: ModeBasis
     v: np.ndarray
     patterns: np.ndarray
     faces: np.ndarray
+    live: np.ndarray | None = field(default=None, repr=False)
+    live_rows: np.ndarray | None = field(default=None, repr=False)
 
 
 def analyze_plate(model: PlateModel, bits, n_keep: int = 20) -> PlateAnalysis:
@@ -186,7 +240,7 @@ def analyze_plate(model: PlateModel, bits, n_keep: int = 20) -> PlateAnalysis:
     reaches V. Raises DegenerateStructureError when nothing significant
     radiates.
     """
-    op, sampler, ports, faces = model.gather(bits)
+    op, sampler, ports, faces, live, live_rows = model._gather(bits)
     modes = solve_modes(op, n_keep=n_keep)
     modes.drop_insignificant()
     if modes.n_kept == 0:
@@ -196,7 +250,8 @@ def analyze_plate(model: PlateModel, bits, n_keep: int = 20) -> PlateAnalysis:
         )
     patterns = mode_patterns(modes, sampler)
     return PlateAnalysis(modes=modes, v=excitation_matrix(modes, ports),
-                         patterns=patterns, faces=faces)
+                         patterns=patterns, faces=faces, live=live,
+                         live_rows=live_rows)
 
 
 @dataclass
@@ -208,7 +263,9 @@ class PixelProblem:
     disjoint. The configuration bit vector concatenates the transmit grid
     (row-major) followed by the receive grid. The parent plate models and
     the channel between them are built on the first evaluation, one shared
-    model when both plates have the same spec. `cache` holds the `Score`
+    model when both plates have the same spec; `models` may instead be set
+    to those of another problem with the same plate specs and frequency,
+    as `cli.cmd_sweep` does across its points. `cache` holds the `Score`
     of at most CACHE_SIZE configurations, least recently used dropped
     first. For `link_report`, `best_link` holds (key, LinkAnalysis,
     fitness) of the fittest configuration evaluated so far.
@@ -299,7 +356,9 @@ def fitness(ch: EquivalentChannel) -> float:
     values; 0 is the best possible score (perfectly flat spectrum)."""
     l_m = min(ch.matrix.shape)
     sing = ch.singulars[:l_m]
-    return float(-np.sqrt(np.mean((sing - sing.mean()) ** 2)))
+    # the sums and divisions of np.mean, without its argument handling
+    dev = sing - sing.sum() / l_m
+    return float(-np.sqrt((dev * dev).sum() / l_m))
 
 
 class Score(NamedTuple):
@@ -338,21 +397,13 @@ def _key(phi: np.ndarray) -> bytes:
     return np.packbits(phi).tobytes()
 
 
-def _live(model: PlateModel, plate: PlateAnalysis) -> tuple[np.ndarray,
-                                                              np.ndarray]:
-    """(mask of the plate's live sampler rows, their parent rows)."""
-    rows = face_rows(plate.faces)
-    live = model.live_rows[rows]
-    return live, rows[live]
-
-
 def _analyze_link(problem: PixelProblem,
                   phi: np.ndarray) -> tuple[LinkAnalysis, Score]:
     """gather -> modes -> maps -> G -> H -> sigma(H) for one configuration.
 
     The maps and G are taken on the live rows of both plates only
-    (`PlateModel.live_rows`). The transmit currents are exactly zero on
-    the other rows, and the receive map is zero there but for roundoff.
+    (`PlateAnalysis.live`). The transmit currents are exactly zero on the
+    other rows, and the receive map is zero there but for roundoff.
     Raises DegenerateStructureError, RankDeficiencyError or
     NumericalError when the configuration cannot be analyzed.
     """
@@ -361,16 +412,14 @@ def _analyze_link(problem: PixelProblem,
     try:
         tx = analyze_plate(tx_model, phi_t, problem.n_keep)
         # one shared parent and the same bits: the same analysis
-        same = rx_model is tx_model and np.array_equal(phi_r, phi_t)
+        same = rx_model is tx_model and phi_r.tobytes() == phi_t.tobytes()
         rx = tx if same else analyze_plate(rx_model, phi_r, problem.n_keep)
-        live_t, cols = _live(tx_model, tx)
-        live_r, rows = _live(rx_model, rx)
-        u_t = transmitter_map(tx.patterns[live_t], tx.modes.significances,
+        u_t = transmitter_map(tx.patterns[tx.live], tx.modes.significances,
                               tx.v)
-        u_r = receiver_map(rx.v, rx.modes.significances, rx.patterns[live_r])
-        g = problem.channel.matrix[np.ix_(rows, cols)]
+        u_r = receiver_map(rx.v, rx.modes.significances, rx.patterns[rx.live])
+        g = problem.channel.block(rx.live_rows, tx.live_rows)
         ch = equivalent_channel(u_r, g, u_t)
-        if not np.all(np.isfinite(ch.matrix)):
+        if not np.isfinite(ch.matrix).all():
             raise NumericalError("equivalent channel is not finite")
         score = Score(ch.singulars, achievable_dof(ch, problem.gamma),
                       fitness(ch))
@@ -396,7 +445,7 @@ def evaluate(problem: PixelProblem, phi) -> Score:
             f"configuration has {phi.size} bits, problem wants "
             f"{problem.bit_length}"
         )
-    if np.any(phi > 1):
+    if (phi > 1).any():
         raise ValueError("configuration bits must be 0 or 1")
     key = _key(phi)
     hit = problem.cache.get(key)

@@ -516,6 +516,34 @@ class TestSweepCommand:
         assert int(cells[5]) == report.port_mode_upper
         assert int(cells[6]) == report.lower_bound
 
+    def test_separation_sweep_assembles_each_plate_once(self, tmp_path,
+                                                          monkeypatch):
+        builds = []
+        build = cmadof.ga.PlateModel.build.__func__
+
+        def counting(cls, spec, frequency):
+            builds.append(spec)
+            return build(cls, spec, frequency)
+
+        monkeypatch.setattr(cmadof.ga.PlateModel, "build",
+                            classmethod(counting))
+        cfg = write_config(
+            tmp_path,
+            "sweep_axis = separation\nsweep_values = 0.004, 0.01, 0.05\n"
+            "random_count = 2\ngenerations = 1\npopulation = 4\nparents = 2\n",
+        )
+        out = tmp_path / "out"
+        assert run_cli("sweep", cfg, out) == 0
+        # both plates have one spec, so one parent serves every point
+        assert len(builds) == 1
+        # written when every point assembled parents of its own
+        assert (out / "sweep.csv").read_text() == (
+            "separation,dof_g_effective,dof_h_all_on,dof_h_random_mean,"
+            "dof_h_optimized,port_mode_upper,lower_bound\n"
+            "0.004,3,1,1.0,1,2,-3\n"
+            "0.01,2,1,1.0,1,2,-3\n"
+            "0.05,2,1,1.0,1,2,-3\n")
+
     def test_missing_axis_is_config_error(self, tmp_path):
         cfg = write_config(tmp_path)
         assert run_cli("sweep", cfg, tmp_path / "out") == 2

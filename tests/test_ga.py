@@ -18,10 +18,10 @@ import cmadof.efie
 import cmadof.ga
 import cmadof.svgplot
 from cmadof.cma import excitation_matrix, mode_patterns, solve_modes
-from cmadof.dofcore import (EquivalentChannel, achievable_dof,
-                            equivalent_channel, matrix_rank, receiver_map,
-                            transmitter_map)
-from cmadof.channel import assemble_channel, effective_rank
+from cmadof.dofcore import (EquivalentChannel, achievable_dof, dof_bounds,
+                            equivalent_channel, gamma_decomposition,
+                            matrix_rank, receiver_map, transmitter_map)
+from cmadof.channel import RANK_TOL, assemble_channel, effective_rank
 from cmadof.cli import _make_problem
 from cmadof.config import RunConfig
 from cmadof.efie import (ImpedanceOperator, assemble_impedance,
@@ -46,7 +46,7 @@ from cmadof.ga import (
     select_parents,
 )
 from cmadof.mesh import (PlateSpec, build_plate_mesh, extract_rwg,
-                         face_sampling_operator, locate_port_edges)
+                         face_rows, face_sampling_operator, locate_port_edges)
 from oracles import eager_plate_diagnostics, parent_edges
 
 FREQ = 27e9
@@ -540,6 +540,130 @@ class TestLeanFitness:
                             refuse)
         assert evaluate(p, phi).h_singulars is not None
         assert calls == {"eigh": 4, "svd": 3}
+
+
+def ix_gather(model, bits):
+    """(Z, S, B, faces, live mask, live parent rows) of one configuration,
+    indexed from the parent with `np.ix_` and looked up face by face."""
+    faces = (2 * model.spec.metal_pixels(bits)[:, None]
+             + np.arange(2)).ravel()
+    e = model.basis.edge_map(faces)
+    rows = face_rows(faces)
+    live = np.any(model.sampler, axis=1)[rows]
+    return (model.impedance.z[np.ix_(e, e)], model.sampler[np.ix_(rows, e)],
+            model.excitation[e], faces, live, rows[live])
+
+
+def ix_score(problem, phi):
+    """(sigma(H), fitness) of one configuration by `ix_gather`, the modes,
+    `np.linalg.norm`, `np.linalg.pinv`, `np.ix_` on the parents' channel
+    and `np.mean`."""
+    plates = []
+    for model, bits in zip(problem.models, problem.split(phi)):
+        z, s, b, _, live, rows = ix_gather(model, bits)
+        modes = solve_modes(ImpedanceOperator(z=z, frequency=FREQ),
+                            n_keep=problem.n_keep).significant()
+        raw = s @ modes.mode_coeffs
+        patterns = (raw / np.linalg.norm(raw, axis=0)[None, :])[live]
+        plates.append((1.0 / (1.0 + 1j * modes.eigenvalues),
+                       modes.mode_coeffs.T @ b, patterns, rows))
+    (m_t, v_t, p_t, cols), (m_r, v_r, p_r, rows) = plates
+    u_t = p_t @ (m_t[:, None] * v_t)
+    u_r = np.linalg.pinv(v_r, rcond=RANK_TOL) @ (
+        (1.0 / m_r)[:, None] * np.linalg.pinv(p_r, rcond=RANK_TOL))
+    g = problem.channel.matrix[np.ix_(rows, cols)]
+    h = u_r @ g @ u_t
+    sing = np.linalg.svd(h, compute_uv=False)
+    lead = sing[:min(h.shape)]
+    return sing, float(-np.sqrt(np.mean((lead - lead.mean()) ** 2)))
+
+
+def same_bytes(got, want):
+    return (got.shape == want.shape and got.dtype == want.dtype
+            and got.flags.c_contiguous == want.flags.c_contiguous
+            and got.tobytes() == want.tobytes())
+
+
+class TestTakeGathers:
+    """The `take` gathers from the parents' index tables copy the same
+    bytes, in the same layout, as indexing with `np.ix_`."""
+
+    @pytest.mark.parametrize("make_problem", [
+        ga_link_problem, lambda: _make_problem(RunConfig()),
+        dof_large_problem,
+    ], ids=["ga_link", "cli_default", "dof_large"])
+    def test_gathers_equal_ix_bytes(self, make_problem):
+        p = make_problem()
+        rng = np.random.default_rng(41)
+        phis = [*rng.integers(0, 2, (20, p.bit_length)),
+                np.ones(p.bit_length), np.zeros(p.bit_length)]
+        for phi in phis:
+            plates = []
+            for model, bits in zip(p.models, p.split(phi)):
+                op, *got = model._gather(bits)
+                want = ix_gather(model, bits)
+                for i, (g, w) in enumerate(zip((op.z, *got), want)):
+                    assert same_bytes(g, w), i
+                assert all(same_bytes(g, w) for g, w in
+                           zip(model.gather(bits)[1:], want[1:3]))
+                plates.append(want)
+            (*_, tx_faces, _, cols), (*_, rx_faces, _, rows) = plates
+            got = p.channel.gather(rx_faces, tx_faces)
+            want = cmadof.channel.ChannelOperator(
+                matrix=p.channel.matrix[np.ix_(face_rows(rx_faces),
+                                               face_rows(tx_faces))],
+                k0=p.channel.k0,
+                tx_centroids=p.channel.tx_centroids[tx_faces],
+                rx_centroids=p.channel.rx_centroids[rx_faces],
+                tx_areas=p.channel.tx_areas[tx_faces])
+            for name in ("matrix", "tx_centroids", "rx_centroids",
+                         "tx_areas"):
+                assert same_bytes(getattr(got, name), getattr(want, name)), \
+                    name
+
+    def test_score_equals_ix_pipeline_bytes(self):
+        # modes and everything after them spelled out with numpy's own
+        # norm, pseudo-inverse and mean
+        p = ga_link_problem()
+        rng = np.random.default_rng(43)
+        scored = 0
+        for phi in rng.integers(0, 2, (50, p.bit_length)):
+            score = evaluate(p, phi)
+            if score.h_singulars is None:
+                continue
+            scored += 1
+            sing, fit = ix_score(p, phi)
+            assert score.h_singulars.tobytes() == sing.tobytes()
+            assert score.fitness == fit
+        assert scored >= 40
+
+    def test_report_takes_six_svds(self, monkeypatch):
+        # G's spectrum; the pseudo-inverses of both pattern matrices, which
+        # give their ranks; the ranks of V_R, V_T and Gamma, Gamma's once
+        p = ga_link_problem()
+        phi = np.random.default_rng(3).integers(0, 2, p.bit_length)
+        assert evaluate(p, phi).h_singulars is not None
+        link = p.best_link[1]
+        tx, rx = link.tx, link.rx
+        g = p.channel.gather(rx.faces, tx.faces)
+        gm = gamma_decomposition(g, rx.patterns, tx.patterns)
+        (n_r, l_r), (n_t, l_t) = rx.v.shape, tx.v.shape
+        *_, lower = dof_bounds(rx.v, tx.v, gm.gamma, n_r, n_t, l_t, l_r,
+                               np.linalg.svd(g.matrix, compute_uv=False))
+        calls = []
+        svd = np.linalg.svd
+
+        def counting(a, *args, **kwargs):
+            calls.append(a.shape)
+            return svd(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", counting)
+        monkeypatch.setitem(inspect.unwrap(np.linalg.pinv).__globals__,
+                            "svd", counting)
+        report = link_report(p, phi)
+        assert len(calls) == 6
+        assert report.gamma_matrix_rank == matrix_rank(gm.gamma)
+        assert report.lower_bound == lower
 
 
 class TestEvaluate:
