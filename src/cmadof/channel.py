@@ -47,7 +47,7 @@ import numpy as np
 
 from .efie import C0, EPS0, MU0
 from .errors import SingularityError
-from .mesh import TriMesh, face_rows
+from .mesh import TriMesh
 
 __all__ = [
     "ETA0",
@@ -138,26 +138,6 @@ class ChannelOperator:
                                if self._half_turn else
                                np.linalg.svd(self.matrix, compute_uv=False))
         return self._singulars
-
-    def gather(self, rx_faces: np.ndarray, tx_faces: np.ndarray) -> "ChannelOperator":
-        """The channel between a subset of receive and of transmit faces.
-
-        Each 3x3 block depends only on its two faces, so this equals
-        `assemble_channel` on meshes made of exactly those faces. Asked
-        for every face of both sides in order, it returns this operator
-        itself, not a copy; any other face list gets a fresh operator
-        whose matrix is `block` of the faces' rows and columns.
-        """
-        if (np.array_equal(rx_faces, np.arange(len(self.rx_centroids)))
-                and np.array_equal(tx_faces, np.arange(len(self.tx_centroids)))):
-            return self
-        return ChannelOperator(
-            matrix=self.block(face_rows(rx_faces), face_rows(tx_faces)),
-            k0=self.k0,
-            tx_centroids=self.tx_centroids.take(tx_faces, 0),
-            rx_centroids=self.rx_centroids.take(rx_faces, 0),
-            tx_areas=self.tx_areas.take(tx_faces),
-        )
 
     def block(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
         """matrix[np.ix_(rows, cols)]: the same bytes in the same C order,

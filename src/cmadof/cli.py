@@ -216,17 +216,18 @@ def cmd_sweep(cfg: RunConfig) -> None:
     header = (f"{cfg.sweep_axis},dof_g_effective,dof_h_all_on,"
               "dof_h_random_mean,dof_h_optimized,port_mode_upper,lower_bound")
     rows = [header]
-    # points with the same plates share their parents, assembled once
-    parents: dict[tuple, tuple[PlateModel, PlateModel]] = {}
-    for index, value in enumerate(cfg.sweep_values):
+    # every point is checked before the first one runs
+    points = []
+    for value in cfg.sweep_values:
         point = _sweep_point_config(cfg, cfg.sweep_axis, value)
         point.validate()
-        problem = _make_problem(point)
-        plates = (problem.tx_spec, problem.rx_spec, problem.frequency)
-        if plates in parents:
-            problem.models = parents[plates]
-        else:
-            parents[plates] = problem.models
+        points.append((value, point, _make_problem(point)))
+    # the points of a separation or gamma sweep have the same plates: the
+    # first point's parents, assembled once, serve them all
+    ga = None
+    for index, (value, point, problem) in enumerate(points):
+        if index and cfg.sweep_axis != "ports":
+            problem.models = points[0][2].models
         ones = np.ones(problem.bit_length, dtype=np.uint8)
         report = link_report(problem, ones)
         if report is None:
@@ -242,9 +243,13 @@ def cmd_sweep(cfg: RunConfig) -> None:
                 random_dofs.append(dof_h)
         random_mean = (float(np.mean(random_dofs)) if random_dofs
                        else float("nan"))
-        ga = run_ga(problem, point.generations, point.population,
-                    point.parents, point.mutation_rate, point.seed)
-        opt_dof = "" if ga.best.dof_h is None else str(ga.best.dof_h)
+        # the GA's fitness does not depend on gamma, and the points of a
+        # gamma sweep differ in nothing else: they share one run
+        if ga is None or cfg.sweep_axis != "gamma":
+            ga = run_ga(problem, point.generations, point.population,
+                        point.parents, point.mutation_rate, point.seed)
+        best = evaluate(problem, ga.best.phi)
+        opt_dof = "" if best.dof_h is None else str(best.dof_h)
         rows.append(
             f"{float(value)!r},{report.dof_g_effective},{report.dof_h},"
             f"{random_mean!r},{opt_dof},{report.port_mode_upper},"

@@ -32,7 +32,7 @@ channel H built from them does not depend on it.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -45,6 +45,7 @@ __all__ = [
     "solve_modes",
     "excitation_matrix",
     "mode_patterns",
+    "pattern_gram_dev",
     "REL_RANK_CUT",
     "SIGNIFICANCE_FLOOR",
 ]
@@ -102,10 +103,9 @@ class ModeBasis:
 
     mode_coeffs columns are RWG coefficient vectors, Euclidean-normalized,
     sign-fixed by `solve_modes`, and sorted by descending modal
-    significance. The health diagnostics `eigen_residuals`, `r_cross_max`
-    and `pattern_gram_dev` are computed when first read. A basis built by
-    hand has none of them (they read None), and `pattern_gram_dev` needs
-    `mode_patterns` to have run.
+    significance. The health diagnostics `eigen_residuals` and
+    `r_cross_max` are computed when first read; a basis built by hand has
+    neither (they read None).
     """
 
     eigenvalues: np.ndarray
@@ -114,8 +114,6 @@ class ModeBasis:
     #: the solve's pencil, and the index there of each mode kept here
     _pencil: _Pencil | None = field(default=None, repr=False)
     _solved: np.ndarray | None = field(default=None, repr=False)
-    #: the patterns `mode_patterns` returned for this basis
-    _patterns: np.ndarray | None = field(default=None, repr=False)
 
     @property
     def n_kept(self) -> int:
@@ -140,16 +138,6 @@ class ModeBasis:
         kept, before any was dropped."""
         return None if self._pencil is None else self._pencil.r_cross_max
 
-    @property
-    def pattern_gram_dev(self) -> float | None:
-        """max|P^T P - I| of the patterns `mode_patterns` returned."""
-        patterns = self._patterns
-        if patterns is None:
-            return None
-        gram = patterns.T @ patterns
-        dev = np.abs(gram - np.eye(gram.shape[0])).max() if gram.size else 0.0
-        return float(dev)
-
     def drop_modes(self, keep: np.ndarray) -> None:
         """Restrict every per-mode array to the boolean mask, in place."""
         keep = np.asarray(keep, dtype=bool)
@@ -159,16 +147,6 @@ class ModeBasis:
             self.significances = self.significances[keep]
         if self._solved is not None:
             self._solved = self._solved[keep]
-
-    def significant(self) -> "ModeBasis":
-        """Copy restricted to modes with |m_i| >= SIGNIFICANCE_FLOOR.
-
-        Boolean indexing in `drop_modes` gives the copy its own arrays, so
-        in-place edits of either basis leave the other unchanged.
-        """
-        out = replace(self)
-        out.drop_insignificant()
-        return out
 
     def drop_insignificant(self) -> None:
         """Drop the modes with |m_i| < SIGNIFICANCE_FLOOR, in place."""
@@ -236,9 +214,7 @@ def mode_patterns(modes: ModeBasis, sampler: np.ndarray) -> np.ndarray:
     Column i is the sampled mode current S j_i, Euclidean-normalized, with
     the sign `solve_modes` gave mode i.
     Modes whose sampled pattern is identically zero cannot couple to the
-    channel; they are dropped from `modes` in place with a warning. The
-    patterns are kept on `modes`, whose `pattern_gram_dev`, the Gram
-    deviation max|P^T P - I|, is the orthonormality diagnostic.
+    channel; they are dropped from `modes` in place with a warning.
     """
     if sampler.shape[1] != modes.mode_coeffs.shape[0]:
         raise ValueError(
@@ -260,6 +236,12 @@ def mode_patterns(modes: ModeBasis, sampler: np.ndarray) -> np.ndarray:
         modes.drop_modes(alive)
         raw = raw[:, alive]
         norms = norms[alive]
-    patterns = raw / norms[None, :]
-    modes._patterns = patterns
-    return patterns
+    return raw / norms[None, :]
+
+
+def pattern_gram_dev(patterns: np.ndarray) -> float:
+    """max|P^T P - I|, the orthonormality diagnostic of unit-norm
+    patterns P."""
+    gram = patterns.T @ patterns
+    dev = np.abs(gram - np.eye(gram.shape[0])).max() if gram.size else 0.0
+    return float(dev)

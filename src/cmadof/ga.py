@@ -68,6 +68,7 @@ __all__ = [
     "NEG_INF",
     "PixelProblem",
     "PlateModel",
+    "Gather",
     "PlateAnalysis",
     "Score",
     "Individual",
@@ -114,6 +115,19 @@ class _Index(NamedTuple):
     edge_pixels: np.ndarray  # (2, n_edges)
 
 
+class Gather(NamedTuple):
+    """One configuration's blocks, as `PlateModel.gather` takes them: the
+    impedance operator, the face sampler and the port columns, the parent
+    faces f, the mask of the sampler's live rows and their parent rows."""
+
+    impedance: ImpedanceOperator
+    sampler: np.ndarray
+    ports: np.ndarray
+    faces: np.ndarray
+    live: np.ndarray
+    live_rows: np.ndarray
+
+
 @dataclass
 class PlateModel:
     """The all-metal parent of one plate spec at one frequency.
@@ -136,7 +150,7 @@ class PlateModel:
     parent is meshed and assembled once, and every configuration of the
     spec is then analyzed by gather. The face map f gathers the
     configuration's channel from the parents' in the same way
-    (`PixelProblem.channel`).
+    (`ChannelOperator.block` of `PixelProblem.channel`).
 
     A gather reads f, e and the sampler rows from per-pixel index tables
     (`_Index`), built on the first gather and kept with the parent: they
@@ -178,10 +192,9 @@ class PlateModel:
                                 self.basis.minus_face]) // 2
         return _Index(spine, faces, rows, live, edge_pixels)
 
-    def _gather(self, bits) -> tuple:
-        """(impedance, sampler, port columns, parent faces f, mask of the
-        sampler's live rows, their parent rows) of one configuration, all
-        taken from the parent by index.
+    def gather(self, bits) -> Gather:
+        """The blocks of one configuration (`Gather`), all taken from the
+        parent by index.
 
         Pixel t owns parent faces 2t and 2t + 1, so the configuration's
         faces f, and with them its edges, keep the parent's order. The
@@ -200,36 +213,29 @@ class PlateModel:
         live = index.live.compress(on, axis=0).ravel()
         live_rows = rows.compress(live)
         if faces.size == self.basis.mesh.n_faces:
-            return (self.impedance, self.sampler, self.excitation, faces,
-                    live, live_rows)
+            return Gather(self.impedance, self.sampler, self.excitation,
+                          faces, live, live_rows)
         plus, minus = on.take(index.edge_pixels)
         e = (plus & minus).nonzero()[0]
         op = ImpedanceOperator(z=self.impedance.z.take(e, 0).take(e, 1),
                                frequency=self.frequency)
-        return (op, self.sampler.take(rows, 0).take(e, 1),
-                self.excitation.take(e, 0), faces, live, live_rows)
-
-    def gather(self, bits) -> tuple[ImpedanceOperator, np.ndarray,
-                                    np.ndarray, np.ndarray]:
-        """(impedance, sampler, port columns, parent faces f) of one
-        configuration (`_gather`)."""
-        return self._gather(bits)[:4]
+        return Gather(op, self.sampler.take(rows, 0).take(e, 1),
+                      self.excitation.take(e, 0), faces, live, live_rows)
 
 
 @dataclass
 class PlateAnalysis:
     """What one plate contributes to the link model: its modes, the modal
-    excitation matrix V, the unit-norm mode patterns, and the parent face
-    of each of its faces. `analyze_plate` also keeps the mask of the live
-    rows of the plate's sampler and their parent rows, from its gather;
-    an analysis built by hand has None there."""
+    excitation matrix V, the unit-norm mode patterns, the parent face of
+    each of its faces, and the mask of the live rows of the plate's
+    sampler and their parent rows, from its gather."""
 
     modes: ModeBasis
     v: np.ndarray
     patterns: np.ndarray
     faces: np.ndarray
-    live: np.ndarray | None = field(default=None, repr=False)
-    live_rows: np.ndarray | None = field(default=None, repr=False)
+    live: np.ndarray = field(repr=False)
+    live_rows: np.ndarray = field(repr=False)
 
 
 def analyze_plate(model: PlateModel, bits, n_keep: int = 20) -> PlateAnalysis:
@@ -240,7 +246,7 @@ def analyze_plate(model: PlateModel, bits, n_keep: int = 20) -> PlateAnalysis:
     reaches V. Raises DegenerateStructureError when nothing significant
     radiates.
     """
-    op, sampler, ports, faces, live, live_rows = model._gather(bits)
+    op, sampler, ports, faces, live, live_rows = model.gather(bits)
     modes = solve_modes(op, n_keep=n_keep)
     modes.drop_insignificant()
     if modes.n_kept == 0:
@@ -374,23 +380,12 @@ class Score(NamedTuple):
 DEGENERATE = Score(None, None, NEG_INF)
 
 
-@dataclass
-class LinkAnalysis:
-    """One configuration's analyzed link, from both plates to H.
-
-    `g`, the channel between the two plates' faces, is gathered from the
-    parents' channel `parent` when first read: H needs only its block on
-    the plates' live rows, and G in full enters only a report.
-    """
+class LinkAnalysis(NamedTuple):
+    """One configuration's analyzed link, from both plates to H."""
 
     tx: PlateAnalysis
     rx: PlateAnalysis
-    parent: ChannelOperator
     channel: EquivalentChannel
-
-    @cached_property
-    def g(self) -> ChannelOperator:
-        return self.parent.gather(self.rx.faces, self.tx.faces)
 
 
 def _key(phi: np.ndarray) -> bytes:
@@ -425,8 +420,7 @@ def _analyze_link(problem: PixelProblem,
                       fitness(ch))
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"linear algebra failed: {exc}") from exc
-    return LinkAnalysis(tx=tx, rx=rx, parent=problem.channel,
-                        channel=ch), score
+    return LinkAnalysis(tx=tx, rx=rx, channel=ch), score
 
 
 def evaluate(problem: PixelProblem, phi) -> Score:
@@ -473,7 +467,10 @@ def link_report(problem: PixelProblem, phi) -> DofReport | None:
     Adds G's spectrum, the Gamma decomposition and the rank bounds to what
     `evaluate` computes. The link analysis of `evaluate`'s fittest
     configuration is reused, which is every command's first report; any
-    other configuration is analyzed again.
+    other configuration is analyzed again. G is the parents' channel
+    itself when both plates keep every face, so its spectrum is the
+    parents' (half-turn blocks and all); otherwise it is the block of the
+    plates' faces, and its spectrum one SVD.
     """
     if evaluate(problem, phi).h_singulars is None:
         return None
@@ -486,8 +483,14 @@ def link_report(problem: PixelProblem, phi) -> DofReport | None:
         link, _ = _analyze_link(problem, phi)
     try:
         tx, rx = link.tx, link.rx
-        gm = gamma_decomposition(link.g, rx.patterns, tx.patterns)
-        return build_report(link.channel, link.g.singulars, rx.v, tx.v,
+        g = problem.channel
+        if g.matrix.shape == (3 * rx.faces.size, 3 * tx.faces.size):
+            g_singulars = g.singulars
+        else:
+            g = g.block(face_rows(rx.faces), face_rows(tx.faces))
+            g_singulars = np.linalg.svd(g, compute_uv=False)
+        gm = gamma_decomposition(g, rx.patterns, tx.patterns)
+        return build_report(link.channel, g_singulars, rx.v, tx.v,
                             gm.gamma, problem.gamma)
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"linear algebra failed: {exc}") from exc

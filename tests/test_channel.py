@@ -291,14 +291,12 @@ class TestAssembleChannel:
 
 
 class TestGather:
+    """`ChannelOperator.block` takes the channel between face subsets."""
+
     @pytest.fixture(scope="class")
     def op(self):
         tx, rx, k0 = parent_link(LINKS["odd_receive"])
         return assemble_channel(tx, rx, k0)
-
-    def test_every_face_in_order_is_the_operator(self, op):
-        n_r, n_t = len(op.rx_centroids), len(op.tx_centroids)
-        assert op.gather(np.arange(n_r), np.arange(n_t)) is op
 
     @pytest.mark.parametrize("permute", ["rx", "tx", "both"])
     def test_full_length_permutation_is_a_fresh_copy(self, op, permute):
@@ -309,22 +307,18 @@ class TestGather:
             rx_faces = rng.permutation(rx_faces)
         if permute in ("tx", "both"):
             tx_faces = rng.permutation(tx_faces)
-        g = op.gather(rx_faces, tx_faces)
-        assert g is not op
-        assert not np.shares_memory(g.matrix, op.matrix)
+        g = op.block(face_rows(rx_faces), face_rows(tx_faces))
+        assert not np.shares_memory(g, op.matrix)
         assert np.array_equal(
-            g.matrix, op.matrix[np.ix_(face_rows(rx_faces), face_rows(tx_faces))])
-        assert np.array_equal(g.rx_centroids, op.rx_centroids[rx_faces])
-        assert np.array_equal(g.tx_centroids, op.tx_centroids[tx_faces])
-        assert np.array_equal(g.tx_areas, op.tx_areas[tx_faces])
+            g, op.matrix[np.ix_(face_rows(rx_faces), face_rows(tx_faces))])
 
     def test_a_subset_is_a_fresh_sub_block(self, op):
         rx_faces = np.arange(len(op.rx_centroids))
         tx_faces = np.arange(1, len(op.tx_centroids))
-        g = op.gather(rx_faces, tx_faces)
-        assert g is not op
-        assert g.matrix.shape == (op.matrix.shape[0], op.matrix.shape[1] - 3)
-        assert np.array_equal(g.matrix, op.matrix[:, 3:])
+        g = op.block(face_rows(rx_faces), face_rows(tx_faces))
+        assert not np.shares_memory(g, op.matrix)
+        assert g.shape == (op.matrix.shape[0], op.matrix.shape[1] - 3)
+        assert np.array_equal(g, op.matrix[:, 3:])
 
 
 class TestHalfTurn:
@@ -372,13 +366,9 @@ class TestHalfTurn:
         # the benchmark's gate keeps the 16 leading values
         np.testing.assert_allclose(split[:16], full[:16], rtol=1e-12, atol=0)
 
-    @pytest.mark.parametrize("case", ["gathered", "two_specs", "direct"])
+    @pytest.mark.parametrize("case", ["two_specs", "direct"])
     def test_any_other_operator_takes_the_full_svd(self, shared, case):
-        if case == "gathered":
-            parent = shared["ga_link"].channel
-            n_r, n_t = len(parent.rx_centroids), len(parent.tx_centroids)
-            op = parent.gather(np.arange(n_r), np.arange(2, n_t))
-        elif case == "two_specs":
+        if case == "two_specs":
             op = _make_problem(LINKS["odd_receive"]).channel
         else:
             op = assemble_channel(*parent_link(LINKS["ga_link"]))

@@ -544,17 +544,75 @@ class TestSweepCommand:
             "0.01,2,1,1.0,1,2,-3\n"
             "0.05,2,1,1.0,1,2,-3\n")
 
+    def test_gamma_sweep_runs_the_ga_once(self, tmp_path, monkeypatch):
+        runs = []
+        run_ga = cmadof.cli.run_ga
+
+        def counting(problem, *args, **kwargs):
+            runs.append(problem.gamma)
+            return run_ga(problem, *args, **kwargs)
+
+        monkeypatch.setattr(cmadof.cli, "run_ga", counting)
+        cfg = write_config(
+            tmp_path,
+            "sweep_axis = gamma\nsweep_values = 0.001, 0.02, 0.5\n"
+            "random_count = 2\ngenerations = 2\npopulation = 6\nparents = 4\n",
+        )
+        out = tmp_path / "out"
+        assert run_cli("sweep", cfg, out) == 0
+        assert runs == [0.001]
+        # written when every point ran a GA of its own; the optimized DoF
+        # is each point's own at its gamma
+        assert (out / "sweep.csv").read_text() == (
+            "gamma,dof_g_effective,dof_h_all_on,dof_h_random_mean,"
+            "dof_h_optimized,port_mode_upper,lower_bound\n"
+            "0.001,8,1,1.0,2,2,-3\n"
+            "0.02,4,1,1.0,1,2,-3\n"
+            "0.5,2,1,1.0,1,2,-3\n")
+
     def test_missing_axis_is_config_error(self, tmp_path):
         cfg = write_config(tmp_path)
         assert run_cli("sweep", cfg, tmp_path / "out") == 2
 
-    def test_fractional_port_value_is_config_error(self, tmp_path):
+    @staticmethod
+    def analyses(monkeypatch):
+        """Configurations `ga._analyze_link` is asked to analyze."""
+        calls = []
+        analyze = cmadof.ga._analyze_link
+
+        def counting(problem, phi):
+            calls.append(phi)
+            return analyze(problem, phi)
+
+        monkeypatch.setattr(cmadof.ga, "_analyze_link", counting)
+        return calls
+
+    def test_fractional_port_value_is_config_error(self, tmp_path,
+                                                   monkeypatch):
+        # the valid first point does not run: every point is checked first
+        calls = self.analyses(monkeypatch)
         cfg = write_config(
             tmp_path,
-            "sweep_axis = ports\nsweep_values = 2.5\n"
+            "sweep_axis = ports\nsweep_values = 2, 2.5\n"
             "generations = 1\npopulation = 4\nparents = 2\n",
         )
         assert run_cli("sweep", cfg, tmp_path / "out") == 2
+        assert calls == []
+
+    @pytest.mark.parametrize("axis, values, code", [
+        ("gamma", "0.5, 1.5", 2),
+        ("separation", "0.01, 0", 3),
+    ], ids=["gamma", "separation"])
+    def test_bad_later_point_fails_before_any_analysis(
+            self, tmp_path, monkeypatch, axis, values, code):
+        calls = self.analyses(monkeypatch)
+        cfg = write_config(
+            tmp_path,
+            f"sweep_axis = {axis}\nsweep_values = {values}\n"
+            "generations = 1\npopulation = 6\nparents = 2\n",
+        )
+        assert run_cli("sweep", cfg, tmp_path / "out") == code
+        assert calls == []
 
 
 class TestExportMesh:

@@ -17,7 +17,8 @@ import cmadof.cma
 import cmadof.efie
 import cmadof.ga
 import cmadof.svgplot
-from cmadof.cma import excitation_matrix, mode_patterns, solve_modes
+from cmadof.cma import (excitation_matrix, mode_patterns, pattern_gram_dev,
+                        solve_modes)
 from cmadof.dofcore import (EquivalentChannel, achievable_dof, dof_bounds,
                             equivalent_channel, gamma_decomposition,
                             matrix_rank, receiver_map, transmitter_map)
@@ -188,11 +189,11 @@ class TestPlateModel:
         rng = np.random.default_rng(spec.pixel_rows)
         for _ in range(20):
             bits = rng.integers(0, 2, spec.n_bits)
-            op, sampler, ports, faces = model.gather(bits)
-            z, s, b = direct_operators(model, bits, faces)
-            assert np.array_equal(op.z, z)
-            assert np.array_equal(sampler, s)
-            assert np.array_equal(ports, b)
+            got = model.gather(bits)
+            z, s, b = direct_operators(model, bits, got.faces)
+            assert np.array_equal(got.impedance.z, z)
+            assert np.array_equal(got.sampler, s)
+            assert np.array_equal(got.ports, b)
 
     def test_gathered_topology_equals_direct(self):
         spec = acceptance7_spec()
@@ -200,7 +201,7 @@ class TestPlateModel:
         rng = np.random.default_rng(8)
         for _ in range(10):
             bits = rng.integers(0, 2, spec.n_bits)
-            *_, faces = model.gather(bits)
+            faces = model.gather(bits).faces
             mesh = build_plate_mesh(spec, bits)
             direct = extract_rwg(mesh)
             parent = model.basis
@@ -224,21 +225,27 @@ class TestPlateModel:
     def test_all_metal_gather_is_the_parent(self):
         spec = cli_default_spec()
         model = PlateModel.build(spec, FREQ)
-        op, sampler, ports, faces = model.gather(np.ones(spec.n_bits))
-        assert np.array_equal(model.basis.edge_map(faces),
+        got = model.gather(np.ones(spec.n_bits))
+        assert np.array_equal(model.basis.edge_map(got.faces),
                               np.arange(model.basis.n_edges))
-        assert op is model.impedance
-        assert sampler is model.sampler
-        assert ports is model.excitation
-        assert np.array_equal(faces, np.arange(2 * spec.n_bits))
+        assert got.impedance is model.impedance
+        assert got.sampler is model.sampler
+        assert got.ports is model.excitation
+        assert np.array_equal(got.faces, np.arange(2 * spec.n_bits))
 
-    def test_all_metal_link_analyzes_the_parent_channel(self):
+    def test_all_metal_link_analyzes_the_parent_channel(self, monkeypatch):
+        # the report's G is the parents' channel itself, not a block of it
         p = PixelProblem(tx_spec=cli_default_spec(), rx_spec=acceptance7_spec(),
                          frequency=FREQ, separation=1.0 * LAM)
         evaluate(p, np.ones(p.bit_length, dtype=np.uint8))
-        link = p.best_link[1]
-        assert link.g is p.channel
-        assert link_report(p, np.ones(p.bit_length)) is not None
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the report took a block of the channel")
+
+        monkeypatch.setattr(cmadof.channel.ChannelOperator, "block", refuse)
+        report = link_report(p, np.ones(p.bit_length))
+        assert report is not None
+        assert report.g_singulars.tobytes() == p.channel.singulars.tobytes()
 
     @pytest.mark.parametrize("make_specs", [
         lambda: (acceptance7_spec(), acceptance7_spec()),
@@ -253,17 +260,15 @@ class TestPlateModel:
         for _ in range(20):
             tx_bits = rng.integers(0, 2, tx_spec.n_bits)
             rx_bits = rng.integers(0, 2, rx_spec.n_bits)
-            *_, tx_faces = tx_model.gather(tx_bits)
-            *_, rx_faces = rx_model.gather(rx_bits)
+            tx_faces = tx_model.gather(tx_bits).faces
+            rx_faces = rx_model.gather(rx_bits).faces
             rx_mesh = build_plate_mesh(rx_spec, rx_bits).translated(
                 (0.0, 0.0, p.separation))
             direct = assemble_channel(build_plate_mesh(tx_spec, tx_bits),
                                       rx_mesh, p.wavenumber)
-            gathered = p.channel.gather(rx_faces, tx_faces)
-            assert np.array_equal(gathered.matrix, direct.matrix)
-            assert np.array_equal(gathered.tx_centroids, direct.tx_centroids)
-            assert np.array_equal(gathered.rx_centroids, direct.rx_centroids)
-            assert np.array_equal(gathered.tx_areas, direct.tx_areas)
+            gathered = p.channel.block(face_rows(rx_faces),
+                                       face_rows(tx_faces))
+            assert np.array_equal(gathered, direct.matrix)
 
     def test_evaluation_meshes_and_assembles_nothing(self, monkeypatch):
         # once the parents and their channel exist, a new configuration is
@@ -309,7 +314,7 @@ def full_channel(problem, tx, rx):
     """H of two plate analyses by the public maps on the full gathered G."""
     u_t = transmitter_map(tx.patterns, tx.modes.significances, tx.v)
     u_r = receiver_map(rx.v, rx.modes.significances, rx.patterns)
-    g = problem.channel.gather(rx.faces, tx.faces)
+    g = problem.channel.block(face_rows(rx.faces), face_rows(tx.faces))
     return equivalent_channel(u_r, g, u_t)
 
 
@@ -329,7 +334,8 @@ class TestAnalyzePlate:
             got = plate.modes
             z, s, b = direct_operators(model, bits, plate.faces)
             want = solve_modes(ImpedanceOperator(z=z, frequency=FREQ),
-                               n_keep=10).significant()
+                               n_keep=10)
+            want.drop_insignificant()
             patterns = mode_patterns(want, s)
             v = excitation_matrix(want, b)
             # bytes, which np.array_equal does not compare: -0.0 == 0.0
@@ -342,7 +348,8 @@ class TestAnalyzePlate:
                 assert g.shape == w.shape and g.dtype == w.dtype, name
                 assert g.tobytes() == w.tobytes(), name
             assert got.r_cross_max == want.r_cross_max
-            assert got.pattern_gram_dev == want.pattern_gram_dev
+            assert pattern_gram_dev(plate.patterns) == \
+                pattern_gram_dev(patterns)
 
     @staticmethod
     def analyze(model, bits, monkeypatch, reuse):
@@ -397,10 +404,12 @@ class TestAnalyzePlate:
         coeffs = plate.modes.mode_coeffs.copy()
         coeffs[:, k] *= -1.0
         modes = dataclasses.replace(plate.modes, mode_coeffs=coeffs)
-        _, sampler, ports, faces = model.gather(bits)
-        patterns = mode_patterns(modes, sampler)
-        return PlateAnalysis(modes=modes, v=excitation_matrix(modes, ports),
-                             patterns=patterns, faces=faces)
+        got = model.gather(bits)
+        patterns = mode_patterns(modes, got.sampler)
+        return PlateAnalysis(modes=modes,
+                             v=excitation_matrix(modes, got.ports),
+                             patterns=patterns, faces=got.faces,
+                             live=got.live, live_rows=got.live_rows)
 
     def test_mode_sign_leaves_sigma_h(self):
         spec = acceptance7_spec()
@@ -483,13 +492,14 @@ class TestLeanFitness:
                                        atol=1e-12 * want[0])
             assert score.dof_h == achievable_dof(ch, p.gamma)
             for model, bits, plate in plates:
-                op, sampler, _, _ = model.gather(bits)
+                got = model.gather(bits)
                 residuals, cross, gram = eager_plate_diagnostics(
-                    op, sampler, p.n_keep, cmadof.cma.SIGNIFICANCE_FLOOR)
+                    got.impedance, got.sampler, p.n_keep,
+                    cmadof.cma.SIGNIFICANCE_FLOOR)
                 modes = plate.modes
                 assert modes.eigen_residuals.tobytes() == residuals.tobytes()
                 assert modes.r_cross_max == cross
-                assert modes.pattern_gram_dev == gram
+                assert pattern_gram_dev(plate.patterns) == gram
         assert scored >= 0.75 * len(phis)
 
     def test_rank_deficient_receive_is_degenerate(self, caplog):
@@ -515,7 +525,7 @@ class TestLeanFitness:
         phi_t, phi_r = p.split(phi)
         assert not np.array_equal(phi_t, phi_r)
         for bits in (phi_t, phi_r):
-            z = p.models[0].gather(bits)[0].z
+            z = p.models[0].gather(bits).impedance.z
             r_psd = ImpedanceOperator(z=z, frequency=FREQ).r_psd
             assert np.array_equal(r_psd, 0.5 * (z.real + z.real.T))
         calls = {"eigh": 0, "svd": 0}
@@ -562,7 +572,8 @@ def ix_score(problem, phi):
     for model, bits in zip(problem.models, problem.split(phi)):
         z, s, b, _, live, rows = ix_gather(model, bits)
         modes = solve_modes(ImpedanceOperator(z=z, frequency=FREQ),
-                            n_keep=problem.n_keep).significant()
+                            n_keep=problem.n_keep)
+        modes.drop_insignificant()
         raw = s @ modes.mode_coeffs
         patterns = (raw / np.linalg.norm(raw, axis=0)[None, :])[live]
         plates.append((1.0 / (1.0 + 1j * modes.eigenvalues),
@@ -600,26 +611,16 @@ class TestTakeGathers:
         for phi in phis:
             plates = []
             for model, bits in zip(p.models, p.split(phi)):
-                op, *got = model._gather(bits)
+                got = model.gather(bits)
                 want = ix_gather(model, bits)
-                for i, (g, w) in enumerate(zip((op.z, *got), want)):
+                for i, (g, w) in enumerate(zip((got.impedance.z, *got[1:]),
+                                               want)):
                     assert same_bytes(g, w), i
-                assert all(same_bytes(g, w) for g, w in
-                           zip(model.gather(bits)[1:], want[1:3]))
                 plates.append(want)
             (*_, tx_faces, _, cols), (*_, rx_faces, _, rows) = plates
-            got = p.channel.gather(rx_faces, tx_faces)
-            want = cmadof.channel.ChannelOperator(
-                matrix=p.channel.matrix[np.ix_(face_rows(rx_faces),
-                                               face_rows(tx_faces))],
-                k0=p.channel.k0,
-                tx_centroids=p.channel.tx_centroids[tx_faces],
-                rx_centroids=p.channel.rx_centroids[rx_faces],
-                tx_areas=p.channel.tx_areas[tx_faces])
-            for name in ("matrix", "tx_centroids", "rx_centroids",
-                         "tx_areas"):
-                assert same_bytes(getattr(got, name), getattr(want, name)), \
-                    name
+            rx_rows, tx_rows = face_rows(rx_faces), face_rows(tx_faces)
+            assert same_bytes(p.channel.block(rx_rows, tx_rows),
+                              p.channel.matrix[np.ix_(rx_rows, tx_rows)])
 
     def test_score_equals_ix_pipeline_bytes(self):
         # modes and everything after them spelled out with numpy's own
@@ -645,11 +646,11 @@ class TestTakeGathers:
         assert evaluate(p, phi).h_singulars is not None
         link = p.best_link[1]
         tx, rx = link.tx, link.rx
-        g = p.channel.gather(rx.faces, tx.faces)
+        g = p.channel.block(face_rows(rx.faces), face_rows(tx.faces))
         gm = gamma_decomposition(g, rx.patterns, tx.patterns)
         (n_r, l_r), (n_t, l_t) = rx.v.shape, tx.v.shape
         *_, lower = dof_bounds(rx.v, tx.v, gm.gamma, n_r, n_t, l_t, l_r,
-                               np.linalg.svd(g.matrix, compute_uv=False))
+                               np.linalg.svd(g, compute_uv=False))
         calls = []
         svd = np.linalg.svd
 
