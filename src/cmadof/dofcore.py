@@ -18,9 +18,9 @@ numerical rank at the same RANK_TOL cutoff (where the rank inequalities
 live): the port/mode ceiling min(L_T, L_R, n_T, n_R), the channel ceiling
 rank(H) <= rank(G), and the floor
 rank(H) >= rank(V_R) + rank(V_T) + rank(Gamma) - n_R - n_T. Both are
-the `channel` counts on singular values. One pivoted-QR column order names
-the dependent columns of a rank-deficient matrix: the receive ports that
-`receiver_map` refuses, the pattern columns `gamma_decomposition` drops.
+the `channel` counts on singular values. Every pseudo-inverse is `_pinv`,
+one SVD cut at the same RANK_TOL; a pivoted QR only names the dependent
+receive ports that `receiver_map` refuses.
 
 `conventional_reduce` specializes the model to an array of identical
 single-mode elements, where U_T collapses to a block-diagonal stack of one
@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import json
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -70,18 +70,9 @@ def matrix_rank(a: np.ndarray) -> int:
     return strict_rank(np.linalg.svd(a, compute_uv=False))
 
 
-def _pivot_order(a: np.ndarray) -> np.ndarray:
-    """a's column indices in pivoted-QR order: for a of rank r, the first
-    r name a maximal independent column set and the rest the dependent
-    columns."""
-    import scipy.linalg  # only the rank-deficient branches need scipy
-
-    return scipy.linalg.qr(a, pivoting=True)[2]
-
-
 def _pinv(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(a^+ at the relative cutoff RANK_TOL, a's singular values), from
-    one SVD, by the arithmetic of `np.linalg.pinv(a, rcond=RANK_TOL)`."""
+    one SVD, by the arithmetic of numpy's `pinv` at rcond=RANK_TOL."""
     u, s, vt = np.linalg.svd(a.conjugate(), full_matrices=False)
     large = s > RANK_TOL * s.max(initial=0.0)
     inv = np.divide(1, s, where=large, out=np.zeros(s.shape))
@@ -134,7 +125,11 @@ def receiver_map(v_r: np.ndarray, m_r: np.ndarray, patterns_r: np.ndarray) -> np
     v_pinv, v_singulars = _pinv(v_r)
     rank_v = strict_rank(v_singulars)
     if rank_v < l_r:
-        offending = sorted(int(p) for p in _pivot_order(v_r)[rank_v:])
+        import scipy.linalg  # only naming the dependent ports needs scipy
+
+        # pivoted QR puts a maximal independent column set first
+        order = scipy.linalg.qr(v_r, pivoting=True)[2]
+        offending = sorted(int(p) for p in order[rank_v:])
         raise RankDeficiencyError(
             f"modal excitation matrix has rank {rank_v} < {l_r} receive "
             f"ports; dependent ports: {offending}"
@@ -178,42 +173,15 @@ def achievable_dof(ch: EquivalentChannel, gamma: float = 0.5) -> int:
 class GammaMatrix:
     """Modal coupling matrix from factoring G in the mode-pattern bases.
 
-    gamma solves G ~= Ebar_R Gamma Jbar_T^T in the least-squares sense;
-    unmodeled_fraction reports how much of G lies outside the modal
-    subspaces. kept_r/kept_t list the pattern columns used, which drop
-    dependent columns when a pattern matrix is rank-deficient.
+    gamma = Ebar_R^+ G (Jbar_T^T)^+ solves G ~= Ebar_R Gamma Jbar_T^T in
+    the least-squares sense, from the pseudo-inverses of the whole pattern
+    matrices; a rank-deficient pattern matrix gives Gamma the rank it
+    would have on a maximal independent column set. unmodeled_fraction
+    reports how much of G lies outside the modal subspaces.
     """
 
     gamma: np.ndarray
     unmodeled_fraction: float
-    kept_r: np.ndarray
-    kept_t: np.ndarray
-
-
-def _independent_pinv(a: np.ndarray, label: str,
-                      transpose: bool) -> tuple[np.ndarray, np.ndarray]:
-    """(a maximal independent column set of a, the pseudo-inverse of a on
-    those columns, or of its transpose with `transpose`), warning when
-    columns are dropped.
-
-    a's rank comes from the SVD inside the pseudo-inverse of a or a^T,
-    which share their singular values; only a rank-deficient a is
-    decomposed again, without its dependent columns.
-    """
-    inv, singulars = _pinv(a.T if transpose else a)
-    r = strict_rank(singulars)
-    if r == a.shape[1]:
-        return np.arange(r), inv
-    order = _pivot_order(a)
-    warnings.warn(
-        f"{label} pattern matrix is rank-deficient ({r} of {a.shape[1]} "
-        f"columns independent); dropping columns "
-        f"{sorted(int(c) for c in order[r:])}",
-        stacklevel=3,
-    )
-    kept = np.sort(order[:r])
-    reduced = a[:, kept]
-    return kept, _pinv(reduced.T if transpose else reduced)[0]
 
 
 def gamma_decomposition(g, patterns_r: np.ndarray, patterns_t: np.ndarray) -> GammaMatrix:
@@ -226,28 +194,32 @@ def gamma_decomposition(g, patterns_r: np.ndarray, patterns_t: np.ndarray) -> Ga
             f"pattern/channel shapes do not chain: {patterns_r.shape}, "
             f"{g_mat.shape}, {patterns_t.shape}"
         )
-    kept_r, e_pinv = _independent_pinv(patterns_r, "receive", False)
-    kept_t, jt_pinv = _independent_pinv(patterns_t, "transmit", True)
-    e_r = patterns_r[:, kept_r]
-    j_t = patterns_t[:, kept_t]
+    e_pinv, singulars_r = _pinv(patterns_r)
+    jt_pinv, singulars_t = _pinv(patterns_t.T)
+    for label, a, singulars in (("receive", patterns_r, singulars_r),
+                                ("transmit", patterns_t, singulars_t)):
+        r = strict_rank(singulars)
+        if r < a.shape[1]:
+            warnings.warn(f"{label} pattern matrix is rank-deficient ({r} of "
+                          f"{a.shape[1]} columns independent)", stacklevel=2)
     left = e_pinv @ g_mat
     gamma = left @ jt_pinv
 
-    # P_E G P_J = E_r (Gamma J_t^T) from the thin (k_r, n) factor, and
+    # P_E G P_J = E (Gamma J^T) from the thin (n_r, n) factor, and
     # ||G - P_E G P_J||^2 summed over row blocks, so no n x n array is made
-    right = gamma @ j_t.T
+    right = gamma @ patterns_t.T
     g_sq = res_sq = 0.0
     for s in range(0, g_mat.shape[0], RESIDUAL_ROWS):
         rows = slice(s, s + RESIDUAL_ROWS)
         g_rows = g_mat[rows]
-        diff = e_r[rows] @ right
+        diff = patterns_r[rows] @ right
         np.subtract(g_rows, diff, out=diff)
         g_sq += np.vdot(g_rows, g_rows).real
         res_sq += np.vdot(diff, diff).real
     if g_sq == 0.0:
-        return GammaMatrix(gamma, 0.0, kept_r, kept_t)
+        return GammaMatrix(gamma, 0.0)
     unmodeled = float(np.sqrt(res_sq / g_sq))
-    return GammaMatrix(gamma, unmodeled, kept_r, kept_t)
+    return GammaMatrix(gamma, unmodeled)
 
 
 def dof_bounds(
@@ -297,19 +269,9 @@ class DofReport:
     g_strict_rank: int
 
     def to_json(self) -> str:
-        payload = {
-            "dof_h": self.dof_h,
-            "dof_g_effective": self.dof_g_effective,
-            "port_mode_upper": self.port_mode_upper,
-            "lower_bound": self.lower_bound,
-            "gamma": self.gamma,
-            "h_singulars": [float(s) for s in self.h_singulars],
-            "g_singulars": [float(s) for s in self.g_singulars],
-            "gamma_matrix_rank": self.gamma_matrix_rank,
-            "h_strict_rank": self.h_strict_rank,
-            "g_strict_rank": self.g_strict_rank,
-        }
-        return json.dumps(payload, indent=2)
+        # fields in declaration order; the singular-value arrays as lists
+        payload = {f.name: getattr(self, f.name) for f in fields(self)}
+        return json.dumps(payload, indent=2, default=np.ndarray.tolist)
 
 
 def build_report(
@@ -420,7 +382,7 @@ def conventional_reduce(
 
     u_t = block_map(tx_elements, tx_face_count)
     e_blocks = block_map(rx_elements, rx_face_count)
-    u_r = np.linalg.pinv(e_blocks, rcond=RANK_TOL)
+    u_r = _pinv(e_blocks)[0]
     g_tilde = point_source_channel(
         np.array([el.center for el in tx_elements]),
         np.array([el.center for el in rx_elements]),

@@ -697,7 +697,7 @@ class TestExitCodes:
 class TestStartUp:
     def test_import_loads_no_scipy(self):
         # pivoted QR, the package's only scipy use, is imported where a
-        # rank-deficient branch needs it
+        # refused receive link names its dependent ports
         src = os.path.dirname(os.path.dirname(cmadof.ga.__file__))
         env = dict(os.environ, PYTHONPATH=src)
         out = subprocess.run(

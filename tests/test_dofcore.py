@@ -15,6 +15,7 @@ import pytest
 from cmadof import dofcore
 from cmadof.dofcore import (
     ConventionalModel,
+    DofReport,
     ElementAnalysis,
     EquivalentChannel,
     achievable_dof,
@@ -34,6 +35,24 @@ from cmadof.errors import RankDeficiencyError, ReductionError
 
 def rand_c(rng, *shape):
     return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+def dropped_gamma(g, e, j, kept_r, kept_t):
+    """Gamma from the pattern columns kept_r/kept_t only: the reference of
+    dropping the dependent columns of a rank-deficient pattern matrix."""
+    e_pinv = np.linalg.pinv(e[:, kept_r], rcond=dofcore.RANK_TOL)
+    jt_pinv = np.linalg.pinv(j[:, kept_t].T, rcond=dofcore.RANK_TOL)
+    return e_pinv @ g @ jt_pinv
+
+
+def deficient_patterns(rng, n_rows, k, d):
+    """(n_rows x (k + d) patterns whose d dependent columns are random
+    combinations of k independent ones, in shuffled column order; the
+    positions of the independent columns)."""
+    base = rand_c(rng, n_rows, k)
+    full = np.column_stack([base, base @ rand_c(rng, k, d)])
+    perm = rng.permutation(k + d)
+    return full[:, perm], base, np.flatnonzero(perm < k)
 
 
 def rand_modal(rng, n):
@@ -209,8 +228,6 @@ class TestGammaDecomposition:
         gm = gamma_decomposition(g, ebar, jbar)
         np.testing.assert_allclose(gm.gamma, gam_true, atol=1e-12)
         assert gm.unmodeled_fraction <= 1e-10
-        np.testing.assert_array_equal(gm.kept_r, np.arange(n_r))
-        np.testing.assert_array_equal(gm.kept_t, np.arange(n_t))
         assert matrix_rank(gm.gamma) == matrix_rank(gam_true)
 
     def test_out_of_span_energy_reported(self):
@@ -234,9 +251,11 @@ class TestGammaDecomposition:
         jbar, _ = np.linalg.qr(rand_c(rng, 24, 3))
         g = ebar @ rand_c(rng, 4, 3) @ jbar.T
         bad = np.column_stack([ebar, ebar[:, 0]])
-        with pytest.warns(UserWarning, match="rank-deficient"):
+        with pytest.warns(UserWarning,
+                          match=r"\(4 of 5 columns independent\)$"):
             gm = gamma_decomposition(g, bad, jbar)
-        assert len(gm.kept_r) == 4
+        assert matrix_rank(gm.gamma) == matrix_rank(
+            dropped_gamma(g, bad, jbar, np.arange(4), np.arange(3)))
         assert gm.unmodeled_fraction <= 1e-10
 
     def test_diagnostics_match_dense_projectors(self):
@@ -251,18 +270,68 @@ class TestGammaDecomposition:
             ebar @ rand_c(rng, 4, 3) @ jbar.T
         with pytest.warns(UserWarning, match="rank-deficient") as caught:
             gm = gamma_decomposition(g, bad_r, bad_t)
-        assert str(caught[0].message).endswith("dropping columns [3]")
-        assert (len(gm.kept_r), len(gm.kept_t)) == (4, 3)
-        e_r = bad_r[:, gm.kept_r]
-        j_t = bad_t[:, gm.kept_t]
-        e_pinv = np.linalg.pinv(e_r, rcond=dofcore.RANK_TOL)
-        jt_pinv = np.linalg.pinv(j_t.T, rcond=dofcore.RANK_TOL)
+        assert [str(w.message) for w in caught] == [
+            "receive pattern matrix is rank-deficient "
+            "(4 of 5 columns independent)",
+            "transmit pattern matrix is rank-deficient "
+            "(3 of 5 columns independent)",
+        ]
+        assert matrix_rank(gm.gamma) == matrix_rank(
+            dropped_gamma(g, bad_r, bad_t, np.arange(4), np.arange(1, 4)))
+        e_pinv = np.linalg.pinv(bad_r, rcond=dofcore.RANK_TOL)
+        jt_pinv = np.linalg.pinv(bad_t.T, rcond=dofcore.RANK_TOL)
         np.testing.assert_array_equal(gm.gamma, e_pinv @ g @ jt_pinv)
-        projected = (e_r @ e_pinv) @ g @ (jt_pinv @ j_t.T)
+        projected = (bad_r @ e_pinv) @ g @ (jt_pinv @ bad_t.T)
         g_norm = np.linalg.norm(g)
         unmodeled = np.linalg.norm(g - projected) / g_norm
         assert unmodeled > 0.05
         assert gm.unmodeled_fraction == pytest.approx(unmodeled, rel=1e-9)
+
+    def test_rank_deficient_instances_keep_the_dropped_rank(self, monkeypatch):
+        # whole-matrix pseudo-inverses give Gamma the rank of the
+        # column-dropped reference, from one SVD per pattern matrix and no
+        # pivoted QR
+        import scipy.linalg
+
+        def no_qr(*args, **kwargs):
+            raise AssertionError("pivoted QR called")
+
+        svd, svd_calls = np.linalg.svd, []
+
+        def counting_svd(*args, **kwargs):
+            svd_calls.append(1)
+            return svd(*args, **kwargs)
+
+        monkeypatch.setattr(scipy.linalg, "qr", no_qr)
+        rng = np.random.default_rng(27)
+        ranks = set()
+        for _ in range(120):
+            (k_r, k_t), (d_r, d_t) = rng.integers(1, 6, 2), rng.integers(0, 4, 2)
+            if d_r + d_t == 0:
+                d_r = 1
+            rows_r, rows_t = 3 * rng.integers(3, 9, 2)
+            e, e_base, kept_r = deficient_patterns(rng, rows_r, k_r, d_r)
+            j, j_base, kept_t = deficient_patterns(rng, rows_t, k_t, d_t)
+            r = int(rng.integers(0, min(k_r, k_t) + 1))
+            g = e_base @ rand_c(rng, k_r, r) @ rand_c(rng, r, k_t) @ j_base.T
+            if rng.random() < 0.5:
+                g = g + 0.1 * rand_c(rng, rows_r, rows_t)
+            expect = matrix_rank(dropped_gamma(g, e, j, kept_r, kept_t))
+            svd_calls.clear()
+            with monkeypatch.context() as m, \
+                    pytest.warns(UserWarning) as caught:
+                m.setattr(np.linalg, "svd", counting_svd)
+                gm = gamma_decomposition(g, e, j)
+            assert len(svd_calls) == 2
+            assert matrix_rank(gm.gamma) == expect
+            assert [str(w.message) for w in caught] == [
+                f"{side} pattern matrix is rank-deficient "
+                f"({k} of {k + d} columns independent)"
+                for side, k, d in (("receive", k_r, d_r),
+                                   ("transmit", k_t, d_t)) if d
+            ]
+            ranks.add(expect)
+        assert ranks == set(range(6))
 
     def test_allocates_no_n_by_n_array(self):
         rng = np.random.default_rng(26)
@@ -371,6 +440,34 @@ class TestDofReport:
         assert set(back) == {f.name for f in dataclasses.fields(rep)}
         for name, value in back.items():
             assert np.array_equal(value, getattr(rep, name)), name
+
+    def test_json_bytes(self):
+        # key order, indent, float repr and ints staying ints, as written
+        # into dof_report.json
+        rep = DofReport(dof_h=2, dof_g_effective=3, port_mode_upper=4,
+                        lower_bound=-1, gamma=0.5,
+                        h_singulars=np.array([1.0, 0.1, 1e-17]),
+                        g_singulars=np.array([2.5, 0.1 + 0.2]),
+                        gamma_matrix_rank=3, h_strict_rank=2, g_strict_rank=2)
+        assert rep.to_json() == """{
+  "dof_h": 2,
+  "dof_g_effective": 3,
+  "port_mode_upper": 4,
+  "lower_bound": -1,
+  "gamma": 0.5,
+  "h_singulars": [
+    1.0,
+    0.1,
+    1e-17
+  ],
+  "g_singulars": [
+    2.5,
+    0.30000000000000004
+  ],
+  "gamma_matrix_rank": 3,
+  "h_strict_rank": 2,
+  "g_strict_rank": 2
+}"""
 
     def test_report_fields_consistent(self):
         rng = np.random.default_rng(32)
