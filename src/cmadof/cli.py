@@ -27,6 +27,7 @@ from datetime import datetime, timezone
 
 import numpy as np
 
+from .channel import effective_rank
 from .config import RunConfig, load_run_config
 from .errors import (ConfigError, GeometryError, NumericalError)
 from .ga import (PixelProblem, PlateModel, analyze_plate, evaluate,
@@ -143,17 +144,10 @@ def cmd_optimize(cfg: RunConfig) -> None:
     problem = _make_problem(cfg)
     log_path = os.path.join(cfg.out, "ga_log.jsonl")
     ckpt_path = os.path.join(cfg.out, "ga_checkpoint.json")
-    resume_from = None
-    if cfg.resume:
-        if not os.path.exists(ckpt_path):
-            raise ConfigError(f"resume requested but {ckpt_path} is missing")
-        resume_from = ckpt_path
-    elif os.path.exists(log_path):
-        os.remove(log_path)
-
     run = run_ga(problem, cfg.generations, cfg.population, cfg.parents,
                  cfg.mutation_rate, cfg.seed, log_path=log_path,
-                 checkpoint_path=ckpt_path, resume_from=resume_from)
+                 checkpoint_path=ckpt_path,
+                 resume_from=ckpt_path if cfg.resume else None)
 
     best = run.best
     best_report = link_report(problem, best.phi)
@@ -222,36 +216,38 @@ def cmd_sweep(cfg: RunConfig) -> None:
         point = _sweep_point_config(cfg, cfg.sweep_axis, value)
         point.validate()
         points.append((value, point, _make_problem(point)))
-    # the points of a separation or gamma sweep have the same plates: the
-    # first point's parents, assembled once, serve them all
-    ga = None
+    # a gamma sweep is one link, its spectra counted at each point's gamma;
+    # the points of a separation sweep share the first point's parents
+    first = points[0][2]
     for index, (value, point, problem) in enumerate(points):
-        if index and cfg.sweep_axis != "ports":
-            problem.models = points[0][2].models
-        ones = np.ones(problem.bit_length, dtype=np.uint8)
-        report = link_report(problem, ones)
-        if report is None:
-            raise NumericalError(
-                f"sweep point {value!r} is degenerate for the all-on plates"
-            )
+        if index and cfg.sweep_axis == "gamma":
+            problem = first
+        else:
+            if index and cfg.sweep_axis == "separation":
+                problem.models = first.models
+            ones = np.ones(problem.bit_length, dtype=np.uint8)
+            report = link_report(problem, ones)
+            if report is None:
+                raise NumericalError(f"sweep point {value!r} is degenerate "
+                                     "for the all-on plates")
+            ga = run_ga(problem, point.generations, point.population,
+                        point.parents, point.mutation_rate, point.seed)
         rng = np.random.default_rng([point.seed, index])
         random_dofs = []
         for _ in range(point.random_count):
             phi = rng.integers(0, 2, problem.bit_length, dtype=np.uint8)
-            dof_h = evaluate(problem, phi).dof_h
-            if dof_h is not None:
-                random_dofs.append(dof_h)
+            h = evaluate(problem, phi).h_singulars
+            if h is not None:
+                random_dofs.append(effective_rank(h, point.gamma))
         random_mean = (float(np.mean(random_dofs)) if random_dofs
                        else float("nan"))
-        # the GA's fitness does not depend on gamma, and the points of a
-        # gamma sweep differ in nothing else: they share one run
-        if ga is None or cfg.sweep_axis != "gamma":
-            ga = run_ga(problem, point.generations, point.population,
-                        point.parents, point.mutation_rate, point.seed)
-        best = evaluate(problem, ga.best.phi)
-        opt_dof = "" if best.dof_h is None else str(best.dof_h)
+        best = evaluate(problem, ga.best.phi).h_singulars
+        opt_dof = ("" if best is None
+                   else str(effective_rank(best, point.gamma)))
         rows.append(
-            f"{float(value)!r},{report.dof_g_effective},{report.dof_h},"
+            f"{float(value)!r},"
+            f"{effective_rank(report.g_singulars, point.gamma)},"
+            f"{effective_rank(report.h_singulars, point.gamma)},"
             f"{random_mean!r},{opt_dof},{report.port_mode_upper},"
             f"{report.lower_bound}"
         )

@@ -197,10 +197,7 @@ class PlateModel:
         parent by index.
 
         Pixel t owns parent faces 2t and 2t + 1, so the configuration's
-        faces f, and with them its edges, keep the parent's order. The
-        all-metal configuration keeps every face and edge: it gets the
-        parent's own impedance operator, sampler and port columns, not
-        copies.
+        faces f, and with them its edges, keep the parent's order.
         """
         index = self._index
         bits = np.asarray(bits).ravel()
@@ -212,9 +209,6 @@ class PlateModel:
         rows = index.rows.compress(on, axis=0).ravel()
         live = index.live.compress(on, axis=0).ravel()
         live_rows = rows.compress(live)
-        if faces.size == self.basis.mesh.n_faces:
-            return Gather(self.impedance, self.sampler, self.excitation,
-                          faces, live, live_rows)
         plus, minus = on.take(index.edge_pixels)
         e = (plus & minus).nonzero()[0]
         op = ImpedanceOperator(z=self.impedance.z.take(e, 0).take(e, 1),
@@ -271,9 +265,9 @@ class PixelProblem:
     the channel between them are built on the first evaluation, one shared
     model when both plates have the same spec; `models` may instead be set
     to those of another problem with the same plate specs and frequency,
-    as `cli.cmd_sweep` does across its points. `cache` holds the `Score`
-    of at most CACHE_SIZE configurations, least recently used dropped
-    first. For `link_report`, `best_link` holds (key, LinkAnalysis,
+    as the points of a separation sweep do (`cli.cmd_sweep`). `cache` holds
+    the `Score` of at most CACHE_SIZE configurations, least recently used
+    dropped first. For `link_report`, `best_link` holds (key, LinkAnalysis,
     fitness) of the fittest configuration evaluated so far.
     """
 
@@ -350,10 +344,14 @@ def phi_to_hex(phi: np.ndarray) -> str:
 
 
 def phi_from_hex(text: str, n_bits: int) -> np.ndarray:
+    """Inverse of `phi_to_hex`; refuses other byte counts, set padding bits."""
     raw = np.frombuffer(bytes.fromhex(text), dtype=np.uint8)
+    n_bytes = -(-n_bits // 8)
+    if raw.size != n_bytes:
+        raise ValueError(f"{n_bits} bits need {n_bytes} bytes, got {raw.size}")
     bits = np.unpackbits(raw)
-    if bits.size < n_bits:
-        raise ValueError(f"hex string holds {bits.size} bits, need {n_bits}")
+    if bits[n_bits:].any():
+        raise ValueError(f"hex string sets padding bits past bit {n_bits}")
     return bits[:n_bits].copy()
 
 
@@ -433,14 +431,16 @@ def evaluate(problem: PixelProblem, phi) -> Score:
     of the fittest configuration so far stays in `problem.best_link` for
     `link_report`.
     """
-    phi = np.asarray(phi, dtype=np.uint8).ravel()
+    phi = np.asarray(phi).ravel()
     if phi.size != problem.bit_length:
         raise ValueError(
             f"configuration has {phi.size} bits, problem wants "
             f"{problem.bit_length}"
         )
-    if (phi > 1).any():
+    # before the cast, which would score 0.5 as 0 and 1.5 as 1
+    if ((phi != 0) & (phi != 1)).any():
         raise ValueError("configuration bits must be 0 or 1")
+    phi = phi.astype(np.uint8, copy=False)
     key = _key(phi)
     hit = problem.cache.get(key)
     if hit is not None:
@@ -737,7 +737,8 @@ def run_ga(
     must match, and every checkpoint configuration must have the problem's
     bit length. Log records after the checkpoint's generation are dropped
     first, so the log reads as an uninterrupted run's; with log_path, the
-    log must exist and keep a record up to that generation.
+    log must exist and keep a record up to that generation. A fresh run
+    empties the log at log_path when it opens it.
     """
     if pop_size < 2:
         raise ValueError("population size must be at least 2")
@@ -766,6 +767,8 @@ def run_ga(
         if log_path:
             _truncate_log(log_path, run.generation)
     log_fh = open(log_path, "a", encoding="utf-8") if log_path else None
+    if log_fh is not None and resume_from is None:
+        log_fh.truncate(0)
 
     def emit(run: GaRun) -> None:
         if log_fh is not None:

@@ -233,10 +233,45 @@ class TestOptimizeCommand:
         assert records[0]["best_phi_hex"] != records[-1]["best_phi_hex"]
         assert len(gammas) == 1
 
-    def test_resume_without_checkpoint_is_config_error(self, tmp_path):
+    def test_resume_without_checkpoint_is_config_error(self, tmp_path,
+                                                       capsys):
         cfg = write_config(tmp_path, self.GA + "resume = true\n")
         out = tmp_path / "fresh"
+        capsys.readouterr()
         assert run_cli("optimize", cfg, out) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ")
+        assert str(out / "ga_checkpoint.json") in err
+        assert err.count("\n") == 1
+        assert os.listdir(out) == []
+
+    @pytest.mark.parametrize("spoil", ["extra-byte", "padding-bit"])
+    def test_non_canonical_phi_hex_is_config_error(self, tmp_path, capsys,
+                                                   spoil):
+        # 2 x 3-pixel plates: 12 bits in two bytes, the last four padding
+        text = SMALL.replace("pixels_per_port = 2", "pixels_per_port = 3") \
+            + self.GA
+        first = tmp_path / "first.ini"
+        first.write_text(text)
+        out = tmp_path / "out"
+        assert run_cli("optimize", str(first), out) == 0
+        ck = out / "ga_checkpoint.json"
+        state = json.loads(ck.read_text())
+        rec = state["population"][0]
+        if spoil == "extra-byte":
+            rec["phi_hex"] += "00"
+        else:
+            rec["phi_hex"] = rec["phi_hex"][:-1] + "1"
+        ck.write_text(json.dumps(state))
+        before = {p.name: p.read_bytes() for p in out.iterdir()}
+        second = tmp_path / "second.ini"
+        second.write_text(text + "resume = true\n")
+        capsys.readouterr()
+        assert run_cli("optimize", str(second), out) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: malformed GA checkpoint")
+        assert err.count("\n") == 1
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == before
 
     def test_resume_continues_from_checkpoint(self, tmp_path):
         cfg1 = write_config(tmp_path, self.GA, name="first.ini")
@@ -547,12 +582,19 @@ class TestSweepCommand:
     def test_gamma_sweep_runs_the_ga_once(self, tmp_path, monkeypatch):
         runs = []
         run_ga = cmadof.cli.run_ga
+        channels = []
+        assemble_channel = cmadof.ga.assemble_channel
 
         def counting(problem, *args, **kwargs):
             runs.append(problem.gamma)
             return run_ga(problem, *args, **kwargs)
 
+        def assembling(*args):
+            channels.append(args)
+            return assemble_channel(*args)
+
         monkeypatch.setattr(cmadof.cli, "run_ga", counting)
+        monkeypatch.setattr(cmadof.ga, "assemble_channel", assembling)
         cfg = write_config(
             tmp_path,
             "sweep_axis = gamma\nsweep_values = 0.001, 0.02, 0.5\n"
@@ -561,6 +603,7 @@ class TestSweepCommand:
         out = tmp_path / "out"
         assert run_cli("sweep", cfg, out) == 0
         assert runs == [0.001]
+        assert len(channels) == 1
         # written when every point ran a GA of its own; the optimized DoF
         # is each point's own at its gamma
         assert (out / "sweep.csv").read_text() == (

@@ -131,6 +131,14 @@ class TestPhiHex:
         with pytest.raises(ValueError, match="bits"):
             phi_from_hex(phi_to_hex(phi), 9)
 
+    @pytest.mark.parametrize("text, n_bits, match", [
+        ("ffff", 8, "bytes"), ("000000", 16, "bytes"), ("01", 7, "padding"),
+        ("ff", 1, "padding"),
+    ])
+    def test_non_canonical_rejected(self, text, n_bits, match):
+        with pytest.raises(ValueError, match=match):
+            phi_from_hex(text, n_bits)
+
 
 class TestPixelProblem:
     def test_validation(self):
@@ -228,9 +236,9 @@ class TestPlateModel:
         got = model.gather(np.ones(spec.n_bits))
         assert np.array_equal(model.basis.edge_map(got.faces),
                               np.arange(model.basis.n_edges))
-        assert got.impedance is model.impedance
-        assert got.sampler is model.sampler
-        assert got.ports is model.excitation
+        assert same_bytes(got.impedance.z, model.impedance.z)
+        assert same_bytes(got.sampler, model.sampler)
+        assert same_bytes(got.ports, model.excitation)
         assert np.array_equal(got.faces, np.arange(2 * spec.n_bits))
 
     def test_all_metal_link_analyzes_the_parent_channel(self, monkeypatch):
@@ -675,8 +683,22 @@ class TestEvaluate:
 
     def test_non_binary_rejected(self):
         p = tiny_problem()
+        for bit in (0.5, 1.5, 2, -1, np.nan):
+            phi = np.ones(8)
+            phi[3] = bit
+            with pytest.raises(ValueError, match="0 or 1"):
+                evaluate(p, phi)
         with pytest.raises(ValueError, match="0 or 1"):
             evaluate(p, np.full(8, 2, dtype=np.uint8))
+        assert p.evaluations == 0
+
+    def test_binary_dtypes_score_alike(self):
+        bits = [1, 0, 1, 1, 0, 1, 1, 0]
+        want = evaluate(tiny_problem(), np.array(bits, dtype=np.uint8))
+        for dtype in (bool, np.int8, float):
+            got = evaluate(tiny_problem(), np.array(bits, dtype=dtype))
+            assert got.h_singulars.tobytes() == want.h_singulars.tobytes()
+            assert got[1:] == want[1:]
 
     def test_result_is_cached(self):
         p = tiny_problem()
@@ -961,6 +983,15 @@ class TestRunGa:
             assert phi.shape == (8,)
         bests = [rec["best_fitness"] for rec in records]
         assert all(b >= a for a, b in zip(bests, bests[1:]))
+
+    def test_fresh_run_empties_the_log(self, tmp_path):
+        log = tmp_path / "run.jsonl"
+        log.write_text('{"generation": 0}\n{"generation": 7}\n')
+        run_ga(tiny_problem(), k_max=1, pop_size=4, n_parents=2, seed=7,
+               log_path=log)
+        records = [json.loads(line) for line in log.read_text().splitlines()]
+        assert [rec["generation"] for rec in records] == [0, 1]
+        assert all("best_phi_hex" in rec for rec in records)
 
     def test_resume_matches_straight_run(self, tmp_path):
         ck = tmp_path / "ck.json"
