@@ -5,7 +5,8 @@ Every key must belong to the schema below and parse to its declared type,
 otherwise a ConfigError pointing at the offending line is raised; nothing
 is written before the whole file validates. Strictness is deliberate: the
 defaults, stated once on `RunConfig`, encode the reference operating point,
-and a silently ignored typo would drift results away from it.
+and a silently ignored typo would drift results away from it. Each key is
+one `RunConfig` field, which carries its default and its file parser.
 
 Schema:
   frequency            Hz
@@ -33,7 +34,7 @@ Schema:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 
 from .efie import C0
 from .errors import ConfigError
@@ -85,61 +86,39 @@ def _parse_values(text: str) -> tuple[float, ...]:
     return tuple(float(p) for p in parts)
 
 
-# key -> parser; the defaults live on RunConfig alone
-_PARSERS = {
-    "frequency": float,
-    "pixel_size": _parse_auto_float,
-    "gamma": float,
-    "n_keep": _parse_int,
-    "separation": float,
-    "seed": _parse_int,
-    "jobs": _parse_int,
-    "out": str,
-    "tx_ports": _parse_int,
-    "rx_ports": _parse_int,
-    "tx_pixels_per_port": _parse_int,
-    "rx_pixels_per_port": _parse_int,
-    "tx_bits": _parse_bits,
-    "rx_bits": _parse_bits,
-    "generations": _parse_int,
-    "population": _parse_int,
-    "parents": _parse_int,
-    "mutation_rate": _parse_auto_float,
-    "resume": _parse_bool,
-    "sweep_axis": _parse_choice("ports", "separation", "gamma"),
-    "sweep_values": _parse_values,
-    "random_count": _parse_int,
-    "mesh_format": _parse_choice("text", "json"),
-}
+def _key(default, parse):
+    """A RunConfig field whose file value `parse` turns into its type."""
+    return field(default=default, metadata={"parse": parse})
 
 
 @dataclass
 class RunConfig:
     """Typed, validated run parameters (one instance per invocation)."""
 
-    frequency: float = 27e9
-    pixel_size: float | None = None
-    gamma: float = 0.5
-    n_keep: int = 20
-    separation: float = 0.3
-    seed: int = 0
-    jobs: int = 1
-    out: str = "."
-    tx_ports: int = 4
-    rx_ports: int = 4
-    tx_pixels_per_port: int = 8
-    rx_pixels_per_port: int = 8
-    tx_bits: str = "ones"
-    rx_bits: str = "ones"
-    generations: int = 10
-    population: int = 10
-    parents: int = 6
-    mutation_rate: float | None = None
-    resume: bool = False
-    sweep_axis: str | None = None
-    sweep_values: tuple[float, ...] | None = None
-    random_count: int = 5
-    mesh_format: str = "text"
+    frequency: float = _key(27e9, float)
+    pixel_size: float | None = _key(None, _parse_auto_float)
+    gamma: float = _key(0.5, float)
+    n_keep: int = _key(20, _parse_int)
+    separation: float = _key(0.3, float)
+    seed: int = _key(0, _parse_int)
+    jobs: int = _key(1, _parse_int)
+    out: str = _key(".", str)
+    tx_ports: int = _key(4, _parse_int)
+    rx_ports: int = _key(4, _parse_int)
+    tx_pixels_per_port: int = _key(8, _parse_int)
+    rx_pixels_per_port: int = _key(8, _parse_int)
+    tx_bits: str = _key("ones", _parse_bits)
+    rx_bits: str = _key("ones", _parse_bits)
+    generations: int = _key(10, _parse_int)
+    population: int = _key(10, _parse_int)
+    parents: int = _key(6, _parse_int)
+    mutation_rate: float | None = _key(None, _parse_auto_float)
+    resume: bool = _key(False, _parse_bool)
+    sweep_axis: str | None = _key(
+        None, _parse_choice("ports", "separation", "gamma"))
+    sweep_values: tuple[float, ...] | None = _key(None, _parse_values)
+    random_count: int = _key(5, _parse_int)
+    mesh_format: str = _key("text", _parse_choice("text", "json"))
 
     def effective_pixel_size(self) -> float:
         if self.pixel_size is not None:
@@ -186,6 +165,10 @@ class RunConfig:
             )
 
 
+# key -> file parser, read off the fields
+_PARSERS = {f.name: f.metadata["parse"] for f in fields(RunConfig)}
+
+
 def parse_config_file(path: str) -> dict:
     """Parse one key=value file into typed values; strict on every line."""
     values: dict = {}
@@ -193,7 +176,8 @@ def parse_config_file(path: str) -> dict:
     try:
         fh = open(path, encoding="utf-8")
     except OSError as exc:
-        raise ConfigError(f"cannot read config file {path!r}: {exc}") from None
+        raise ConfigError(
+            f"cannot read config file {path!r}: {exc.strerror or exc}") from None
     with fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.split("#", 1)[0].strip()
@@ -227,11 +211,10 @@ def load_run_config(path: str | None = None, overrides: dict | None = None) -> R
     """RunConfig from defaults, then the file, then explicit overrides."""
     values = dict(parse_config_file(path)) if path else {}
     if overrides:
-        known = {f.name for f in fields(RunConfig)}
         for key, val in overrides.items():
             if val is None:
                 continue
-            if key not in known:
+            if key not in _PARSERS:
                 raise ConfigError(f"unknown override {key!r}")
             values[key] = val
     cfg = RunConfig(**values)

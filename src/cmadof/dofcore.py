@@ -19,8 +19,7 @@ live): the port/mode ceiling min(L_T, L_R, n_T, n_R), the channel ceiling
 rank(H) <= rank(G), and the floor
 rank(H) >= rank(V_R) + rank(V_T) + rank(Gamma) - n_R - n_T. Both are
 the `channel` counts on singular values. Every pseudo-inverse is `_pinv`,
-one SVD cut at the same RANK_TOL; a pivoted QR only names the dependent
-receive ports that `receiver_map` refuses.
+one SVD cut at the same RANK_TOL.
 
 `conventional_reduce` specializes the model to an array of identical
 single-mode elements, where U_T collapses to a block-diagonal stack of one
@@ -105,7 +104,7 @@ def receiver_map(v_r: np.ndarray, m_r: np.ndarray, patterns_r: np.ndarray) -> np
     """U_R = V_R^+ diag(m_R)^{-1} Ebar_R^+, mapping face fields to ports.
 
     Requires rank(V_R) >= L_R so the port-recovery step is well posed;
-    otherwise raises RankDeficiencyError naming the dependent ports.
+    otherwise raises RankDeficiencyError stating rank(V_R).
     """
     v_r = np.asarray(v_r)
     m_r = np.asarray(m_r)
@@ -125,14 +124,8 @@ def receiver_map(v_r: np.ndarray, m_r: np.ndarray, patterns_r: np.ndarray) -> np
     v_pinv, v_singulars = _pinv(v_r)
     rank_v = strict_rank(v_singulars)
     if rank_v < l_r:
-        import scipy.linalg  # only naming the dependent ports needs scipy
-
-        # pivoted QR puts a maximal independent column set first
-        order = scipy.linalg.qr(v_r, pivoting=True)[2]
-        offending = sorted(int(p) for p in order[rank_v:])
         raise RankDeficiencyError(
-            f"modal excitation matrix has rank {rank_v} < {l_r} receive "
-            f"ports; dependent ports: {offending}"
+            f"modal excitation matrix has rank {rank_v} < {l_r} receive ports"
         )
     e_pinv = _pinv(patterns_r)[0]
     return v_pinv @ ((1.0 / m_r)[:, None] * e_pinv)

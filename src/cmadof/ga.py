@@ -59,7 +59,7 @@ from .dofcore import (DofReport, EquivalentChannel, achievable_dof,
 from .efie import (C0, ImpedanceOperator, assemble_impedance,
                    delta_gap_excitation)
 from .errors import (CheckpointError, DegenerateStructureError, GeometryError,
-                     NumericalError, RankDeficiencyError)
+                     NumericalError)
 from .mesh import (PlateSpec, RwgBasis, build_plate_mesh, extract_rwg,
                    face_rows, face_sampling_operator, locate_port_edges)
 from .svgplot import write_atomic
@@ -452,7 +452,7 @@ def evaluate(problem: PixelProblem, phi) -> Score:
         link, score = _analyze_link(problem, phi)
         if problem.best_link is None or score.fitness > problem.best_link[2]:
             problem.best_link = (key, link, score.fitness)
-    except (DegenerateStructureError, RankDeficiencyError, NumericalError) as exc:
+    except NumericalError as exc:
         logger.warning("degenerate configuration %s: %s", phi_to_hex(phi), exc)
         score = DEGENERATE
     problem.cache[key] = score
@@ -639,7 +639,8 @@ def _load_checkpoint(path) -> tuple[GaRun, np.random.Generator, dict | None]:
         with open(path, encoding="utf-8") as fh:
             state = json.load(fh)
     except (OSError, ValueError) as exc:
-        raise CheckpointError(f"unreadable GA checkpoint {path}: {exc}") \
+        reason = getattr(exc, "strerror", None) or exc
+        raise CheckpointError(f"unreadable GA checkpoint {path}: {reason}") \
             from exc
     if not isinstance(state, dict) or \
             state.get("format") not in (CHECKPOINT_FORMAT, _CHECKPOINT_V1):
@@ -687,8 +688,8 @@ def _truncate_log(path, generation: int) -> None:
     try:
         fh = open(path, "rb+")
     except OSError as exc:
-        raise CheckpointError(f"cannot resume the GA log {path}: {exc}") \
-            from exc
+        raise CheckpointError(
+            f"cannot resume the GA log {path}: {exc.strerror or exc}") from exc
     with fh:
         end = 0
         for line in fh:

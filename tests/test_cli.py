@@ -241,7 +241,7 @@ class TestOptimizeCommand:
         assert run_cli("optimize", cfg, out) == 2
         err = capsys.readouterr().err
         assert err.startswith("config error: ")
-        assert str(out / "ga_checkpoint.json") in err
+        assert err.count(str(out / "ga_checkpoint.json")) == 1
         assert err.count("\n") == 1
         assert os.listdir(out) == []
 
@@ -366,6 +366,7 @@ class TestOptimizeCommand:
         err = capsys.readouterr().err
         assert err.startswith("config error: ")
         assert "GA log" in err
+        assert err.count(str(log)) == 1
         assert err.count("\n") == 1
         assert not (out / "best_config.json").exists()
         assert (out / "ga_checkpoint.json").read_bytes() == checkpoint
@@ -712,11 +713,12 @@ class TestExitCodes:
         bad.write_text("frequencyy = 1\n")
         assert main(["dof", "--config", str(bad), "--out", str(tmp_path / "o")]) == 2
 
-    def test_missing_config_file(self, tmp_path):
+    def test_missing_config_file(self, tmp_path, capsys):
         assert main([
             "dof", "--config", str(tmp_path / "absent.ini"),
             "--out", str(tmp_path / "o"),
         ]) == 2
+        assert capsys.readouterr().err.count(str(tmp_path / "absent.ini")) == 1
 
     def test_bad_geometry(self, tmp_path):
         cfg = tmp_path / "geom.ini"
@@ -737,10 +739,22 @@ class TestExitCodes:
         assert exc.value.code == 2
 
 
+# a meta-path finder, first on the path, that refuses every scipy import
+NO_SCIPY = """
+import sys
+
+class NoScipy:
+    def find_spec(self, name, path=None, target=None):
+        if name.partition(".")[0] == "scipy":
+            raise ModuleNotFoundError(f"scipy refused: {name}")
+
+sys.meta_path.insert(0, NoScipy())
+"""
+
+
 class TestStartUp:
     def test_import_loads_no_scipy(self):
-        # pivoted QR, the package's only scipy use, is imported where a
-        # refused receive link names its dependent ports
+        # numpy is the package's only run-time dependency
         src = os.path.dirname(os.path.dirname(cmadof.ga.__file__))
         env = dict(os.environ, PYTHONPATH=src)
         out = subprocess.run(
@@ -749,6 +763,30 @@ class TestStartUp:
              "print(sorted(m for m in sys.modules if m.startswith('scipy')))"],
             env=env, capture_output=True, text=True, timeout=60, check=True)
         assert out.stdout.strip() == "[]"
+
+    def test_runs_with_scipy_refused(self, tmp_path):
+        cfg = write_config(tmp_path)
+        script = NO_SCIPY + f"""
+import numpy as np
+from cmadof.cli import main
+from cmadof.dofcore import receiver_map
+from cmadof.errors import RankDeficiencyError
+
+for command in ("dof", "modes"):
+    print(main([command, "--config", {cfg!r},
+                "--out", {str(tmp_path / "out")!r}]))
+try:
+    receiver_map(np.array([[1.0, 2.0]]), np.ones(1), np.eye(3)[:, :1])
+except RankDeficiencyError as exc:
+    print(exc)
+"""
+        src = os.path.dirname(os.path.dirname(cmadof.ga.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        out = subprocess.run([sys.executable, "-c", script], env=env,
+                             capture_output=True, text=True, timeout=120,
+                             check=True)
+        assert out.stdout.splitlines() == [
+            "0", "0", "modal excitation matrix has rank 1 < 2 receive ports"]
 
     def test_package_root_loads_nothing(self):
         # each public name is imported from its module; a package root

@@ -516,12 +516,11 @@ class TestLeanFitness:
         phi = np.ones(p.bit_length, dtype=np.uint8)
         rx = analyze_plate(p.models[1], p.split(phi)[1], p.n_keep)
         assert rx.v.shape == (1, 2)
-        dependent = int(np.argmin(np.abs(rx.v[0])))
         with caplog.at_level("WARNING", logger="cmadof.ga"):
             score = evaluate(p, phi)
         assert score == (None, None, NEG_INF)
-        assert ("modal excitation matrix has rank 1 < 2 receive ports; "
-                f"dependent ports: [{dependent}]") in caplog.text
+        assert ("modal excitation matrix has rank 1 < 2 receive ports\n"
+                in caplog.text)
         assert link_report(p, phi) is None
 
     def test_lapack_calls_per_evaluation(self, monkeypatch):
