@@ -29,8 +29,10 @@ Everything here is deterministic: fixed quadrature rules and fixed
 arithmetic per entry. The tiles, the touching-pair batches and the row
 blocks of the edge-space combination run on a thread pool of at most one
 thread per core, but no entry's arithmetic depends on the tile shape, the
-batch or the thread that computes it, and the calling thread places every
-result in a fixed order, so Z is bit-identical for any number of cores.
+batch, the row block or the thread that computes it: the calling thread
+places every face moment in a fixed order, and each row block writes its
+own rows straight into one preallocated Z, so Z is bit-identical for any
+number of cores.
 The touching-pair batches hold the interpreter lock most of the time and
 the tiles' einsums release it, so the batches run in order as one task
 beside the tiles.
@@ -289,11 +291,15 @@ TOUCH_CHUNK = 32
 TILE = 32
 
 #: edges per row block of the edge-space combination. A block gathers
-#: (EDGE_ROWS, 2, E, 2) face moments, 3 complex values for each of m_in
-#: and m_out and one for m00 and mdot: 1.1 MB for each vector moment and
-#: 0.4 MB for each scalar one at 16 rows and the 360 edges of the
-#: 8 x 16-pixel plate
-EDGE_ROWS = 16
+#: (EDGE_ROWS, 2, E, 2) face moments, 2 complex values for each of m_in
+#: and m_out and one for m00 and mdot: 0.37 MB for each vector moment and
+#: 0.18 MB for each scalar one at 8 rows and the 360 edges of the
+#: 8 x 16-pixel plate, and its einsum temporaries are as large again. The
+#: block writes its rows straight into Z. The pool threads keep what their
+#: blocks freed, and the run's peak sits on top of it. On two threads the
+#: traced peak of that plate's assembly read 15.4-15.5 MB at 16 rows,
+#: 12.3-12.4 MB at 8 and 12.1-12.2 MB at 4
+EDGE_ROWS = 8
 
 
 def _cores() -> int:
@@ -376,9 +382,10 @@ def assemble_impedance(basis: RwgBasis, frequency: float) -> ImpedanceOperator:
     batches are the pool's first task, which runs them in order beside the
     regular-pair tiles, whose einsums release the interpreter lock that
     the batches' short ufunc calls mostly hold. Every tile and batch
-    computes each entry by the same arithmetic wherever it runs, and the
-    calling thread scatters every result in a fixed order, so Z is
-    bit-identical for any number of cores.
+    computes each entry by the same arithmetic wherever it runs, the
+    calling thread scatters every face moment in a fixed order, and each
+    row block writes its own rows of Z, so Z is bit-identical for any
+    number of cores.
     """
     if not frequency > 0:
         raise ValueError("frequency must be positive")
@@ -428,8 +435,10 @@ def assemble_impedance(basis: RwgBasis, frequency: float) -> ImpedanceOperator:
     lengths = basis.lengths
     ne = basis.n_edges
 
-    def edge_rows(rows: slice) -> np.ndarray:
-        """Rows `rows` of Z from the face moments."""
+    z = np.empty((ne, ne), dtype=complex)
+
+    def edge_rows(rows: slice) -> None:
+        """Write rows `rows` of Z from the face moments."""
         pa = ef[rows, :, None, None]
         qb = ef[None, None, :, :]
         g00 = m00[pa, qb]  # (e, 2, E, 2)
@@ -454,7 +463,8 @@ def assemble_impedance(basis: RwgBasis, frequency: float) -> ImpedanceOperator:
         ) * (lengths[rows, None, None, None] * lengths[None, None, :, None])
         a_mat = 0.25 * np.einsum("manb->mn", coef * vec_term)
         phi_mat = np.einsum("manb->mn", coef * g00)
-        return 1j * omega * MU0 * a_mat - 1j / (omega * EPS0) * phi_mat
+        np.subtract(1j * omega * MU0 * a_mat, 1j / (omega * EPS0) * phi_mat,
+                    out=z[rows])
 
     def touching_batches():
         """Every touching batch in order, in one Scratch."""
@@ -483,5 +493,5 @@ def assemble_impedance(basis: RwgBasis, frequency: float) -> ImpedanceOperator:
 
         rows = [slice(s, min(s + EDGE_ROWS, ne))
                 for s in range(0, ne, EDGE_ROWS)]
-        z = np.concatenate(list(pool.map(edge_rows, rows)))
+        list(pool.map(edge_rows, rows))  # raises a block's exception
     return ImpedanceOperator(z=z, frequency=frequency, basis=basis)

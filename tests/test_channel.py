@@ -207,6 +207,18 @@ class TestAssembleChannel:
         backward = assemble_channel(rx, tx, K0)
         np.testing.assert_allclose(backward.matrix, forward.matrix.T, rtol=1e-12)
 
+    @pytest.mark.parametrize("name", ["ga_link", "dof_large"])
+    def test_the_benchmark_parents_are_reciprocal(self, name):
+        # green_dyadic(r, r') is green_dyadic(r', r) transposed, and the
+        # weights are transmit face areas, uniform on a parent plate
+        tx, rx, k0 = parent_link(LINKS[name])
+        for mesh in (tx, rx):
+            assert np.ptp(mesh.face_areas) <= 1e-12 * mesh.face_areas.max()
+        forward = assemble_channel(tx, rx, k0).matrix
+        backward = assemble_channel(rx, tx, k0).matrix
+        assert (np.abs(backward - forward.T).max()
+                <= 1e-13 * np.abs(forward).max())
+
     def test_coincident_apertures_raise(self):
         spec = PlateSpec(
             width=PIX, height=PIX, pixel_rows=1, pixel_cols=1, ports=1

@@ -21,8 +21,11 @@ from cmadof.cma import (
     pattern_gram_dev,
     solve_modes,
 )
+from cmadof.cli import _plate_spec
+from cmadof.config import RunConfig
 from cmadof.efie import ImpedanceOperator, assemble_impedance, delta_gap_excitation
 from cmadof.errors import DegenerateStructureError
+from cmadof.ga import PlateModel
 from cmadof.mesh import (
     PlateSpec,
     build_plate_mesh,
@@ -241,6 +244,55 @@ class TestModalSolution:
         modal = j @ (weight[:, None] * (j.T @ b))
         want = radiated_power(op.z, mom_port_currents(op.z, b))
         np.testing.assert_allclose(radiated_power(op.z, modal), want, rtol=0.02)
+
+
+@pytest.fixture(scope="module")
+def ga_link_parent():
+    """All-metal transmit parent of the benchmark's small link."""
+    return PlateModel.build(_plate_spec(RunConfig(pixel_size=0.35 * c0 / FREQ),
+                                        "tx"), FREQ)
+
+
+def modal_current_error(model, bits):
+    """(modes, error, tolerance) of the all-mode expansion of one
+    configuration's sampled port currents against the MoM solve.
+
+    Harrington & Mautz: with every mode scaled to j^T R_psd j = 1, the
+    current of port column b is sum_i (j_i^T b) / (1 + j lambda_i) j_i,
+    that is J diag(m) J^T B = Z^{-1} B, once the kept modes span the edge
+    space. The error is the relative Frobenius norm of the difference of
+    S J diag(m) J^T B and S Z^{-1} B. The whitening divides by sqrt(w), so
+    roundoff grows with the condition number of R_psd on the kept
+    subspace; the tolerance is the larger of 1e-12 and eps times that
+    number.
+    """
+    op, sampler, ports, *_ = model.gather(bits)
+    modes = solve_modes(op, n_keep=len(op.z))
+    j = modes.mode_coeffs
+    j = j / np.sqrt(np.einsum("ei,ef,fi->i", j, op.r_psd, j))
+    modal = sampler @ (j @ (modes.significances[:, None] * (j.T @ ports)))
+    mom = sampler @ np.linalg.solve(op.z, ports)
+    w = op.psd[1]
+    tol = max(1e-12, np.finfo(float).eps * w[-1] / w[-modes.subspace_dim])
+    return modes, np.linalg.norm(modal - mom) / np.linalg.norm(mom), tol
+
+
+class TestModalCompleteness:
+    @pytest.mark.parametrize("draw", range(3))
+    def test_all_modes_give_the_mom_currents(self, ga_link_parent, draw):
+        n_bits = ga_link_parent.spec.n_bits
+        bits = np.random.default_rng(0).integers(0, 2, (3, n_bits))[draw]
+        modes, error, tol = modal_current_error(ga_link_parent, bits)
+        assert modes.subspace_dim == len(modes.mode_coeffs)  # every edge
+        assert error <= tol
+
+    @pytest.mark.xfail(strict=True, reason="ROADMAP item 2: the pencil is "
+                       "cut at REL_RANK_CUT")
+    def test_all_modes_give_the_mom_currents_of_the_all_metal_plate(
+            self, ga_link_parent):
+        _, error, tol = modal_current_error(
+            ga_link_parent, np.ones(ga_link_parent.spec.n_bits))
+        assert error <= tol
 
 
 class TestModeBasisMasking:

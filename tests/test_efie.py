@@ -6,6 +6,7 @@ import subprocess
 import sys
 import threading
 import time
+import tracemalloc
 import types
 from pathlib import Path
 
@@ -208,13 +209,25 @@ class TestAssemblyIsExact:
     of Z by the same arithmetic as the single-threaded whole-plate loop
     with the general 3-D touching-pair kernel it replaced."""
 
-    @pytest.mark.parametrize("cores", [None, 1, 2, 3],
-                             ids=["machine", "1", "2", "3"])
+    # (cores, edges per row block): the default block height at each
+    # core count, and single-edge, odd and whole-matrix blocks on the
+    # machine's cores
+    @pytest.mark.parametrize(
+        "cores,edge_rows",
+        [(None, None), (1, None), (2, None), (3, None),
+         (None, 1), (None, 3), (None, "all")],
+        ids=["machine", "1", "2", "3",
+             "machine-rows1", "machine-rows3", "machine-rowsall"])
     @pytest.mark.parametrize("make_basis", PLATES)
-    def test_equals_untiled_reference(self, monkeypatch, make_basis, cores):
+    def test_equals_untiled_reference(self, monkeypatch, make_basis, cores,
+                                      edge_rows):
+        basis = make_basis()
         if cores is not None:
             monkeypatch.setattr(cmadof.efie, "_cores", lambda: cores)
-        z = assemble_impedance(make_basis(), FREQ).z
+        if edge_rows is not None:
+            monkeypatch.setattr(cmadof.efie, "EDGE_ROWS", basis.n_edges
+                                if edge_rows == "all" else edge_rows)
+        z = assemble_impedance(basis, FREQ).z
         assert z.tobytes() == untiled_z(make_basis).tobytes()
 
     @pytest.mark.parametrize("height", [4.1 * PIX, -0.3 * PIX, 1e-300],
@@ -232,6 +245,24 @@ class TestAssemblyIsExact:
         tilted = TriMesh(vertices=vertices, faces=mesh.faces)
         with pytest.raises(GeometryError, match="one z"):
             assemble_impedance(extract_rwg(tilted), FREQ)
+
+
+def test_working_memory_of_the_large_parent_is_bounded(monkeypatch):
+    # two threads, the pool of the 2-core machine the bound was measured
+    # on: each thread holds a tile or a row block, so the peak grows with
+    # the pool
+    monkeypatch.setattr(cmadof.efie, "_cores", lambda: 2)
+    basis = dof_large_parent()
+    tracemalloc.start()
+    try:
+        z = assemble_impedance(basis, FREQ).z
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # Z and the four face-moment arrays (m_in and m_out of 2 components)
+    # are 8.4 MB; the work in flight on top of them read 3.8-4.0 MB
+    held = z.nbytes + 6 * basis.mesh.n_faces ** 2 * 16
+    assert peak <= held + 5e6
 
 
 MOMENTS = ("m00", "m_in", "m_out", "mdot")
