@@ -26,7 +26,7 @@ matrix is one block's kernel temporaries; every entry is elementwise
 arithmetic on its own two centroids, so the blocking does not change a
 bit. Face sizes of a small fraction of a wavelength keep the midpoint rule
 adequate; the DoF outputs downstream are invariant to the overall scalar
-convention.
+convention. Only `strict_rank` compares singular values with RANK_TOL.
 
 `ChannelOperator.singulars` takes a full SVD, except on the operator that
 `ga.PixelProblem.channel` marks: one all-metal parent and its copy straight
@@ -66,9 +66,6 @@ ETA0 = float(np.sqrt(MU0 / EPS0))
 #: relative singular-value cutoff of every strict numerical rank and
 #: pseudo-inverse in the package
 RANK_TOL = 1e-10
-
-#: bytes of the matrix rows `ChannelOperator.block` copies out at a time
-TAKE_BYTES = 1 << 20
 
 #: receive faces per block of `assemble_channel`: a block's kernel
 #: temporaries hold a few RX_BLOCK x N_T x 9 arrays, a sixteenth of the
@@ -140,18 +137,8 @@ class ChannelOperator:
         return self._singulars
 
     def block(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-        """matrix[np.ix_(rows, cols)]: the same bytes in the same C order,
-        taken along the rows and then the columns. The rows go TAKE_BYTES
-        of the matrix at a time, so the copy of whole rows between the
-        two takes stays small."""
-        out = np.empty((len(rows), len(cols)), dtype=self.matrix.dtype)
-        step = max(1, TAKE_BYTES // self.matrix[:1].nbytes)
-        for s in range(0, len(rows), step):
-            # the indices are in range; "clip" only skips the buffer that
-            # the default "raise" puts in front of `out`
-            self.matrix.take(rows[s:s + step], 0).take(
-                cols, 1, out=out[s:s + step], mode="clip")
-        return out
+        """matrix[np.ix_(rows, cols)], which copies the block alone."""
+        return self.matrix[np.ix_(rows, cols)]
 
 
 def _half_turn_singulars(matrix: np.ndarray) -> np.ndarray:

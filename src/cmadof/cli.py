@@ -89,6 +89,7 @@ def _spectrum_db(singulars: np.ndarray) -> np.ndarray:
 
 
 def cmd_modes(cfg: RunConfig) -> None:
+    """Analyze one plate, write the mode report CSV + curve SVG."""
     spec = _plate_spec(cfg, "tx")
     bits = _plate_bits(cfg, "tx", spec)
     plate = analyze_plate(PlateModel.build(spec, cfg.frequency), bits,
@@ -114,6 +115,7 @@ def cmd_modes(cfg: RunConfig) -> None:
 
 
 def cmd_dof(cfg: RunConfig) -> None:
+    """Analyze a link, write the DoF report JSON + spectrum SVG."""
     problem = _make_problem(cfg)
     phi = np.concatenate([
         _plate_bits(cfg, "tx", problem.tx_spec),
@@ -141,6 +143,7 @@ def cmd_dof(cfg: RunConfig) -> None:
 
 
 def cmd_optimize(cfg: RunConfig) -> None:
+    """Run the GA, write logs, best config, convergence + spectra."""
     problem = _make_problem(cfg)
     log_path = os.path.join(cfg.out, "ga_log.jsonl")
     ckpt_path = os.path.join(cfg.out, "ga_checkpoint.json")
@@ -205,6 +208,7 @@ def _sweep_point_config(cfg: RunConfig, axis: str, value: float) -> RunConfig:
 
 
 def cmd_sweep(cfg: RunConfig) -> None:
+    """Repeat the dof/optimize analysis over ports/separation/gamma."""
     if cfg.sweep_axis is None or cfg.sweep_values is None:
         raise ConfigError("sweep needs sweep_axis and sweep_values")
     header = (f"{cfg.sweep_axis},dof_g_effective,dof_h_all_on,"
@@ -256,6 +260,7 @@ def cmd_sweep(cfg: RunConfig) -> None:
 
 
 def cmd_export_mesh(cfg: RunConfig) -> None:
+    """Write the transmit plate mesh as text or JSON."""
     spec = _plate_spec(cfg, "tx")
     bits = _plate_bits(cfg, "tx", spec)
     mesh = build_plate_mesh(spec, bits)

@@ -19,7 +19,7 @@ live): the port/mode ceiling min(L_T, L_R, n_T, n_R), the channel ceiling
 rank(H) <= rank(G), and the floor
 rank(H) >= rank(V_R) + rank(V_T) + rank(Gamma) - n_R - n_T. Both are
 the `channel` counts on singular values. Every pseudo-inverse is `_pinv`,
-one SVD cut at the same RANK_TOL.
+one SVD that inverts exactly the singular values `strict_rank` counts.
 
 `conventional_reduce` specializes the model to an array of identical
 single-mode elements, where U_T collapses to a block-diagonal stack of one
@@ -69,17 +69,24 @@ def matrix_rank(a: np.ndarray) -> int:
     return strict_rank(np.linalg.svd(a, compute_uv=False))
 
 
-def _pinv(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(a^+ at the relative cutoff RANK_TOL, a's singular values), from
-    one SVD, by the arithmetic of numpy's `pinv` at rcond=RANK_TOL."""
+def _pinv(a: np.ndarray) -> tuple[np.ndarray, int]:
+    """(a^+, rank of a) from one SVD: the rank is `strict_rank` of the
+    singular values, and exactly that many leading values are inverted."""
     u, s, vt = np.linalg.svd(a.conjugate(), full_matrices=False)
-    large = s > RANK_TOL * s.max(initial=0.0)
-    inv = np.divide(1, s, where=large, out=np.zeros(s.shape))
-    return vt.T @ (inv[:, None] * u.T), s
+    rank = strict_rank(s)
+    inv = np.zeros(s.shape)
+    inv[:rank] = 1.0 / s[:rank]
+    return vt.T @ (inv[:, None] * u.T), rank
 
 
 def _as_matrix(g) -> np.ndarray:
     return g.matrix if isinstance(g, ChannelOperator) else np.asarray(g)
+
+
+def _refuse_below_floor(m: np.ndarray, side: str) -> None:
+    if m.size and np.abs(m).min() < SIGNIFICANCE_FLOOR:
+        raise ValueError(f"{side} map received modes below the significance "
+                         "floor; truncate before building maps")
 
 
 def transmitter_map(patterns_t: np.ndarray, m_t: np.ndarray, v_t: np.ndarray) -> np.ndarray:
@@ -92,11 +99,7 @@ def transmitter_map(patterns_t: np.ndarray, m_t: np.ndarray, v_t: np.ndarray) ->
             f"inconsistent mode counts: patterns {patterns_t.shape}, "
             f"m {m_t.shape}, V {v_t.shape}"
         )
-    if m_t.size and np.abs(m_t).min() < SIGNIFICANCE_FLOOR:
-        raise ValueError(
-            "transmitter map received modes below the significance floor; "
-            "truncate before building maps"
-        )
+    _refuse_below_floor(m_t, "transmitter")
     return patterns_t @ (m_t[:, None] * v_t)
 
 
@@ -115,14 +118,8 @@ def receiver_map(v_r: np.ndarray, m_r: np.ndarray, patterns_r: np.ndarray) -> np
             f"inconsistent mode counts: V {v_r.shape}, m {m_r.shape}, "
             f"patterns {patterns_r.shape}"
         )
-    if m_r.size and np.abs(m_r).min() < SIGNIFICANCE_FLOOR:
-        raise ValueError(
-            "receiver map received modes below the significance floor; "
-            "truncate before building maps"
-        )
-    # one SVD of V_R gives both its rank and its pseudo-inverse
-    v_pinv, v_singulars = _pinv(v_r)
-    rank_v = strict_rank(v_singulars)
+    _refuse_below_floor(m_r, "receiver")
+    v_pinv, rank_v = _pinv(v_r)
     if rank_v < l_r:
         raise RankDeficiencyError(
             f"modal excitation matrix has rank {rank_v} < {l_r} receive ports"
@@ -187,11 +184,10 @@ def gamma_decomposition(g, patterns_r: np.ndarray, patterns_t: np.ndarray) -> Ga
             f"pattern/channel shapes do not chain: {patterns_r.shape}, "
             f"{g_mat.shape}, {patterns_t.shape}"
         )
-    e_pinv, singulars_r = _pinv(patterns_r)
-    jt_pinv, singulars_t = _pinv(patterns_t.T)
-    for label, a, singulars in (("receive", patterns_r, singulars_r),
-                                ("transmit", patterns_t, singulars_t)):
-        r = strict_rank(singulars)
+    e_pinv, rank_r = _pinv(patterns_r)
+    jt_pinv, rank_t = _pinv(patterns_t.T)
+    for label, a, r in (("receive", patterns_r, rank_r),
+                        ("transmit", patterns_t, rank_t)):
         if r < a.shape[1]:
             warnings.warn(f"{label} pattern matrix is rank-deficient ({r} of "
                           f"{a.shape[1]} columns independent)", stacklevel=2)

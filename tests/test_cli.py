@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -737,6 +738,18 @@ class TestExitCodes:
         with pytest.raises(SystemExit) as exc:
             run_cli("dof", cfg, tmp_path / "o", "--jobs", "2")
         assert exc.value.code == 2
+
+    def test_help_describes_every_command(self, capsys):
+        # each command with the description the module docstring lists
+        listed = dict(re.findall(r"^  (\S+) +(.+)$", cmadof.cli.__doc__,
+                                 re.M))
+        assert list(listed) == list(cmadof.cli._COMMANDS)
+        with pytest.raises(SystemExit) as exc:
+            main(["--help"])
+        assert exc.value.code == 0
+        shown = " ".join(capsys.readouterr().out.split()).lower()
+        for name, text in listed.items():
+            assert f"{name} {text.lower()}." in shown, name
 
 
 # a meta-path finder, first on the path, that refuses every scipy import

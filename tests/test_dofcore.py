@@ -8,6 +8,7 @@ instances with known construction ranks.
 import dataclasses
 import json
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -137,6 +138,15 @@ class TestReceiverMap:
             got = u_r @ field
             assert np.linalg.norm(got - s) <= 1e-10 * max(np.linalg.norm(s), 1.0)
 
+    def test_inverts_the_value_at_the_rank_cutoff(self):
+        # sigma_2 = RANK_TOL sigma_1 counts toward rank(V_R), so the
+        # pseudo-inverse inverts it too and both ports come back
+        v_r = np.diag([1.0, dofcore.RANK_TOL])
+        patterns = np.eye(6)[:, :2]
+        u_r = receiver_map(v_r, np.ones(2), patterns)
+        np.testing.assert_allclose(u_r @ patterns @ v_r, np.eye(2),
+                                   atol=1e-12)
+
     def test_rank_deficient_ports_named(self):
         rng = np.random.default_rng(10)
         v = rand_c(rng, 5, 2)
@@ -256,6 +266,19 @@ class TestGammaDecomposition:
         assert matrix_rank(gm.gamma) == matrix_rank(
             dropped_gamma(g, bad, jbar, np.arange(4), np.arange(3)))
         assert gm.unmodeled_fraction <= 1e-10
+
+    def test_pattern_column_at_the_rank_cutoff_is_kept(self):
+        # a column at sigma = RANK_TOL sigma_1 counts toward the rank, so
+        # no warning, and its row of Gamma is inverted, not dropped
+        rng = np.random.default_rng(23)
+        ebar = np.eye(30)[:, :4] * [1.0, 1.0, 1.0, dofcore.RANK_TOL]
+        jbar, _ = np.linalg.qr(rand_c(rng, 24, 3))
+        gam_true = rand_c(rng, 4, 3)
+        g = ebar @ gam_true @ jbar.T
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            gm = gamma_decomposition(g, ebar, jbar)
+        np.testing.assert_allclose(gm.gamma, gam_true, atol=1e-10)
 
     def test_diagnostics_match_dense_projectors(self):
         # the diagnostics come from thin products; the dense n x n

@@ -604,7 +604,8 @@ def same_bytes(got, want):
 
 class TestTakeGathers:
     """The `take` gathers from the parents' index tables copy the same
-    bytes, in the same layout, as indexing with `np.ix_`."""
+    bytes, in the same layout, as indexing with `np.ix_`; G's block is
+    the channel assembled directly between the configured plates."""
 
     @pytest.mark.parametrize("make_problem", [
         ga_link_problem, lambda: _make_problem(RunConfig()),
@@ -624,10 +625,15 @@ class TestTakeGathers:
                                                want)):
                     assert same_bytes(g, w), i
                 plates.append(want)
-            (*_, tx_faces, _, cols), (*_, rx_faces, _, rows) = plates
-            rx_rows, tx_rows = face_rows(rx_faces), face_rows(tx_faces)
-            assert same_bytes(p.channel.block(rx_rows, tx_rows),
-                              p.channel.matrix[np.ix_(rx_rows, tx_rows)])
+            (*_, tx_faces, _, _), (*_, rx_faces, _, _) = plates
+            tx_bits, rx_bits = p.split(phi)
+            rx_mesh = build_plate_mesh(p.rx_spec, rx_bits).translated(
+                (0.0, 0.0, p.separation))
+            direct = assemble_channel(build_plate_mesh(p.tx_spec, tx_bits),
+                                      rx_mesh, p.wavenumber)
+            assert same_bytes(p.channel.block(face_rows(rx_faces),
+                                              face_rows(tx_faces)),
+                              direct.matrix)
 
     def test_score_equals_ix_pipeline_bytes(self):
         # modes and everything after them spelled out with numpy's own
