@@ -119,10 +119,9 @@ class ModeBasis:
     def n_kept(self) -> int:
         return len(self.eigenvalues)
 
-    @cached_property
+    @property
     def significances(self) -> np.ndarray:
-        """m_i = 1/(1 + j lambda_i), complex; computed on first read and
-        kept in step with the modes by `drop_modes`."""
+        """m_i = 1/(1 + j lambda_i), complex."""
         return 1.0 / (1.0 + 1j * self.eigenvalues)
 
     @property
@@ -143,8 +142,6 @@ class ModeBasis:
         keep = np.asarray(keep, dtype=bool)
         self.eigenvalues = self.eigenvalues[keep]
         self.mode_coeffs = self.mode_coeffs[:, keep]
-        if "significances" in vars(self):
-            self.significances = self.significances[keep]
         if self._solved is not None:
             self._solved = self._solved[keep]
 

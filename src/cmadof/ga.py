@@ -12,18 +12,18 @@ where the impedance, the face sampler and the port columns of a
 configuration are gathered by its face and edge maps from its plate's
 all-metal parent (`PlateModel`, built once per plate spec and frequency),
 in the parent's face and edge order, and G from the channel between the
-two parents (assembled once per problem). The maps come from index
-tables each parent builds on its first gather, and every block is
-copied out with `take`, one axis after the other. No configuration is
-meshed.
+two parents (assembled once per problem). The face map and the sampler
+rows follow from the metal pixels by the parent's layout, and every
+block is copied out with `take`, one axis after the other. No
+configuration is meshed.
 The fitness is the negated standard deviation of the singular values of
 H: flat spectra score 0 (the maximum), lopsided spectra score negative,
 so maximizing the score pushes toward more usable subchannels.
 
 `evaluate` computes and keeps only what the GA needs of a configuration,
 a `Score` of sigma(H), the achievable DoF and the fitness: it forms H on
-the plates' live sampler rows, which each gather returns
-(`PlateAnalysis.live`), and reads no mode diagnostic. `link_report`
+the x and y rows of the plates' faces only, and reads no mode
+diagnostic. `link_report`
 builds the full `DofReport` (the full G block, its spectrum, the Gamma
 decomposition and the rank bounds) for the few configurations that
 reach an artifact.
@@ -43,6 +43,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import logging
+import numbers
 from collections import OrderedDict
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -97,35 +98,15 @@ _CHECKPOINT_V1 = "cmadof-ga-checkpoint-v1"
 CACHE_SIZE = 10_000
 
 
-class _Index(NamedTuple):
-    """Index tables of one parent plate, per row-major pixel t.
-
-    faces[t] are t's two parent faces 2t and 2t + 1, rows[t] their six
-    sampler rows and live[t] which of those rows are live (not all zero
-    in the sampler: the x and y rows of a flat plate, whose currents and
-    fields have no other component). An edge lies on the pixels of its
-    plus and minus faces, edge_pixels[:, e]; spine pixels are metal
-    whatever their bit.
-    """
-
-    spine: np.ndarray        # (P,) bool
-    faces: np.ndarray        # (P, 2)
-    rows: np.ndarray         # (P, 6)
-    live: np.ndarray         # (P, 6) bool
-    edge_pixels: np.ndarray  # (2, n_edges)
-
-
 class Gather(NamedTuple):
     """One configuration's blocks, as `PlateModel.gather` takes them: the
-    impedance operator, the face sampler and the port columns, the parent
-    faces f, the mask of the sampler's live rows and their parent rows."""
+    impedance operator, the face sampler and the port columns, and the
+    parent faces f."""
 
     impedance: ImpedanceOperator
     sampler: np.ndarray
     ports: np.ndarray
     faces: np.ndarray
-    live: np.ndarray
-    live_rows: np.ndarray
 
 
 @dataclass
@@ -152,24 +133,30 @@ class PlateModel:
     configuration's channel from the parents' in the same way
     (`ChannelOperator.block` of `PixelProblem.channel`).
 
-    A gather reads f, e and the sampler rows from per-pixel index tables
-    (`_Index`), built on the first gather and kept with the parent: they
-    hold indices only, no entry of Z. The blocks are then `take` calls
-    along one axis after the other, which copy the same entries into the
-    same C-ordered layout as indexing with `np.ix_`.
+    Pixel t owns parent faces 2t and 2t + 1, and with them sampler rows
+    6t to 6t + 5, so a gather computes f and the rows from its metal
+    pixels. The parent keeps only what its layout does not give: the
+    spine pixels, metal whatever their bit, and the two pixels each edge
+    lies on, those of its plus and minus faces. The blocks are then `take`
+    calls along one axis after the other, which copy the same entries into
+    the same C-ordered layout as indexing with `np.ix_`.
     """
 
     spec: PlateSpec
     frequency: float
-    basis: RwgBasis         # parent mesh and edge basis
+    basis: RwgBasis          # parent mesh and edge basis
     impedance: ImpedanceOperator
-    sampler: np.ndarray     # (3 n_faces, n_edges) parent face sampler
-    excitation: np.ndarray  # (n_edges, L) parent delta-gap columns
+    sampler: np.ndarray      # (3 n_faces, n_edges) parent face sampler
+    excitation: np.ndarray   # (n_edges, L) parent delta-gap columns
+    spine: np.ndarray        # (n_pixels,) bool
+    edge_pixels: np.ndarray  # (2, n_edges)
 
     @classmethod
     def build(cls, spec: PlateSpec, frequency: float) -> "PlateModel":
         mesh = build_plate_mesh(spec, np.ones(spec.n_bits, dtype=np.uint8))
         basis = extract_rwg(mesh)
+        spine = np.zeros(spec.n_bits, dtype=bool)
+        spine[spec.metal_pixels(spine)] = True
         return cls(
             spec=spec,
             frequency=frequency,
@@ -178,58 +165,38 @@ class PlateModel:
             sampler=face_sampling_operator(basis),
             excitation=delta_gap_excitation(
                 basis, locate_port_edges(spec, mesh)),
+            spine=spine,
+            edge_pixels=np.stack([basis.plus_face, basis.minus_face]) // 2,
         )
-
-    @cached_property
-    def _index(self) -> _Index:
-        n_pixels = self.spec.n_bits
-        spine = np.zeros(n_pixels, dtype=bool)
-        spine[self.spec.metal_pixels(np.zeros(n_pixels))] = True
-        faces = np.arange(2 * n_pixels).reshape(n_pixels, 2)
-        rows = face_rows(faces.ravel()).reshape(n_pixels, 6)
-        live = np.any(self.sampler, axis=1)[rows]
-        edge_pixels = np.stack([self.basis.plus_face,
-                                self.basis.minus_face]) // 2
-        return _Index(spine, faces, rows, live, edge_pixels)
 
     def gather(self, bits) -> Gather:
         """The blocks of one configuration (`Gather`), all taken from the
-        parent by index.
-
-        Pixel t owns parent faces 2t and 2t + 1, so the configuration's
-        faces f, and with them its edges, keep the parent's order.
-        """
-        index = self._index
+        parent by index, in the parent's face and edge order."""
         bits = np.asarray(bits).ravel()
-        if bits.size != index.spine.size:
+        if bits.size != self.spine.size:
             raise ValueError(
-                f"config has {bits.size} bits, spec wants {index.spine.size}")
-        on = bits.astype(bool) | index.spine
-        faces = index.faces.compress(on, axis=0).ravel()
-        rows = index.rows.compress(on, axis=0).ravel()
-        live = index.live.compress(on, axis=0).ravel()
-        live_rows = rows.compress(live)
-        plus, minus = on.take(index.edge_pixels)
+                f"config has {bits.size} bits, spec wants {self.spine.size}")
+        on = bits.astype(bool) | self.spine
+        rows = (6 * on.nonzero()[0][:, None] + np.arange(6)).ravel()
+        faces = rows[::3] // 3  # face f's first row is 3f
+        plus, minus = on.take(self.edge_pixels)
         e = (plus & minus).nonzero()[0]
         op = ImpedanceOperator(z=self.impedance.z.take(e, 0).take(e, 1),
                                frequency=self.frequency)
         return Gather(op, self.sampler.take(rows, 0).take(e, 1),
-                      self.excitation.take(e, 0), faces, live, live_rows)
+                      self.excitation.take(e, 0), faces)
 
 
 @dataclass
 class PlateAnalysis:
     """What one plate contributes to the link model: its modes, the modal
-    excitation matrix V, the unit-norm mode patterns, the parent face of
-    each of its faces, and the mask of the live rows of the plate's
-    sampler and their parent rows, from its gather."""
+    excitation matrix V, the unit-norm mode patterns and the parent face
+    of each of its faces."""
 
     modes: ModeBasis
     v: np.ndarray
     patterns: np.ndarray
     faces: np.ndarray
-    live: np.ndarray = field(repr=False)
-    live_rows: np.ndarray = field(repr=False)
 
 
 def analyze_plate(model: PlateModel, bits, n_keep: int = 20) -> PlateAnalysis:
@@ -240,7 +207,7 @@ def analyze_plate(model: PlateModel, bits, n_keep: int = 20) -> PlateAnalysis:
     reaches V. Raises DegenerateStructureError when nothing significant
     radiates.
     """
-    op, sampler, ports, faces, live, live_rows = model.gather(bits)
+    op, sampler, ports, faces = model.gather(bits)
     modes = solve_modes(op, n_keep=n_keep)
     modes.drop_insignificant()
     if modes.n_kept == 0:
@@ -250,8 +217,7 @@ def analyze_plate(model: PlateModel, bits, n_keep: int = 20) -> PlateAnalysis:
         )
     patterns = mode_patterns(modes, sampler)
     return PlateAnalysis(modes=modes, v=excitation_matrix(modes, ports),
-                         patterns=patterns, faces=faces, live=live,
-                         live_rows=live_rows)
+                         patterns=patterns, faces=faces)
 
 
 @dataclass
@@ -292,6 +258,13 @@ class PixelProblem:
             )
         if not 0.0 < self.gamma < 1.0:
             raise ValueError("gamma must lie in (0, 1)")
+        # before the first evaluation, and before a fingerprint records it
+        if isinstance(self.n_keep, bool) or \
+                not isinstance(self.n_keep, numbers.Integral) or \
+                self.n_keep < 1:
+            raise ValueError("n_keep must be an integer of at least 1, "
+                             f"got {self.n_keep!r}")
+        self.n_keep = int(self.n_keep)
 
     @property
     def bit_length(self) -> int:
@@ -390,13 +363,20 @@ def _key(phi: np.ndarray) -> bytes:
     return np.packbits(phi).tobytes()
 
 
+def _xy_rows(faces: np.ndarray) -> np.ndarray:
+    """Rows 3f and 3f + 1 of each face f, its x and y rows. A plate is flat
+    (`assemble_impedance` takes it at one z), so its sampled currents are
+    zero on the z rows 3f + 2."""
+    return (3 * faces[:, None] + np.arange(2)).ravel()
+
+
 def _analyze_link(problem: PixelProblem,
                   phi: np.ndarray) -> tuple[LinkAnalysis, Score]:
     """gather -> modes -> maps -> G -> H -> sigma(H) for one configuration.
 
-    The maps and G are taken on the live rows of both plates only
-    (`PlateAnalysis.live`). The transmit currents are exactly zero on the
-    other rows, and the receive map is zero there but for roundoff.
+    The maps and G are taken on the x and y rows of both plates' faces
+    only (`_xy_rows`). The transmit currents are exactly zero on the z
+    rows, and the receive map is zero there but for roundoff.
     Raises DegenerateStructureError, RankDeficiencyError or
     NumericalError when the configuration cannot be analyzed.
     """
@@ -407,10 +387,11 @@ def _analyze_link(problem: PixelProblem,
         # one shared parent and the same bits: the same analysis
         same = rx_model is tx_model and phi_r.tobytes() == phi_t.tobytes()
         rx = tx if same else analyze_plate(rx_model, phi_r, problem.n_keep)
-        u_t = transmitter_map(tx.patterns[tx.live], tx.modes.significances,
-                              tx.v)
-        u_r = receiver_map(rx.v, rx.modes.significances, rx.patterns[rx.live])
-        g = problem.channel.block(rx.live_rows, tx.live_rows)
+        p_t, p_r = (p.patterns.take(_xy_rows(np.arange(p.faces.size)), 0)
+                    for p in (tx, rx))
+        u_t = transmitter_map(p_t, tx.modes.significances, tx.v)
+        u_r = receiver_map(rx.v, rx.modes.significances, p_r)
+        g = problem.channel.block(_xy_rows(rx.faces), _xy_rows(tx.faces))
         ch = equivalent_channel(u_r, g, u_t)
         if not np.isfinite(ch.matrix).all():
             raise NumericalError("equivalent channel is not finite")

@@ -133,6 +133,36 @@ class TestDofCommand:
         # one analysis serves both, and the score and the report
         assert len(solve_modes_calls) == 1
 
+    def test_zeros_bits_keep_the_spine_only(self, tmp_path):
+        cfg = write_config(tmp_path, "tx_bits = zeros\n")
+        out = tmp_path / "out"
+        assert run_cli("dof", cfg, out) == 0
+        phi = np.concatenate([np.zeros(4, dtype=np.uint8),
+                              np.ones(4, dtype=np.uint8)])
+        want = link_report(small_problem(), phi)
+        assert (out / "dof_report.json").read_text() == want.to_json() + "\n"
+        spine = small_problem().tx_spec.metal_pixels(np.zeros(4))
+        assert 0 < spine.size < 4
+
+    def test_verbose_logs_the_dof_to_stderr(self, tmp_path):
+        # in a child process: logging.basicConfig configures the process
+        cfg = write_config(tmp_path)
+        src = os.path.dirname(os.path.dirname(cmadof.ga.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        command = [sys.executable, "-c",
+                   "import sys; from cmadof.cli import main; "
+                   "sys.exit(main(sys.argv[1:]))",
+                   "dof", "--config", cfg, "--out", str(tmp_path / "out")]
+        quiet = subprocess.run(command, env=env, capture_output=True,
+                               text=True, timeout=120, check=True)
+        assert "dof_h=" not in quiet.stderr
+        loud = subprocess.run(command + ["--verbose"], env=env,
+                              capture_output=True, text=True, timeout=120,
+                              check=True)
+        report = json.loads((tmp_path / "out" / "dof_report.json").read_text())
+        assert re.search(rf"^INFO cmadof\.cli: dof_h={report['dof_h']} ",
+                         loud.stderr, re.M), loud.stderr
+
     def test_gamma_tightening_never_raises_dof(self, tmp_path):
         cfg = write_config(tmp_path)
         dofs = []
@@ -728,6 +758,18 @@ class TestExitCodes:
             "rx_pixels_per_port = 2\nseparation = -1.0\n"
         )
         assert run_cli("dof", str(cfg), tmp_path / "o") == 3
+
+    def test_degenerate_link_is_numerical_error(self, tmp_path, capsys):
+        # one mode cannot separate the two receive ports of 2 x 3 pixels
+        cfg = tmp_path / "degenerate.ini"
+        cfg.write_text("tx_ports = 2\nrx_ports = 2\ntx_pixels_per_port = 3\n"
+                       "rx_pixels_per_port = 3\nn_keep = 1\n")
+        out = tmp_path / "o"
+        assert run_cli("dof", str(cfg), out) == 4
+        assert capsys.readouterr().err.splitlines()[-1] == (
+            "numerical error: configured link is degenerate "
+            "(no usable modes or ports)")
+        assert not (out / "dof_report.json").exists()
 
     def test_unknown_command_rejected_by_argparse(self):
         with pytest.raises(SystemExit):

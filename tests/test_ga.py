@@ -154,6 +154,18 @@ class TestPixelProblem:
         with pytest.raises(ValueError, match="gamma"):
             tiny_problem(gamma=1.0)
 
+    @pytest.mark.parametrize("n_keep", [0, -1, 2.5, 2.0, True, "2", None])
+    def test_n_keep_refused_at_construction(self, n_keep):
+        # before, 0 failed only at the first evaluation and 2.5 was
+        # analyzed as 2 but fingerprinted as 2.5
+        with pytest.raises(ValueError, match="n_keep must be an integer"):
+            tiny_problem(n_keep=n_keep)
+
+    def test_numpy_integer_n_keep_is_fingerprinted_as_int(self):
+        p = tiny_problem(n_keep=np.int64(3))
+        assert type(p.n_keep) is int
+        assert p.fingerprint() == tiny_problem(n_keep=3).fingerprint()
+
     def test_bit_layout(self):
         p = tiny_problem()
         assert p.bit_length == 8
@@ -416,8 +428,7 @@ class TestAnalyzePlate:
         patterns = mode_patterns(modes, got.sampler)
         return PlateAnalysis(modes=modes,
                              v=excitation_matrix(modes, got.ports),
-                             patterns=patterns, faces=got.faces,
-                             live=got.live, live_rows=got.live_rows)
+                             patterns=patterns, faces=got.faces)
 
     def test_mode_sign_leaves_sigma_h(self):
         spec = acceptance7_spec()
@@ -470,7 +481,7 @@ def dof_large_problem():
 
 
 class TestLeanFitness:
-    """`evaluate` forms H on the plates' live rows only and reads no
+    """`evaluate` forms H on the x and y rows of the plates only and reads no
     diagnostic; its sigma(H) is the full chain's to roundoff, and the
     diagnostics, computed when read, are the eager arithmetic's bytes."""
 
@@ -560,15 +571,14 @@ class TestLeanFitness:
 
 
 def ix_gather(model, bits):
-    """(Z, S, B, faces, live mask, live parent rows) of one configuration,
-    indexed from the parent with `np.ix_` and looked up face by face."""
+    """(Z, S, B, faces) of one configuration, indexed from the parent with
+    `np.ix_` and looked up face by face."""
     faces = (2 * model.spec.metal_pixels(bits)[:, None]
              + np.arange(2)).ravel()
     e = model.basis.edge_map(faces)
     rows = face_rows(faces)
-    live = np.any(model.sampler, axis=1)[rows]
     return (model.impedance.z[np.ix_(e, e)], model.sampler[np.ix_(rows, e)],
-            model.excitation[e], faces, live, rows[live])
+            model.excitation[e], faces)
 
 
 def ix_score(problem, phi):
@@ -577,7 +587,11 @@ def ix_score(problem, phi):
     and `np.mean`."""
     plates = []
     for model, bits in zip(problem.models, problem.split(phi)):
-        z, s, b, _, live, rows = ix_gather(model, bits)
+        z, s, b, faces = ix_gather(model, bits)
+        rows = face_rows(faces)
+        # the sampler's live rows, those not all zero in the parent's
+        live = np.any(model.sampler, axis=1)[rows]
+        rows = rows[live]
         modes = solve_modes(ImpedanceOperator(z=z, frequency=FREQ),
                             n_keep=problem.n_keep)
         modes.drop_insignificant()
@@ -603,9 +617,26 @@ def same_bytes(got, want):
 
 
 class TestTakeGathers:
-    """The `take` gathers from the parents' index tables copy the same
-    bytes, in the same layout, as indexing with `np.ix_`; G's block is
-    the channel assembled directly between the configured plates."""
+    """The `take` gathers, their faces and rows computed from the metal
+    pixels, copy the same bytes, in the same layout, as indexing with
+    `np.ix_` at faces looked up face by face; G's block is the channel
+    assembled directly between the configured plates; and the rows H is
+    formed on, the x and y rows of each face, are the sampler's live
+    rows."""
+
+    @pytest.mark.parametrize("make_spec", [
+        lambda: ga_link_problem().tx_spec, cli_default_spec,
+        lambda: dof_large_problem().tx_spec,
+        lambda: PlateSpec(width=5 * 0.3 * LAM, height=3 * 0.2 * LAM,
+                          pixel_rows=3, pixel_cols=5, ports=3),
+    ], ids=["ga_link", "cli_default", "dof_large", "rectangular_pixels"])
+    def test_live_sampler_rows_are_the_x_and_y_rows(self, make_spec):
+        spec = make_spec()
+        sampler = PlateModel.build(spec, FREQ).sampler
+        faces = np.arange(sampler.shape[0] // 3)
+        xy = (3 * faces[:, None] + np.arange(2)).ravel()
+        assert np.array_equal(np.any(sampler, axis=1).nonzero()[0], xy)
+        assert np.array_equal(cmadof.ga._xy_rows(faces), xy)
 
     @pytest.mark.parametrize("make_problem", [
         ga_link_problem, lambda: _make_problem(RunConfig()),
@@ -622,10 +653,10 @@ class TestTakeGathers:
                 got = model.gather(bits)
                 want = ix_gather(model, bits)
                 for i, (g, w) in enumerate(zip((got.impedance.z, *got[1:]),
-                                               want)):
+                                               want, strict=True)):
                     assert same_bytes(g, w), i
                 plates.append(want)
-            (*_, tx_faces, _, _), (*_, rx_faces, _, _) = plates
+            (*_, tx_faces), (*_, rx_faces) = plates
             tx_bits, rx_bits = p.split(phi)
             rx_mesh = build_plate_mesh(p.rx_spec, rx_bits).translated(
                 (0.0, 0.0, p.separation))
