@@ -111,7 +111,6 @@ def cmd_modes(cfg: RunConfig) -> None:
     plot.add_series("|m|", np.arange(1, sig.size + 1), sig)
     plot.add_hline(1.0 / np.sqrt(2.0), "3 dB")
     write_plot(os.path.join(cfg.out, "modal_significance"), plot)
-    _write_meta(cfg, "modes")
 
 
 def cmd_dof(cfg: RunConfig) -> None:
@@ -137,7 +136,6 @@ def cmd_dof(cfg: RunConfig) -> None:
     plot.add_series("H", np.arange(1, h_db.size + 1), h_db)
     plot.add_hline(10.0 * np.log10(cfg.gamma), "gamma cutoff")
     write_plot(os.path.join(cfg.out, "spectrum"), plot)
-    _write_meta(cfg, "dof")
     logger.info("dof_h=%d dof_g_effective=%d fitness=%.6g",
                 report.dof_h, report.dof_g_effective, fit)
 
@@ -189,7 +187,6 @@ def cmd_optimize(cfg: RunConfig) -> None:
     if spect.series:
         spect.add_hline(10.0 * np.log10(cfg.gamma), "gamma cutoff")
         write_plot(os.path.join(cfg.out, "spectrum_optimized"), spect)
-    _write_meta(cfg, "optimize")
     logger.info("best fitness %.6g after %d generations",
                 best.fitness, run.generation)
 
@@ -256,7 +253,6 @@ def cmd_sweep(cfg: RunConfig) -> None:
             f"{report.lower_bound}"
         )
     write_atomic(os.path.join(cfg.out, "sweep.csv"), "\n".join(rows) + "\n")
-    _write_meta(cfg, "sweep")
 
 
 def cmd_export_mesh(cfg: RunConfig) -> None:
@@ -268,7 +264,6 @@ def cmd_export_mesh(cfg: RunConfig) -> None:
         write_atomic(os.path.join(cfg.out, "mesh.json"), mesh_to_json(mesh))
     else:
         write_atomic(os.path.join(cfg.out, "mesh.txt"), mesh_to_text(mesh))
-    _write_meta(cfg, "export-mesh")
 
 
 _COMMANDS = {
@@ -314,8 +309,13 @@ def main(argv=None) -> int:
     }
     try:
         cfg = load_run_config(args.config, overrides)
-        os.makedirs(cfg.out, exist_ok=True)
+        try:
+            os.makedirs(cfg.out, exist_ok=True)
+        except OSError as exc:
+            raise ConfigError(f"cannot create output directory {cfg.out!r}: "
+                              f"{exc.strerror or exc}") from None
         _COMMANDS[args.command](cfg)
+        _write_meta(cfg, args.command)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

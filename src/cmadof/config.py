@@ -14,7 +14,7 @@ Schema:
   gamma                DoF threshold in (0,1)
   n_keep               modes kept per plate
   separation           plate separation along z in meters
-  seed                 RNG seed
+  seed                 RNG seed, non-negative
   jobs                 accepted for compatibility; evaluation is serial
   out                  output directory
   tx_ports, rx_ports   ports = pixel rows per plate
@@ -134,6 +134,8 @@ class RunConfig:
             raise ConfigError("n_keep must be at least 1")
         if self.pixel_size is not None and self.pixel_size <= 0:
             raise ConfigError("pixel_size must be positive")
+        if self.seed < 0:
+            raise ConfigError("seed must be non-negative")
         if self.jobs < 1:
             raise ConfigError("jobs must be at least 1")
         for name in ("tx_ports", "rx_ports",

@@ -174,9 +174,9 @@ class GammaMatrix:
     unmodeled_fraction: float
 
 
-def gamma_decomposition(g, patterns_r: np.ndarray, patterns_t: np.ndarray) -> GammaMatrix:
+def gamma_decomposition(g: np.ndarray, patterns_r: np.ndarray, patterns_t: np.ndarray) -> GammaMatrix:
     """Least-squares Gamma with G ~= Ebar_R Gamma Jbar_T^T."""
-    g_mat = _as_matrix(g)
+    g_mat = np.asarray(g)
     patterns_r = np.asarray(patterns_r)
     patterns_t = np.asarray(patterns_t)
     if patterns_r.shape[0] != g_mat.shape[0] or patterns_t.shape[0] != g_mat.shape[1]:

@@ -117,10 +117,10 @@ class PlateModel:
     nodes, the same row-major faces (two per pixel), and so the same plus
     and minus faces and free vertices on every edge they share. A
     configuration is therefore its face map f, the parent faces of its
-    metal pixels, and its edge map e (`RwgBasis.edge_map`), the parent
-    edges whose two faces are both in f, both in parent order. Face-pair
-    moments depend only on the two faces, so each configuration operator
-    is exactly a sub-block of the parent's:
+    metal pixels, and its edge map e, the parent edges whose two faces
+    are both in f, both in parent order. Face-pair moments depend only on
+    the two faces, so each configuration operator is exactly a sub-block
+    of the parent's:
 
         Z(config) = Z[e][:, e]        impedance, a principal sub-block
         S(config) = S[rows(f)][:, e]  face sampler, three rows per face
@@ -464,11 +464,11 @@ def link_report(problem: PixelProblem, phi) -> DofReport | None:
         link, _ = _analyze_link(problem, phi)
     try:
         tx, rx = link.tx, link.rx
-        g = problem.channel
-        if g.matrix.shape == (3 * rx.faces.size, 3 * tx.faces.size):
-            g_singulars = g.singulars
+        channel = problem.channel
+        if channel.matrix.shape == (3 * rx.faces.size, 3 * tx.faces.size):
+            g, g_singulars = channel.matrix, channel.singulars
         else:
-            g = g.block(face_rows(rx.faces), face_rows(tx.faces))
+            g = channel.block(face_rows(rx.faces), face_rows(tx.faces))
             g_singulars = np.linalg.svd(g, compute_uv=False)
         gm = gamma_decomposition(g, rx.patterns, tx.patterns)
         return build_report(link.channel, g_singulars, rx.v, tx.v,

@@ -14,9 +14,9 @@ sorted vertex-index pair, the lower-numbered face is the plus face.
 `build_plate_mesh` and `extract_rwg` build the all-metal parent plate
 (`cmadof.ga.PlateModel`) and the `export-mesh` output, and `extract_rwg`
 is the one place that orders edges. No other configuration is meshed: it
-is a face map f, the parent faces of its metal pixels, and an edge map e
-(`RwgBasis.edge_map`), the parent edges whose two faces are both in f, in
-parent order.
+is a face map f, the parent faces of its metal pixels, and an edge map e,
+the parent edges whose two faces are both in f, in parent order
+(`PlateModel.gather`).
 """
 
 from __future__ import annotations
@@ -190,14 +190,6 @@ class RwgBasis:
     @property
     def n_edges(self) -> int:
         return len(self.edges)
-
-    def edge_map(self, faces) -> np.ndarray:
-        """The edges of the basis on a subset of the mesh's faces: the
-        edges whose plus and minus faces are both in `faces`, in the
-        basis's own order."""
-        kept = np.zeros(self.mesh.n_faces, dtype=bool)
-        kept[faces] = True
-        return np.flatnonzero(kept[self.plus_face] & kept[self.minus_face])
 
     def edge_index(self, va: int, vb: int) -> int:
         """Index of the basis function on edge (va, vb); raises if absent."""

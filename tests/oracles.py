@@ -24,6 +24,9 @@ Nothing in here shares code paths with the package internals it checks:
   (N_R, N_T, 3, 3) result into place, the one-shot layout that the
   blocked, in-place `assemble_channel` replaced, so that the blocking can
   be required to keep every bit;
+* the refined channel calls `green_dyadic` too, under the 7-point rule on
+  both faces instead of the centroids, so that it measures the midpoint
+  rule's discretization error and not the kernel;
 * the eager mode diagnostics are the last: a frozen copy of the
   arithmetic that computed the eigen residuals, the R cross-coupling and
   the pattern Gram deviation inside every plate analysis, before the
@@ -409,6 +412,27 @@ def dense_channel(tx, rx, k0):
     omega = k0 * C0
     blocks = green_dyadic(rx.face_centroids[:, None], tx.face_centroids[None], k0)
     blocks *= (-1j * omega * MU0) * tx.face_areas[None, :, None, None]
+    n_r, n_t = rx.n_faces, tx.n_faces
+    return blocks.transpose(0, 2, 1, 3).reshape(3 * n_r, 3 * n_t)
+
+
+def refined_channel(tx, rx, k0):
+    """The (3 N_R, 3 N_T) channel between meshes tx and rx under the
+    7-point rule on both faces: the field averaged over each receive face
+    from the current integrated over each transmit face, where
+    `cmadof.channel.assemble_channel` takes the kernel between the two
+    centroids. The kernel is the package's `green_dyadic`, evaluated at
+    one receive rule point at a time."""
+    from cmadof.channel import green_dyadic
+    from cmadof.quadrature import TRI_BARY as bary7, TRI_W as w7
+
+    xr = bary7 @ rx.vertices[rx.faces]  # (N_R, 7, 3)
+    xt = bary7 @ tx.vertices[tx.faces]
+    blocks = sum(w7[i] * np.einsum("j,ptjab->ptab", w7,
+                                   green_dyadic(xr[:, i, None, None],
+                                                xt[None], k0))
+                 for i in range(7))
+    blocks *= (-1j * k0 * C0 * MU0) * tx.face_areas[None, :, None, None]
     n_r, n_t = rx.n_faces, tx.n_faces
     return blocks.transpose(0, 2, 1, 3).reshape(3 * n_r, 3 * n_t)
 

@@ -770,6 +770,37 @@ class TestExitCodes:
             "numerical error: configured link is degenerate "
             "(no usable modes or ports)")
         assert not (out / "dof_report.json").exists()
+        assert not (out / "run_meta.json").exists()
+
+    @pytest.mark.parametrize("via", ["key", "flag"])
+    @pytest.mark.parametrize("command", ["dof", "optimize", "sweep"])
+    def test_negative_seed_is_config_error(self, tmp_path, capsys, command,
+                                           via):
+        extra = "generations = 1\npopulation = 4\nparents = 2\n"
+        if command == "sweep":
+            extra += "sweep_axis = gamma\nsweep_values = 0.4\nrandom_count = 1\n"
+        flags = ["--seed", "-1"] if via == "flag" else []
+        if via == "key":
+            extra += "seed = -1\n"
+        out = tmp_path / "o"
+        assert run_cli(command, write_config(tmp_path, extra), out,
+                       *flags) == 2
+        assert capsys.readouterr().err.splitlines()[-1] == (
+            "config error: seed must be non-negative")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", list(cmadof.cli._COMMANDS))
+    def test_out_naming_a_file_is_config_error(self, tmp_path, capsys,
+                                               command):
+        taken = tmp_path / "afile"
+        taken.write_text("kept\n")
+        extra = ("sweep_axis = gamma\nsweep_values = 0.4\n"
+                 if command == "sweep" else "")
+        assert run_cli(command, write_config(tmp_path, extra), taken) == 2
+        assert capsys.readouterr().err.splitlines()[-1] == (
+            f"config error: cannot create output directory {str(taken)!r}: "
+            "File exists")
+        assert taken.read_text() == "kept\n"
 
     def test_unknown_command_rejected_by_argparse(self):
         with pytest.raises(SystemExit):

@@ -177,6 +177,7 @@ class TestValidation:
             ("gamma = 0", "gamma"),
             ("n_keep = 0", "n_keep"),
             ("pixel_size = -0.01", "pixel_size"),
+            ("seed = -1", "seed"),
             ("jobs = 0", "jobs"),
             ("tx_ports = 0", "tx_ports"),
             ("rx_pixels_per_port = 0", "rx_pixels_per_port"),

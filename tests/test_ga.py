@@ -230,10 +230,8 @@ class TestPlateModel:
             vertex[mesh.faces] = parent.mesh.faces[faces]
             assert np.array_equal(parent.mesh.vertices[vertex], mesh.vertices)
             assert np.array_equal(vertex[mesh.faces], parent.mesh.faces[faces])
-            # direct edge i is parent edge p[i]; the map holds them in
-            # parent order
+            # direct edge i is parent edge p[i]
             p = parent_edges(parent, faces, direct)
-            assert np.array_equal(parent.edge_map(faces), np.sort(p))
             assert np.array_equal(parent.edges[p],
                                   np.sort(vertex[direct.edges], axis=1))
             assert np.array_equal(parent.plus_free[p],
@@ -246,8 +244,6 @@ class TestPlateModel:
         spec = cli_default_spec()
         model = PlateModel.build(spec, FREQ)
         got = model.gather(np.ones(spec.n_bits))
-        assert np.array_equal(model.basis.edge_map(got.faces),
-                              np.arange(model.basis.n_edges))
         assert same_bytes(got.impedance.z, model.impedance.z)
         assert same_bytes(got.sampler, model.sampler)
         assert same_bytes(got.ports, model.excitation)
@@ -572,10 +568,14 @@ class TestLeanFitness:
 
 def ix_gather(model, bits):
     """(Z, S, B, faces) of one configuration, indexed from the parent with
-    `np.ix_` and looked up face by face."""
+    `np.ix_` and looked up face by face: its edges are the parent's whose
+    plus and minus faces are both kept."""
     faces = (2 * model.spec.metal_pixels(bits)[:, None]
              + np.arange(2)).ravel()
-    e = model.basis.edge_map(faces)
+    kept = np.zeros(model.basis.mesh.n_faces, dtype=bool)
+    kept[faces] = True
+    e = np.flatnonzero(kept[model.basis.plus_face]
+                       & kept[model.basis.minus_face])
     rows = face_rows(faces)
     return (model.impedance.z[np.ix_(e, e)], model.sampler[np.ix_(rows, e)],
             model.excitation[e], faces)
