@@ -309,12 +309,19 @@ def main(argv=None) -> int:
     }
     try:
         cfg = load_run_config(args.config, overrides)
+        made = not os.path.isdir(cfg.out)
         try:
             os.makedirs(cfg.out, exist_ok=True)
         except OSError as exc:
             raise ConfigError(f"cannot create output directory {cfg.out!r}: "
                               f"{exc.strerror or exc}") from None
-        _COMMANDS[args.command](cfg)
+        try:
+            _COMMANDS[args.command](cfg)
+        except Exception:
+            # a command that fails before its first write leaves no out
+            if made and not os.listdir(cfg.out):
+                os.rmdir(cfg.out)
+            raise
         _write_meta(cfg, args.command)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

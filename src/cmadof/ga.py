@@ -62,7 +62,8 @@ from .efie import (C0, ImpedanceOperator, assemble_impedance,
 from .errors import (CheckpointError, DegenerateStructureError, GeometryError,
                      NumericalError)
 from .mesh import (PlateSpec, RwgBasis, build_plate_mesh, extract_rwg,
-                   face_rows, face_sampling_operator, locate_port_edges)
+                   face_rows, face_sampling_operator, locate_port_edges,
+                   pixel_faces)
 from .svgplot import write_atomic
 
 __all__ = [
@@ -133,11 +134,11 @@ class PlateModel:
     configuration's channel from the parents' in the same way
     (`ChannelOperator.block` of `PixelProblem.channel`).
 
-    Pixel t owns parent faces 2t and 2t + 1, and with them sampler rows
-    6t to 6t + 5, so a gather computes f and the rows from its metal
-    pixels. The parent keeps only what its layout does not give: the
-    spine pixels, metal whatever their bit, and the two pixels each edge
-    lies on, those of its plus and minus faces. The blocks are then `take`
+    The parent's numbering (`build_plate_mesh`) gives f and its sampler
+    rows from the metal pixels (`pixel_faces`, `face_rows`). The parent
+    keeps only what its layout does not give: the spine pixels, metal
+    whatever their bit, and the two pixels each edge lies on, those of
+    its plus and minus faces. The blocks are then `take`
     calls along one axis after the other, which copy the same entries into
     the same C-ordered layout as indexing with `np.ix_`.
     """
@@ -166,7 +167,8 @@ class PlateModel:
             excitation=delta_gap_excitation(
                 basis, locate_port_edges(spec, mesh)),
             spine=spine,
-            edge_pixels=np.stack([basis.plus_face, basis.minus_face]) // 2,
+            edge_pixels=mesh.face_tags[
+                np.stack([basis.plus_face, basis.minus_face])],
         )
 
     def gather(self, bits) -> Gather:
@@ -177,8 +179,8 @@ class PlateModel:
             raise ValueError(
                 f"config has {bits.size} bits, spec wants {self.spine.size}")
         on = bits.astype(bool) | self.spine
-        rows = (6 * on.nonzero()[0][:, None] + np.arange(6)).ravel()
-        faces = rows[::3] // 3  # face f's first row is 3f
+        faces = pixel_faces(on.nonzero()[0])
+        rows = face_rows(faces)
         plus, minus = on.take(self.edge_pixels)
         e = (plus & minus).nonzero()[0]
         op = ImpedanceOperator(z=self.impedance.z.take(e, 0).take(e, 1),
@@ -363,20 +365,14 @@ def _key(phi: np.ndarray) -> bytes:
     return np.packbits(phi).tobytes()
 
 
-def _xy_rows(faces: np.ndarray) -> np.ndarray:
-    """Rows 3f and 3f + 1 of each face f, its x and y rows. A plate is flat
-    (`assemble_impedance` takes it at one z), so its sampled currents are
-    zero on the z rows 3f + 2."""
-    return (3 * faces[:, None] + np.arange(2)).ravel()
-
-
 def _analyze_link(problem: PixelProblem,
                   phi: np.ndarray) -> tuple[LinkAnalysis, Score]:
     """gather -> modes -> maps -> G -> H -> sigma(H) for one configuration.
 
     The maps and G are taken on the x and y rows of both plates' faces
-    only (`_xy_rows`). The transmit currents are exactly zero on the z
-    rows, and the receive map is zero there but for roundoff.
+    only (`face_rows(faces, 2)`). A plate is flat (`assemble_impedance`
+    takes it at one z), so the transmit currents are exactly zero on the
+    z rows, and the receive map is zero there but for roundoff.
     Raises DegenerateStructureError, RankDeficiencyError or
     NumericalError when the configuration cannot be analyzed.
     """
@@ -387,11 +383,12 @@ def _analyze_link(problem: PixelProblem,
         # one shared parent and the same bits: the same analysis
         same = rx_model is tx_model and phi_r.tobytes() == phi_t.tobytes()
         rx = tx if same else analyze_plate(rx_model, phi_r, problem.n_keep)
-        p_t, p_r = (p.patterns.take(_xy_rows(np.arange(p.faces.size)), 0)
-                    for p in (tx, rx))
+        p_t, p_r = (p.patterns.take(face_rows(np.arange(p.faces.size), 2),
+                                    0) for p in (tx, rx))
         u_t = transmitter_map(p_t, tx.modes.significances, tx.v)
         u_r = receiver_map(rx.v, rx.modes.significances, p_r)
-        g = problem.channel.block(_xy_rows(rx.faces), _xy_rows(tx.faces))
+        g = problem.channel.block(face_rows(rx.faces, 2),
+                                  face_rows(tx.faces, 2))
         ch = equivalent_channel(u_r, g, u_t)
         if not np.isfinite(ch.matrix).all():
             raise NumericalError("equivalent channel is not finite")

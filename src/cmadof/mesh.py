@@ -35,6 +35,7 @@ __all__ = [
     "build_plate_mesh",
     "extract_rwg",
     "face_sampling_operator",
+    "pixel_faces",
     "face_rows",
     "locate_port_edges",
     "mesh_to_text",
@@ -206,112 +207,101 @@ def build_plate_mesh(spec: PlateSpec, config) -> TriMesh:
     `config` has spec.n_bits entries over the row-major pixel grid; spine
     pixels are forced on regardless of their bit. Off-grid metal never
     appears; isolated on-pixels are kept (parasitic islands are legal).
+
+    The numbering, which every layer above indexes by: metal pixel k, in
+    row-major order, owns faces 2k (bl, br, tr) and 2k + 1 (bl, tr, tl),
+    counterclockwise on the fixed bl-tr diagonal (`pixel_faces`), and
+    vertices are numbered by first use over the pixels' bl, br, tr, tl
+    corners. Face f owns rows 3f to 3f + 2 of the sampler (`face_rows`).
     """
     metal = spec.metal_pixels(config)
-    dx, dy = spec.pixel_size
-    vid: dict[tuple[int, int], int] = {}
-    verts: list[tuple[float, float, float]] = []
-
-    def vertex(i: int, j: int) -> int:
-        """Grid node (col i, row j) -> vertex id, first-use order."""
-        key = (i, j)
-        if key not in vid:
-            vid[key] = len(verts)
-            verts.append((i * dx, j * dy, 0.0))
-        return vid[key]
-
-    faces: list[tuple[int, int, int]] = []
-    tags: list[int] = []
-    for t in metal.tolist():
-        r, c = divmod(t, spec.pixel_cols)
-        bl = vertex(c, r)
-        br = vertex(c + 1, r)
-        tr = vertex(c + 1, r + 1)
-        tl = vertex(c, r + 1)
-        # fixed diagonal bl-tr, both triangles counterclockwise
-        faces.append((bl, br, tr))
-        faces.append((bl, tr, tl))
-        tags.extend([t] * 2)
-
-    if not faces:
+    if not metal.size:
         raise GeometryError("configuration produces an empty plate")
+    r, c = np.divmod(metal, spec.pixel_cols)
+    # grid node (col i, row j) is i + stride j; the corners bl, br, tr, tl
+    stride = spec.pixel_cols + 1
+    node = (c + stride * r)[:, None] + np.array([0, 1, stride + 1, stride])
+    _, first = np.unique(node, return_index=True)
+    used = node.ravel()[np.sort(first)]  # the grid nodes in first-use order
+    vid = np.empty(stride * (spec.pixel_rows + 1), dtype=int)
+    vid[used] = np.arange(used.size)
+    j, i = np.divmod(used, stride)
+    dx, dy = spec.pixel_size
     return TriMesh(
-        vertices=np.array(verts, dtype=float),
-        faces=np.array(faces, dtype=int),
-        face_tags=np.array(tags, dtype=int),
+        vertices=np.stack([i * dx, j * dy, np.zeros(used.size)], axis=1),
+        faces=vid[node][:, [0, 1, 2, 0, 2, 3]].reshape(-1, 3),
+        face_tags=np.repeat(metal, 2),
     )
+
+
+def pixel_faces(pixels) -> np.ndarray:
+    """Faces 2k and 2k + 1 of each metal pixel k (`build_plate_mesh`); on
+    the all-metal parent, k is the row-major pixel index."""
+    return (2 * np.asarray(pixels)[:, None] + np.arange(2)).ravel()
+
+
+def face_rows(faces, components: int = 3) -> np.ndarray:
+    """Rows 3f to 3f + components - 1 of each face f in the stacked
+    (x, y, z) per-face layout of sampled currents, fields and the channel:
+    all three rows, or with components=2 the x and y rows 3f and 3f + 1,
+    the only ones a flat plate's currents lie on."""
+    return (3 * np.asarray(faces)[:, None] + np.arange(components)).ravel()
 
 
 def extract_rwg(mesh: TriMesh) -> RwgBasis:
     """Find interior edges and build the edge-pair basis.
 
-    An edge on more than two faces means the sheet is non-manifold and is
-    rejected. Plus face = lower face index; free vertex = the face vertex
-    not on the edge.
+    The edges are the sorted vertex pairs on exactly two faces, in
+    lexicographic order; the lower face is the plus face, and a free
+    vertex is the face vertex off the edge. An edge on more than two
+    faces means the sheet is non-manifold and is rejected.
     """
-    incident: dict[tuple[int, int], list[tuple[int, int]]] = {}
-    for fi, (a, b, c) in enumerate(mesh.faces):
-        for va, vb, vf in ((a, b, c), (b, c, a), (c, a, b)):
-            key = (min(int(va), int(vb)), max(int(va), int(vb)))
-            incident.setdefault(key, []).append((fi, int(vf)))
-
-    edges, pf, mf, pfree, mfree = [], [], [], [], []
-    for key in sorted(incident):
-        owners = incident[key]
-        if len(owners) > 2:
-            raise GeometryError(f"non-manifold edge {key} on {len(owners)} faces")
-        if len(owners) != 2:
-            continue
-        owners = sorted(owners)
-        edges.append(key)
-        pf.append(owners[0][0])
-        pfree.append(owners[0][1])
-        mf.append(owners[1][0])
-        mfree.append(owners[1][1])
-
-    edges = np.array(edges, dtype=int).reshape(-1, 2)
-    lengths = np.linalg.norm(
-        mesh.vertices[edges[:, 0]] - mesh.vertices[edges[:, 1]], axis=1
-    ) if len(edges) else np.zeros(0)
+    # side 3f + s runs from vertex s of face f to its vertex s + 1, and its
+    # free vertex is the face's vertex s - 1
+    faces = mesh.faces
+    ahead = np.roll(faces, -1, axis=1)
+    lo, hi = np.minimum(faces, ahead).ravel(), np.maximum(faces, ahead).ravel()
+    side = np.lexsort((hi, lo))  # by edge, then by face (stable)
+    lo, hi = lo[side], hi[side]
+    same = (lo[1:] == lo[:-1]) & (hi[1:] == hi[:-1])  # sorted sides k, k + 1
+    crowded = (same[1:] & same[:-1]).nonzero()[0]
+    if crowded.size:
+        edge = (int(lo[crowded[0]]), int(hi[crowded[0]]))
+        owners = np.count_nonzero((lo == edge[0]) & (hi == edge[1]))
+        raise GeometryError(f"non-manifold edge {edge} on {owners} faces")
+    k = same.nonzero()[0]
+    plus, minus = side[k], side[k + 1]
+    free = np.roll(faces, 1, axis=1).ravel()
+    edges = np.stack([lo[k], hi[k]], axis=1)
     return RwgBasis(
         mesh=mesh,
         edges=edges,
-        plus_face=np.array(pf, dtype=int),
-        minus_face=np.array(mf, dtype=int),
-        plus_free=np.array(pfree, dtype=int),
-        minus_free=np.array(mfree, dtype=int),
-        lengths=lengths,
+        plus_face=plus // 3,
+        minus_face=minus // 3,
+        plus_free=free[plus],
+        minus_free=free[minus],
+        lengths=np.linalg.norm(
+            mesh.vertices[edges[:, 0]] - mesh.vertices[edges[:, 1]], axis=1),
     )
 
 
 def face_sampling_operator(basis: RwgBasis) -> np.ndarray:
     """Face-centroid current sampler, (3 Nf, E) real.
 
-    Column n holds the RWG function n evaluated at every face centroid,
-    stacked (x, y, z) per face. Faces not touched by an edge function
-    contribute zero rows.
+    Column n holds the RWG function n at the centroid c_f of each of its
+    two faces f, +-l_n / (2 A_f) (c_f - v_free), in rows `face_rows(f)`;
+    every other row is zero.
     """
     mesh = basis.mesh
-    S = np.zeros((3 * mesh.n_faces, basis.n_edges))
-    cent = mesh.face_centroids
-    areas = mesh.face_areas
-    for n in range(basis.n_edges):
-        ln = basis.lengths[n]
-        for face, free, sign in (
-            (basis.plus_face[n], basis.plus_free[n], 1.0),
-            (basis.minus_face[n], basis.minus_free[n], -1.0),
-        ):
-            val = sign * ln / (2.0 * areas[face]) * (
-                cent[face] - mesh.vertices[free]
-            )
-            S[3 * face : 3 * face + 3, n] += val
-    return S
-
-
-def face_rows(faces) -> np.ndarray:
-    """Rows 3f, 3f + 1, 3f + 2 of each face f in the stacked (x, y, z)
-    per-face layout of sampled currents, fields and the channel."""
-    return (3 * np.asarray(faces)[:, None] + np.arange(3)).ravel()
+    face = np.stack([basis.plus_face, basis.minus_face])
+    free = np.stack([basis.plus_free, basis.minus_free])
+    scale = np.array([[1.0], [-1.0]]) * basis.lengths / (
+        2.0 * mesh.face_areas[face])
+    S = np.zeros((mesh.n_faces, 3, basis.n_edges))
+    # added to the zeros, so that a -0.0 is stored as 0.0
+    S[face, :, np.arange(basis.n_edges)] += scale[..., None] * (
+        mesh.face_centroids[face] - mesh.vertices[free])
+    return S.reshape(-1, basis.n_edges)
 
 
 def locate_port_edges(spec: PlateSpec, mesh: TriMesh) -> list[tuple[int, int]]:

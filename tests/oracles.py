@@ -9,7 +9,9 @@ Nothing in here shares code paths with the package internals it checks:
 * the pencil oracle solves the reduced generalized eigenproblem by explicit
   inversion and a dense nonsymmetric solve;
 * the method-of-moments (MoM) reference solves Z I = B for the port
-  currents directly, with no modes involved;
+  currents directly, with no modes involved, and the full-wave channel
+  couples two gathered plates' sampled MoM port currents through G, the
+  receive side by reciprocity;
 * the mesh oracle counts interior edges by scanning all face pairs, and
   `parent_edges` names each edge of a configuration's own basis by the
   parent faces of its plus and minus face;
@@ -27,11 +29,15 @@ Nothing in here shares code paths with the package internals it checks:
 * the refined channel calls `green_dyadic` too, under the 7-point rule on
   both faces instead of the centroids, so that it measures the midpoint
   rule's discretization error and not the kernel;
-* the eager mode diagnostics are the last: a frozen copy of the
+* the eager mode diagnostics are another: a frozen copy of the
   arithmetic that computed the eigen residuals, the R cross-coupling and
   the pattern Gram deviation inside every plate analysis, before the
   package computed them only when read, so that the two can be required
-  to agree bit for bit.
+  to agree bit for bit;
+* the loop mesh builders are the last: the per-vertex dictionary and the
+  per-face and per-edge loops that built the plate mesh, its RWG edges
+  and its face sampler before the package built them as array
+  operations, so that the two can be required to agree bit for bit.
 """
 
 from __future__ import annotations
@@ -502,6 +508,27 @@ def mom_port_currents(z, b):
     return np.linalg.solve(z, b)
 
 
+def full_wave_channel(problem, phi, currents=None):
+    """Port-to-port channel H_fw = (S_R I_R)^T G (S_T I_T) of one
+    configuration, on the x and y rows of its gathered plates' faces.
+
+    I = Z^{-1} B are each plate's MoM port currents, or `currents(op, B)`
+    when given; G is the block of the parents' channel between the two
+    plates' x and y rows.
+    """
+    from cmadof.mesh import face_rows
+
+    sampled, faces = [], []
+    for model, bits in zip(problem.models, problem.split(phi)):
+        op, sampler, ports, f = model.gather(bits)
+        i = (mom_port_currents(op.z, ports) if currents is None
+             else currents(op, ports))
+        sampled.append(sampler[face_rows(np.arange(f.size), 2)] @ i)
+        faces.append(f)
+    g = problem.channel.block(face_rows(faces[1], 2), face_rows(faces[0], 2))
+    return sampled[1].T @ g @ sampled[0]
+
+
 def radiated_power(z, currents):
     """Radiated power 1/2 Re(I^H R I) of each current column, with R the
     symmetric part (Re Z + Re Z^T)/2 of the resistance."""
@@ -537,3 +564,62 @@ def parent_edges(parent, faces, basis):
     pairs = zip(faces[basis.plus_face].tolist(),
                 faces[basis.minus_face].tolist())
     return np.array([index[pair] for pair in pairs], dtype=int)
+
+
+def loop_plate_mesh(spec, config):
+    """(vertices, faces, face tags) of `build_plate_mesh`, one pixel at a
+    time, each grid node numbered when a pixel first uses it."""
+    dx, dy = spec.pixel_size
+    vid, verts, faces, tags = {}, [], [], []
+
+    def vertex(i, j):
+        if (i, j) not in vid:
+            vid[(i, j)] = len(verts)
+            verts.append((i * dx, j * dy, 0.0))
+        return vid[(i, j)]
+
+    for t in spec.metal_pixels(config).tolist():
+        r, c = divmod(t, spec.pixel_cols)
+        bl, br = vertex(c, r), vertex(c + 1, r)
+        tr, tl = vertex(c + 1, r + 1), vertex(c, r + 1)
+        faces += [(bl, br, tr), (bl, tr, tl)]
+        tags += [t, t]
+    return (np.array(verts, dtype=float), np.array(faces, dtype=int),
+            np.array(tags, dtype=int))
+
+
+def loop_rwg(mesh):
+    """(edges, plus faces, minus faces, plus free vertices, minus free
+    vertices, lengths) of `extract_rwg`, from a dictionary of each edge's
+    (face, free vertex) incidences."""
+    incident = {}
+    for fi, (a, b, c) in enumerate(mesh.faces.tolist()):
+        for va, vb, vf in ((a, b, c), (b, c, a), (c, a, b)):
+            incident.setdefault((min(va, vb), max(va, vb)), []).append(
+                (fi, vf))
+    edges, owners = [], []
+    for key in sorted(incident):
+        if len(incident[key]) == 2:
+            edges.append(key)
+            owners.append(sorted(incident[key]))
+    edges = np.array(edges, dtype=int).reshape(-1, 2)
+    owners = np.array(owners, dtype=int).reshape(-1, 2, 2)
+    lengths = np.linalg.norm(
+        mesh.vertices[edges[:, 0]] - mesh.vertices[edges[:, 1]], axis=1)
+    return (edges, owners[:, 0, 0], owners[:, 1, 0], owners[:, 0, 1],
+            owners[:, 1, 1], lengths)
+
+
+def loop_sampler(basis):
+    """`face_sampling_operator`, one edge and face at a time."""
+    mesh = basis.mesh
+    s = np.zeros((3 * mesh.n_faces, basis.n_edges))
+    for n in range(basis.n_edges):
+        for face, free, sign in (
+                (basis.plus_face[n], basis.plus_free[n], 1.0),
+                (basis.minus_face[n], basis.minus_free[n], -1.0)):
+            s[3 * face:3 * face + 3, n] += (
+                sign * basis.lengths[n] / (2.0 * mesh.face_areas[face])
+                * (mesh.face_centroids[face] - mesh.vertices[free]))
+    return s
+

@@ -274,7 +274,7 @@ class TestOptimizeCommand:
         assert err.startswith("config error: ")
         assert err.count(str(out / "ga_checkpoint.json")) == 1
         assert err.count("\n") == 1
-        assert os.listdir(out) == []
+        assert not out.exists()
 
     @pytest.mark.parametrize("spoil", ["extra-byte", "padding-bit"])
     def test_non_canonical_phi_hex_is_config_error(self, tmp_path, capsys,
@@ -688,6 +688,25 @@ class TestSweepCommand:
         )
         assert run_cli("sweep", cfg, tmp_path / "out") == code
         assert calls == []
+
+
+    @pytest.mark.parametrize("extra, code, message", [
+        ("", 2, "config error: sweep needs sweep_axis and sweep_values"),
+        ("sweep_axis = ports\nsweep_values = 2, 2.5\n", 2,
+         "config error: ports sweep values must be positive integers, "
+         "got 2.5"),
+        ("sweep_axis = gamma\nsweep_values = 0.5, 1.5\n", 2,
+         "config error: gamma must lie in (0, 1)"),
+        ("sweep_axis = separation\nsweep_values = 0.01, 0\n", 3,
+         "geometry error: separation must be positive so the apertures "
+         "are disjoint"),
+    ], ids=["no_axis", "fractional_ports", "invalid_point", "problem_raises"])
+    def test_refusal_leaves_no_out(self, tmp_path, capsys, extra, code,
+                                   message):
+        out = tmp_path / "out"
+        assert run_cli("sweep", write_config(tmp_path, extra), out) == code
+        assert capsys.readouterr().err.splitlines()[-1] == message
+        assert not out.exists()
 
 
 class TestExportMesh:

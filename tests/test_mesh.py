@@ -3,7 +3,10 @@ import json
 
 import numpy as np
 import pytest
+from scipy.constants import c as c0
 
+from cmadof.cli import _plate_spec
+from cmadof.config import RunConfig
 from cmadof.errors import GeometryError
 from cmadof.mesh import (
     PlateSpec,
@@ -15,7 +18,8 @@ from cmadof.mesh import (
     mesh_to_json,
     mesh_to_text,
 )
-from oracles import brute_interior_edge_count, parent_edges
+from oracles import (brute_interior_edge_count, loop_plate_mesh, loop_rwg,
+                     loop_sampler, parent_edges)
 
 
 def full_spec(rows=3, cols=4, ports=2):
@@ -167,6 +171,15 @@ class TestExtractRwg:
         basis = extract_rwg(mesh)
         assert basis.n_edges == 0
 
+    def test_non_manifold_edge_rejected(self):
+        # three faces on edge (0, 1), two on edge (0, 4)
+        verts = np.array([[0, 0, 0], [1, 0, 0], [0, 1, 0], [0, -1, 0],
+                          [0, 0, 1]], dtype=float)
+        faces = np.array([[0, 1, 2], [1, 0, 3], [0, 1, 4], [0, 4, 2]])
+        with pytest.raises(GeometryError,
+                           match=r"^non-manifold edge \(0, 1\) on 3 faces$"):
+            extract_rwg(TriMesh(vertices=verts, faces=faces))
+
     def test_edge_index_lookup(self):
         spec = full_spec(1, 1, ports=1)
         mesh = build_plate_mesh(spec, np.ones(1, dtype=int))
@@ -247,6 +260,43 @@ class TestEdgeMap:
                 assert np.array_equal(got, want), name
             assert parent.lengths[p].dtype == direct.lengths.dtype
             assert np.array_equal(parent.lengths[p], direct.lengths)
+
+
+def same_bytes(got, want):
+    return (got.shape == want.shape and got.dtype == want.dtype
+            and got.tobytes() == want.tobytes())
+
+
+class TestArrayBuilders:
+    """The array builders of the mesh, its RWG edges and its face sampler
+    give the bytes of the per-element loops they replaced
+    (`oracles.loop_plate_mesh` and the others), on the benchmark's and the
+    CLI's plates and a plate of rectangular pixels."""
+
+    @pytest.mark.parametrize("make_spec", [
+        lambda: _plate_spec(RunConfig(pixel_size=0.35 * c0 / 27e9), "tx"),
+        lambda: _plate_spec(RunConfig(tx_ports=8, tx_pixels_per_port=16),
+                            "tx"),
+        lambda: _plate_spec(RunConfig(), "tx"),
+        lambda: PlateSpec(width=0.05, height=0.06, pixel_rows=3,
+                          pixel_cols=5, ports=3),
+    ], ids=["ga_link", "dof_large", "cli_default", "rectangular_pixels"])
+    def test_equal_the_loops_bytes(self, make_spec):
+        spec = make_spec()
+        rng = np.random.default_rng(30)
+        for bits in [*parity_configs(spec),
+                     *rng.integers(0, 2, (20, spec.n_bits))]:
+            mesh = build_plate_mesh(spec, bits)
+            got = (mesh.vertices, mesh.faces, mesh.face_tags)
+            for g, w in zip(got, loop_plate_mesh(spec, bits), strict=True):
+                assert same_bytes(g, w)
+            basis = extract_rwg(mesh)
+            got = (basis.edges, basis.plus_face, basis.minus_face,
+                   basis.plus_free, basis.minus_free, basis.lengths)
+            for g, w in zip(got, loop_rwg(mesh), strict=True):
+                assert same_bytes(g, w)
+            assert same_bytes(face_sampling_operator(basis),
+                              loop_sampler(basis))
 
 
 class TestSamplingOperator:
