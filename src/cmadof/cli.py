@@ -21,6 +21,7 @@ import argparse
 import dataclasses
 import json
 import logging
+import math
 import os
 import sys
 from datetime import datetime, timezone
@@ -193,7 +194,8 @@ def cmd_optimize(cfg: RunConfig) -> None:
 
 def _sweep_point_config(cfg: RunConfig, axis: str, value: float) -> RunConfig:
     if axis == "ports":
-        ports = int(round(value))
+        # nan and inf have no nearest integer: refused as 0
+        ports = round(value) if math.isfinite(value) else 0
         if abs(value - ports) > 1e-9 or ports < 1:
             raise ConfigError(f"ports sweep values must be positive "
                               f"integers, got {value!r}")

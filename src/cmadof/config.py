@@ -34,6 +34,7 @@ Schema:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, fields
 
 from .efie import C0
@@ -126,6 +127,10 @@ class RunConfig:
         return 0.24 * C0 / self.frequency
 
     def validate(self) -> None:
+        for name in ("frequency", "pixel_size", "separation"):
+            value = getattr(self, name)
+            if value is not None and not math.isfinite(value):
+                raise ConfigError(f"{name} must be finite, got {value!r}")
         if self.frequency <= 0:
             raise ConfigError("frequency must be positive")
         if not 0.0 < self.gamma < 1.0:

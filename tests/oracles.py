@@ -11,7 +11,9 @@ Nothing in here shares code paths with the package internals it checks:
 * the method-of-moments (MoM) reference solves Z I = B for the port
   currents directly, with no modes involved, and the full-wave channel
   couples two gathered plates' sampled MoM port currents through G, the
-  receive side by reciprocity;
+  receive side by reciprocity; the refined link restates a plate on n x n
+  sub-pixels per pixel, so that the full-wave channel can be followed as
+  the mesh is refined;
 * the mesh oracle counts interior edges by scanning all face pairs, and
   `parent_edges` names each edge of a configuration's own basis by the
   parent faces of its plus and minus face;
@@ -527,6 +529,33 @@ def full_wave_channel(problem, phi, currents=None):
         faces.append(f)
     g = problem.channel.block(face_rows(faces[1], 2), face_rows(faces[0], 2))
     return sampled[1].T @ g @ sampled[0]
+
+
+def refined_link(spec, n):
+    """The plate `spec` meshed n-fold finer: (spec, bit map, port sum).
+
+    Pixel (r, c) becomes the n x n sub-pixels (n r + a, n c + b), so the
+    refined spine is every sub-pixel of a spine pixel and a configuration
+    is `bits[bit map]`, each bit repeated over its sub-pixels. Port p on
+    pixel (r, c) becomes the n ports n p + k on the sub-pixels
+    (n r + k, n c + k), whose diagonals make up the pixel's diagonal; the
+    (n L, L) port sum adds those n delta-gap columns, so `B @ port_sum`
+    is the coarse plate's excitation.
+    """
+    from cmadof.mesh import PlateSpec
+
+    fine = PlateSpec(
+        width=spec.width, height=spec.height,
+        pixel_rows=n * spec.pixel_rows, pixel_cols=n * spec.pixel_cols,
+        ports=n * spec.ports,
+        spine_pixels=tuple((n * r + a, n * c + b) for r, c in spec.spine_pixels
+                           for a in range(n) for b in range(n)),
+        port_pixels=tuple((n * r + k, n * c + k) for r, c in spec.port_pixels
+                          for k in range(n)))
+    rows, cols = np.divmod(np.arange(fine.n_bits), fine.pixel_cols)
+    bit_map = rows // n * spec.pixel_cols + cols // n
+    port_sum = np.kron(np.eye(spec.ports), np.ones((n, 1)))
+    return fine, bit_map, port_sum
 
 
 def radiated_power(z, currents):

@@ -9,17 +9,17 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from scipy.constants import c as c0
 
 import cmadof.cli
 import cmadof.ga
 from cmadof.channel import effective_rank
 from cmadof.cli import main
+from cmadof.efie import C0
 from cmadof.ga import PixelProblem, evaluate, link_report, phi_from_hex
 from cmadof.mesh import PlateSpec, build_plate_mesh, mesh_to_text
 
 FREQ = 27e9
-PIX = 0.24 * c0 / FREQ
+PIX = 0.24 * C0 / FREQ
 DATA = Path(__file__).parent / "data"
 
 SMALL = """
@@ -439,8 +439,8 @@ class TestOptimizeCommand:
 #: generations of its GA
 GA_LINK = f"""
 frequency = {FREQ!r}
-pixel_size = {0.35 * c0 / FREQ!r}
-separation = {c0 / FREQ!r}
+pixel_size = {0.35 * C0 / FREQ!r}
+separation = {C0 / FREQ!r}
 n_keep = 10
 tx_ports = 4
 rx_ports = 4
@@ -806,6 +806,33 @@ class TestExitCodes:
                        *flags) == 2
         assert capsys.readouterr().err.splitlines()[-1] == (
             "config error: seed must be non-negative")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command, key, value", [
+        ("dof", "frequency", "nan"), ("modes", "frequency", "nan"),
+        ("export-mesh", "frequency", "nan"), ("dof", "frequency", "inf"),
+        ("dof", "pixel_size", "nan"), ("dof", "pixel_size", "inf"),
+        ("dof", "separation", "nan"), ("dof", "separation", "inf"),
+        ("sweep", "ports", "nan"), ("sweep", "ports", "inf"),
+    ])
+    def test_non_finite_number_is_config_error(self, tmp_path, capsys,
+                                               command, key, value):
+        # the value replaces SMALL's own for its key; a sweep's is its
+        # second point
+        if command == "sweep":
+            extra = f"sweep_axis = {key}\nsweep_values = 2, {value}\n"
+            message = (f"{key} sweep values must be positive integers, "
+                       f"got {value}")
+        else:
+            extra = f"{key} = {value}\n"
+            message = f"{key} must be finite, got {value}"
+        cfg = tmp_path / "run.ini"
+        cfg.write_text(re.sub(rf"^{key} = .*\n", "", SMALL, flags=re.M)
+                       + extra)
+        out = tmp_path / "o"
+        assert run_cli(command, str(cfg), out) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            f"config error: {message}"]
         assert not out.exists()
 
     @pytest.mark.parametrize("command", list(cmadof.cli._COMMANDS))
